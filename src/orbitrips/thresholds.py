@@ -19,13 +19,15 @@ quotient metric space, so their checks double as certificates for iso_check.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .actions import IsometricAction, QuotientSpace, build_quotient
-from .complexes import (DEFAULT_BUDGET, DEFAULT_DIM_CAP, cech_complex,
-                        vr_complex)
+from .actions import (ISOMETRY_EPS, IsometricAction, QuotientSpace,
+                      build_quotient)
+from .complexes import (DEFAULT_BUDGET, DEFAULT_DIM_CAP, BudgetExceededError,
+                        cech_complex, vr_complex)
 from .lifts import (EQ_EPS, anchored_lifts_within, anchored_min_diameter,
                     anchored_witnessed_lifts)
 from .spaces import FiniteMetricSpace, critical_values
@@ -73,7 +75,9 @@ class ThresholdReport:
     The property holds at passes_at and fails at fails_at (both were checked);
     resolution = fails_at - passes_at is the width of the bracket.  For the
     distance and ball kinds the threshold is computed exactly rather than
-    scanned, so passes_at is the exact supremum of passing scales.
+    scanned, so passes_at is the exact supremum of passing scales.  For the
+    diameter and nerve kinds, scanned is the number of checks performed, not
+    the grid position of fails_at.
     """
 
     kind: str
@@ -205,6 +209,21 @@ def _doubles_failure(space: FiniteMetricSpace, action: IsometricAction,
     return None
 
 
+_DIST_LISTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _dist_lists(q: QuotientSpace) -> tuple[list, list]:
+    """Base and quotient distances as nested lists, built once per quotient.
+
+    The lift searches index lists far faster than arrays; a scan passes the
+    same quotient to every check, so the conversion is paid once per scan.
+    """
+    lists = _DIST_LISTS.get(q)
+    if lists is None:
+        lists = _DIST_LISTS[q] = (q.base.dist.tolist(), q.space.dist.tolist())
+    return lists
+
+
 def diameter_action_check(space: FiniteMetricSpace, action: IsometricAction,
                           r: float, k_max: int = DEFAULT_DIM_CAP,
                           quotient: QuotientSpace | None = None,
@@ -226,8 +245,7 @@ def diameter_action_check(space: FiniteMetricSpace, action: IsometricAction,
                                  k_max=k_max, witness=doubles)
 
     qcx = vr_complex(q.space, r, convention="lt", dim_cap=k_max, budget=budget)
-    Dl = space.dist.tolist()
-    Ql = q.space.dist.tolist()
+    Dl, Ql = _dist_lists(q)
     members = q.members
     checked = 0
     for dim in range(1, k_max + 1):
@@ -286,8 +304,9 @@ def nerve_action_check(space: FiniteMetricSpace, action: IsometricAction,
     Qualifying subsets are the simplices of the Cech complex of the quotient
     space (balls of radius r sharing a quotient sample point); each must have
     exactly one anchored lift tuple whose base balls share a base sample
-    point.  A quotient witness always lifts, so the failure mode seen in
-    practice is lift_not_unique; no_witnessed_lift is kept defensively.
+    point.  Under an exactly isometric action a quotient witness always
+    lifts, so the failure is lift_not_unique; no_witnessed_lift occurs when
+    the action is isometric only up to rounding (see threshold_scan).
     Together with the doubled-point part this matches the quotient of the
     Cech complex with the Cech complex of the quotient.
     """
@@ -324,18 +343,58 @@ def nerve_action_check(space: FiniteMetricSpace, action: IsometricAction,
                              convention=convention, subsets_checked=checked)
 
 
+def _tight_indices(grid: list[float], crit: np.ndarray) -> list[int]:
+    """Indices of grid values with a base critical value other than
+    themselves within ISOMETRY_EPS, in ascending order."""
+    if not crit.size:
+        return []
+    g = np.asarray(grid, dtype=float)
+    below = np.searchsorted(crit, g, side="left") - 1   # largest value < g
+    above = np.searchsorted(crit, g, side="right")      # smallest value > g
+    top = len(crit) - 1
+    tight = (((below >= 0) & (g - crit[below.clip(0, top)] <= ISOMETRY_EPS))
+             | ((above <= top) & (crit[above.clip(0, top)] - g <= ISOMETRY_EPS)))
+    return np.flatnonzero(tight).tolist()
+
+
 def threshold_scan(space: FiniteMetricSpace, action: IsometricAction,
                    kind: str, k_max: int = DEFAULT_DIM_CAP,
                    convention: str = "lt",
                    r_values=None, budget: int = DEFAULT_BUDGET) -> ThresholdReport:
     """Bracket the largest scale at which a property of the action holds.
 
-    distance and ball are computed exactly.  diameter and nerve are scanned
+    distance and ball are computed exactly.  diameter and nerve are searched
     over the critical values of the base space (every quotient distance is a
     base distance, so this grid sees every scale at which the qualifying
-    subsets or their lifts can change), in ascending order, stopping at the
-    first failure; all four properties are monotone, so a single transition
-    exists.
+    subsets or their lifts can change), or over r_values when given.  The
+    report is the one an ascending walk that stops at the first failing check
+    would give: fails_at is the first grid value whose check fails, passes_at
+    its predecessor (0.0 when there is none), and the witness comes from the
+    check at fails_at.
+
+    The search gallops over grid indices 1, 3, 7, ... until a check fails,
+    then bisects down to an adjacent pass/fail pair.  That is exact for
+    diameter, whose check is monotone in r in float arithmetic too: the
+    qualifying quotient simplices, the extra lifts within scale and the
+    doubled points only grow with r, and the no-equality and non-unique tests
+    do not depend on r.
+
+    The nerve check is monotone in r only for an exactly isometric action:
+    doubled points and non-unique lifts only grow with r, but a subset can
+    fail with no_witnessed_lift below a passing scale.  A quotient witness of
+    a subset at quotient scale a lifts to an anchored tuple with a common
+    sample point at base scale s <= a + delta, where delta <= ISOMETRY_EPS is
+    the isometry defect that build_quotient accepted, and both a and s are
+    base distances.  A missing lift at r needs a < r <= s ("lt") or
+    a <= r < s ("leq"), so r has a base critical value other than itself
+    within ISOMETRY_EPS.  After the bisection the nerve search therefore
+    checks every such tight grid value below the bracket in ascending order;
+    the first one that fails becomes fails_at, and its predecessor is checked
+    too.
+
+    A check that exceeds the simplex budget counts as failing, since complexes
+    only grow with r; the BudgetExceededError is re-raised only when it comes
+    from the check at the first failing grid value.
     """
     if kind == "distance":
         return distance_threshold(space, action)
@@ -345,37 +404,82 @@ def threshold_scan(space: FiniteMetricSpace, action: IsometricAction,
         raise ValueError(f"unknown threshold kind: {kind!r}")
 
     q = build_quotient(space, action)
+    crit = None
     if r_values is None:
-        grid = [float(v) for v in critical_values(space)]
+        crit = critical_values(space)
+        grid = [float(v) for v in crit]
     else:
         grid = sorted(float(v) for v in r_values)
-    passes_at = 0.0
+    results: dict[int, ActionCheckResult | BudgetExceededError] = {}
+
+    def passes(i: int) -> bool:
+        if i not in results:
+            try:
+                if kind == "diameter":
+                    results[i] = diameter_action_check(
+                        space, action, grid[i], k_max=k_max, quotient=q,
+                        budget=budget)
+                else:
+                    results[i] = nerve_action_check(
+                        space, action, grid[i], k_max=k_max,
+                        convention=convention, quotient=q, budget=budget)
+            except BudgetExceededError as exc:
+                results[i] = exc
+        res = results[i]
+        return isinstance(res, ActionCheckResult) and res.ok
+
+    # invariant: index lo passes (-1 stands for scale 0.0), index hi fails
+    # (len(grid) stands for "no failure")
+    lo, hi = -1, len(grid)
+    probe = 1
+    while hi == len(grid) and lo < hi - 1:
+        probe = min(probe, hi - 1)
+        if passes(probe):
+            lo, probe = probe, 2 * probe + 1
+        else:
+            hi = probe
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if passes(mid):
+            lo = mid
+        else:
+            hi = mid
+
+    tight_checked = 0
+    if kind == "nerve" and lo > 0:
+        if crit is None:
+            crit = critical_values(space)
+        for t in _tight_indices(grid[:lo], crit):
+            if t in results:
+                continue
+            tight_checked += 1
+            if not passes(t):
+                lo, hi = t - 1, t
+                if lo >= 0 and not passes(lo):
+                    raise RuntimeError(
+                        f"nerve check fails at {grid[lo]!r}, which is neither "
+                        "tight nor above the searched bracket")
+                break
+
+    passes_at = grid[lo] if lo >= 0 else 0.0
     fails_at = math.inf
     witness = None
-    scanned = 0
-    for r in grid:
-        scanned += 1
-        if kind == "diameter":
-            res = diameter_action_check(space, action, r, k_max=k_max,
-                                        quotient=q, budget=budget)
-        else:
-            res = nerve_action_check(space, action, r, k_max=k_max,
-                                     convention=convention, quotient=q,
-                                     budget=budget)
-        if res.ok:
-            passes_at = r
-        else:
-            fails_at = r
-            witness = dict(res.witness or {})
-            witness["scale"] = r
-            break
+    if hi < len(grid):
+        res = results[hi]
+        if isinstance(res, BudgetExceededError):
+            raise res
+        fails_at = grid[hi]
+        witness = dict(res.witness or {})
+        witness["scale"] = fails_at
     resolution = (fails_at - passes_at) if math.isfinite(fails_at) else None
     return ThresholdReport(kind=kind, k_max=k_max, convention=convention,
                            passes_at=passes_at, fails_at=fails_at,
                            witness=witness, resolution=resolution,
-                           scanned=scanned,
+                           scanned=len(results),
                            provenance={"grid": "base-critical-values",
-                                       "grid_size": len(grid)})
+                                       "grid_size": len(grid),
+                                       "search": "gallop",
+                                       "tight_checked": tight_checked})
 
 
 def verify_witness(space: FiniteMetricSpace, action: IsometricAction,
@@ -405,8 +509,7 @@ def verify_witness(space: FiniteMetricSpace, action: IsometricAction,
 
     orbits = tuple(witness["orbits"])
     members = q.members
-    Dl = space.dist.tolist()
-    Ql = q.space.dist.tolist()
+    Dl, Ql = _dist_lists(q)
     if kind == "diameter":
         qdiam = max(Ql[a][b] for i, a in enumerate(orbits) for b in orbits[i + 1:])
         if not qdiam < r:

@@ -1,9 +1,11 @@
 """Shared fixtures and brute-force oracles.
 
-The oracles here recompute everything straight from definitions with
-itertools-style enumeration and no shared code with the library internals
+The brute-force oracles here recompute everything straight from definitions
+with itertools-style enumeration and no shared code with the library internals
 (no bitmasks, no clique expansion, no anchoring, no branch-and-bound), so
-agreement is meaningful.
+agreement is meaningful.  linear_scan is the exception: it is the search
+oracle for threshold_scan and calls the library's per-scale checks, which the
+brute-force oracles referee on their own.
 """
 
 from __future__ import annotations
@@ -14,8 +16,11 @@ import math
 import numpy as np
 import pytest
 
-from orbitrips.actions import IsometricAction, close_group
-from orbitrips.spaces import FiniteMetricSpace
+from orbitrips.actions import IsometricAction, build_quotient, close_group
+from orbitrips.complexes import DEFAULT_BUDGET
+from orbitrips.spaces import FiniteMetricSpace, critical_values
+from orbitrips.thresholds import (ThresholdReport, diameter_action_check,
+                                  nerve_action_check)
 
 EQ_EPS = 1e-9
 
@@ -177,6 +182,48 @@ def _brute_qdist(D: np.ndarray, members: list[list[int]]) -> list[list[float]]:
             if a != b:
                 out[a][b] = min(D[x, y] for x in members[a] for y in members[b])
     return out
+
+
+# ---------------------------------------------------------------------------
+# search oracle
+
+
+def linear_scan(space: FiniteMetricSpace, action: IsometricAction, kind: str,
+                k_max: int, convention: str = "lt", r_values=None,
+                budget: int = DEFAULT_BUDGET) -> ThresholdReport:
+    """threshold_scan for diameter/nerve by an ascending walk over the grid
+    that stops at the first failing check; scanned is the number of checks."""
+    q = build_quotient(space, action)
+    if r_values is None:
+        grid = [float(v) for v in critical_values(space)]
+    else:
+        grid = sorted(float(v) for v in r_values)
+    passes_at, fails_at, witness, scanned = 0.0, math.inf, None, 0
+    for r in grid:
+        scanned += 1
+        if kind == "diameter":
+            res = diameter_action_check(space, action, r, k_max=k_max,
+                                        quotient=q, budget=budget)
+        else:
+            res = nerve_action_check(space, action, r, k_max=k_max,
+                                     convention=convention, quotient=q,
+                                     budget=budget)
+        if res.ok:
+            passes_at = r
+        else:
+            fails_at = r
+            witness = dict(res.witness or {})
+            witness["scale"] = r
+            break
+    return ThresholdReport(kind=kind, k_max=k_max, convention=convention,
+                           passes_at=passes_at, fails_at=fails_at,
+                           witness=witness, scanned=scanned)
+
+
+def assert_same_bracket(rep: ThresholdReport, oracle: ThresholdReport) -> None:
+    """The fields of a scan report that must equal the linear walk's."""
+    assert (rep.passes_at, rep.fails_at, rep.witness) == \
+        (oracle.passes_at, oracle.fails_at, oracle.witness)
 
 
 # ---------------------------------------------------------------------------

@@ -261,6 +261,15 @@ def test_validation_errors_exit_3(tmp_path, circle12, antipodal12):
                  "--action", str(circle12), "--scale", "0.1"]) == 3
 
 
+def test_thresholds_budget_exit_4(tmp_path, circle12, antipodal12):
+    # the diameter check at the second critical value already needs more
+    # than ten simplices, long before the scan reaches its threshold
+    argv = ["thresholds", "--kind", "diameter", "--space", str(circle12),
+            "--action", str(antipodal12), "--out", str(tmp_path / "t.json")]
+    assert main(argv + ["--budget", "10"]) == 4
+    assert main(argv + ["--budget", "100000"]) == 0
+
+
 def test_budget_exit_4_and_env(tmp_path, circle12, monkeypatch):
     argv = ["complex", "--scale", "0.5", "--convention", "leq",
             "--space", str(circle12), "--out", str(tmp_path / "cx.json")]

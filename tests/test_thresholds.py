@@ -2,18 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbitrips.actions import (antipodal_generator, block_shift_generator,
                                build_quotient, circle_rotation_generator,
-                               close_group)
+                               close_group, paired_swap_generator)
+from orbitrips.complexes import BudgetExceededError, vr_complex
 from orbitrips.spaces import (FiniteMetricSpace, ShapeSpec, critical_values,
                               generate_space)
 from orbitrips.thresholds import (ball_threshold, diameter_action_check,
                                   distance_threshold, nerve_action_check,
                                   threshold_scan, verify_witness)
 
-from conftest import (brute_ball_ok, brute_diameter_ok, brute_distance_ok,
-                      brute_nerve_ok, random_rotated_cloud)
+from conftest import (assert_same_bracket, brute_ball_ok, brute_diameter_ok,
+                      brute_distance_ok, brute_nerve_ok, linear_scan,
+                      random_rotated_cloud)
 
 
 def _circle12_antipodal():
@@ -202,3 +205,87 @@ def test_six_circles_extra_lift_mode():
     assert res.witness["part"] == "sets"
     assert res.witness["mode"] == "extra_lift_within_scale"
     assert verify_witness(space, action, "diameter", 2.5, res.witness)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10**9), m=st.integers(2, 4), k=st.integers(2, 3),
+       kind=st.sampled_from(["diameter", "nerve"]),
+       convention=st.sampled_from(["lt", "leq"]), k_max=st.integers(1, 3),
+       jitter=st.booleans(), custom_grid=st.booleans())
+def test_scan_matches_linear_oracle(seed, m, k, kind, convention, k_max,
+                                    jitter, custom_grid):
+    rng = np.random.default_rng(seed)
+    space, action = random_rotated_cloud(rng, m=m, k=k)
+    if jitter:
+        # break the snapped ties by far less than ISOMETRY_EPS: the action
+        # stays acceptable but is no longer exact, so the nerve check need not
+        # be monotone and the tight-point sweep is exercised
+        noise = np.triu(rng.uniform(-1e-10, 1e-10, size=(space.n, space.n)), 1)
+        space = FiniteMetricSpace(space.dist + noise + noise.T)
+    r_values = None
+    if custom_grid:
+        cv = critical_values(space)
+        picks = rng.choice(len(cv), size=min(len(cv), 8), replace=False)
+        r_values = [float(cv[i]) for i in picks] + \
+            rng.uniform(0.0, float(cv[-1]) * 1.1, size=4).tolist()
+    rep = threshold_scan(space, action, kind, k_max=k_max,
+                         convention=convention, r_values=r_values)
+    oracle = linear_scan(space, action, kind, k_max=k_max,
+                         convention=convention, r_values=r_values)
+    assert_same_bracket(rep, oracle)
+
+
+def test_nerve_scan_of_one_point_space_on_custom_grid():
+    # no critical values at all, so no grid value can be tight
+    space, action = FiniteMetricSpace([[0.0]]), close_group(1, [])
+    rep = threshold_scan(space, action, "nerve", r_values=[0.1, 0.2, 0.3])
+    assert_same_bracket(rep, linear_scan(space, action, "nerve", k_max=3,
+                                         r_values=[0.1, 0.2, 0.3]))
+    assert rep.passes_at == 0.3
+
+
+def _paired_sphere30():
+    space = generate_space(ShapeSpec(
+        "geodesic-sphere", {"dim": 2, "count": 30, "paired": True}, seed=0))
+    return space, close_group(60, [paired_swap_generator(30)])
+
+
+def test_nerve_scan_finds_failure_below_a_passing_scale():
+    # the swap on this float-built sphere is isometric only up to rounding,
+    # so the nerve check fails (no_witnessed_lift) at tight scales below
+    # scales where it passes again; a search that trusts monotonicity skips
+    # those failures and reports a passes_at where the complexes differ
+    space, action = _paired_sphere30()
+    rep = threshold_scan(space, action, "nerve", k_max=2)
+    assert_same_bracket(rep, linear_scan(space, action, "nerve", k_max=2))
+    assert rep.provenance["search"] == "gallop"
+    q = build_quotient(space, action)
+    assert not nerve_action_check(space, action, rep.fails_at, k_max=2,
+                                  quotient=q).ok
+    grid = [float(v) for v in critical_values(space)]
+    assert any(nerve_action_check(space, action, r, k_max=2, quotient=q).ok
+               for r in grid if r > rep.fails_at)
+
+
+def test_scan_budget_overrun_above_the_threshold_is_not_fatal():
+    space, action = _circle12_antipodal()
+    grid = [float(v) for v in critical_values(space)]
+    q = build_quotient(space, action)
+    # the largest complex the linear walk builds is the one at fails_at
+    budget = vr_complex(q.space, 0.25, convention="lt", dim_cap=3).total
+    oracle = linear_scan(space, action, "diameter", k_max=3, budget=budget)
+    assert oracle.fails_at == 0.25
+    # a galloping probe beyond fails_at would overrun this budget
+    assert grid.index(0.25) == 2
+    with pytest.raises(BudgetExceededError):
+        vr_complex(q.space, grid[3], convention="lt", dim_cap=3, budget=budget)
+    rep = threshold_scan(space, action, "diameter", k_max=3, budget=budget)
+    assert_same_bracket(rep, oracle)
+
+
+def test_scan_budget_overrun_below_the_threshold_raises():
+    space, action = _circle12_antipodal()
+    with pytest.raises(BudgetExceededError):
+        linear_scan(space, action, "diameter", k_max=3, budget=10)
+    with pytest.raises(BudgetExceededError):
+        threshold_scan(space, action, "diameter", k_max=3, budget=10)
