@@ -17,14 +17,12 @@ from .actions import (
     QuotientSpace,
     close_group,
     verify_isometric,
-    orbit_of,
     build_quotient,
 )
 from .complexes import (
     SimplicialComplex,
     VRFiltration,
     BudgetExceededError,
-    neighborhood_graph,
     vr_complex,
     cech_complex,
     vr_filtration,
@@ -40,7 +38,6 @@ from .thresholds import (
 from .quotient_iso import (
     QuotientComplex,
     IsoCertificate,
-    induced_action,
     quotient_complex,
     iso_check,
 )
@@ -56,13 +53,13 @@ __all__ = [
     "FiniteMetricSpace", "ShapeSpec", "MetricValidation",
     "generate_space", "validate_metric", "critical_values",
     "IsometricAction", "QuotientSpace", "close_group",
-    "verify_isometric", "orbit_of", "build_quotient",
+    "verify_isometric", "build_quotient",
     "SimplicialComplex", "VRFiltration", "BudgetExceededError",
-    "neighborhood_graph", "vr_complex", "cech_complex", "vr_filtration",
+    "vr_complex", "cech_complex", "vr_filtration",
     "ThresholdReport", "distance_threshold", "ball_threshold",
     "diameter_action_check", "nerve_action_check", "threshold_scan",
     "QuotientComplex", "IsoCertificate",
-    "induced_action", "quotient_complex", "iso_check",
+    "quotient_complex", "iso_check",
     "Barcode", "BettiVector", "reduce_filtration", "betti_at",
     "homology_oracle",
 ]

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spaces import FiniteMetricSpace, MetricValidation, validate_metric
+from .spaces import FiniteMetricSpace, validate_metric
 
 __all__ = [
     "ISOMETRY_EPS",
@@ -18,7 +18,6 @@ __all__ = [
     "GroupClosureError",
     "close_group",
     "verify_isometric",
-    "orbit_of",
     "build_quotient",
     "action_to_dict",
     "action_from_dict",
@@ -145,11 +144,6 @@ def verify_isometric(space: FiniteMetricSpace, action: IsometricAction,
                           counterexample=None if ok else worst_at)
 
 
-def orbit_of(action: IsometricAction, i: int) -> list[int]:
-    """Sorted orbit of point i (the group is closed, so element images suffice)."""
-    return sorted({int(p[i]) for p in action.elements})
-
-
 class QuotientSpace:
     """The metric quotient of a space by an isometric action.
 
@@ -159,8 +153,7 @@ class QuotientSpace:
     """
 
     def __init__(self, base: FiniteMetricSpace, action: IsometricAction,
-                 reps: list[int], proj: np.ndarray, qdist: np.ndarray,
-                 validation: MetricValidation):
+                 reps: list[int], proj: np.ndarray, qdist: np.ndarray):
         self.base = base
         self.action = action
         self.reps = reps
@@ -173,7 +166,7 @@ class QuotientSpace:
                         "group_order": len(action),
                         "orbits": len(reps)},
         )
-        self.validation = validation
+        self.validation = validate_metric(self.space)
         # members[a] is ascending, and members[a][0] == reps[a] because
         # representatives are chosen by an ascending scan
         self.members: list[list[int]] = [
@@ -183,9 +176,6 @@ class QuotientSpace:
     @property
     def n_orbits(self) -> int:
         return len(self.reps)
-
-    def orbit_members(self, a: int) -> np.ndarray:
-        return np.flatnonzero(self.proj == a)
 
 
 def build_quotient(space: FiniteMetricSpace, action: IsometricAction) -> QuotientSpace:
@@ -219,10 +209,7 @@ def build_quotient(space: FiniteMetricSpace, action: IsometricAction) -> Quotien
     for b in range(q):
         qdist[:, b] = rowmin[:, member_lists[b]].min(axis=1)
     np.fill_diagonal(qdist, 0.0)
-    quotient = QuotientSpace(space, action, reps, proj, qdist,
-                             validation=MetricValidation(True, q, 0.0))
-    quotient.validation = validate_metric(quotient.space)
-    return quotient
+    return QuotientSpace(space, action, reps, proj, qdist)
 
 
 # ---------------------------------------------------------------------------

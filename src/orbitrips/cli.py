@@ -25,7 +25,7 @@ import sys
 import time
 
 from . import __version__
-from .actions import (GroupClosureError, antipodal_generator,
+from .actions import (GroupClosureError, action_to_dict, antipodal_generator,
                       block_shift_generator, build_quotient,
                       circle_rotation_generator, close_group, load_action,
                       paired_swap_generator, torus_grid_shift_generators,
@@ -208,8 +208,7 @@ def cmd_action(args) -> int:
         iso = verify_isometric(space, action)
         if not iso.ok:
             raise ValueError(f"action is not isometric: {iso.counterexample}")
-    doc = {"n": n,
-           "generators": [list(action.elements[i]) for i in action.generator_indices],
+    doc = {**action_to_dict(action),
            "group_order": len(action.elements),
            "manifest": _manifest(args, [args.space] if args.space else [])}
     _emit_json(doc, args.out)
@@ -305,9 +304,9 @@ def cmd_iso_check(args) -> int:
 
 def cmd_persistence(args) -> int:
     space = _load_space_arg(args.space)
-    filt = vr_filtration(space, dim_cap=args.dim_cap, budget=_budget(args))
-    if args.max_scale is not None:
-        filt = filt.truncate(parse_scale(args.max_scale), convention="leq")
+    max_scale = None if args.max_scale is None else parse_scale(args.max_scale)
+    filt = vr_filtration(space, dim_cap=args.dim_cap, budget=_budget(args),
+                         max_scale=max_scale)
     barcode = reduce_filtration(filt)
     manifest_line = json.dumps(_manifest(args, [args.space]), sort_keys=True)
     _emit_text(format_barcode_tsv(barcode, header_lines=[manifest_line]), args.out)
@@ -470,7 +469,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_iso_check)
 
     p = sub.add_parser("persistence", help="VR persistence barcode as TSV")
-    p.add_argument("--max-scale", default=None, help="truncate the filtration")
+    p.add_argument("--max-scale", default=None,
+                   help="keep only simplices of diameter <= this scale; they "
+                        "alone are enumerated and count against the budget")
     _add_common(p, "space", "dim-cap", "budget")
     p.set_defaults(func=cmd_persistence)
 

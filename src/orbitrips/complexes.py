@@ -1,11 +1,11 @@
-"""Vietoris-Rips and Cech complexes of finite metric spaces, plus the full
-VR filtration.  Simplices are enumerated by ordered clique expansion over
-bitmask adjacency, so output order is deterministic (dimension, then lex)."""
+"""Vietoris-Rips and Cech complexes of finite metric spaces, plus the VR
+filtration.  Everything is built from two primitives: the r-balls of the
+points as bitmasks (ball_masks), and one ordered clique walk over bitmask
+adjacency, so output order is deterministic (dimension, then lex)."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,10 +15,9 @@ __all__ = [
     "DEFAULT_BUDGET",
     "DEFAULT_DIM_CAP",
     "BudgetExceededError",
-    "NeighborhoodGraph",
     "SimplicialComplex",
     "VRFiltration",
-    "neighborhood_graph",
+    "ball_masks",
     "vr_complex",
     "cech_complex",
     "vr_filtration",
@@ -39,29 +38,22 @@ class BudgetExceededError(RuntimeError):
         super().__init__(f"simplex budget {budget} exceeded at dimension {dim_reached}")
 
 
-def _check_convention(convention: str) -> str:
+def ball_masks(space: FiniteMetricSpace, r: float,
+               convention: str = "leq") -> list[int]:
+    """Row bitmasks of the r-balls: bit y of mask x is set iff d(x, y) <= r
+    ("leq") or d(x, y) < r ("lt").  A point's own bit is set iff 0 passes the
+    comparison, so every row is empty for r < 0, and for r = 0 under "lt"."""
     if convention not in _CONVENTIONS:
         raise ValueError(f"convention must be one of {_CONVENTIONS}, got {convention!r}")
-    return convention
-
-
-@dataclass
-class NeighborhoodGraph:
-    n: int
-    r: float
-    convention: str
-    adj: np.ndarray  # boolean, symmetric, hollow
-
-
-def neighborhood_graph(space: FiniteMetricSpace, r: float,
-                       convention: str = "leq") -> NeighborhoodGraph:
-    """Edges between distinct points with d <= r (leq) or d < r (lt)."""
-    _check_convention(convention)
     D = space.dist
-    adj = (D <= r) if convention == "leq" else (D < r)
-    np.fill_diagonal(adj, False)
-    adj.setflags(write=False)
-    return NeighborhoodGraph(space.n, float(r), convention, adj)
+    if convention == "leq":
+        inside = D <= r
+        np.fill_diagonal(inside, r >= 0)
+    else:
+        inside = D < r
+        np.fill_diagonal(inside, r > 0)
+    packed = np.packbits(inside, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 class SimplicialComplex:
@@ -108,43 +100,31 @@ class SimplicialComplex:
                 f"convention={self.convention!r}, counts={self.counts})")
 
 
-def _masks_from_adj(adj: np.ndarray) -> list[int]:
-    """Row bitmasks of a boolean matrix (bit j of mask i <=> adj[i, j])."""
-    n = adj.shape[0]
-    packed = np.packbits(adj, axis=1, bitorder="little")
-    return [int.from_bytes(packed[i].tobytes(), "little") for i in range(n)]
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _expand_cliques(n: int, adj_masks: list[int], dim_cap: int, budget: int,
                     child_state=None, root_state=None):
     """Ordered clique expansion over bitmask adjacency.
 
-    Yields nothing; fills and returns {dim: [simplex tuples]}.  Optional
-    `root_state(v)` / `child_state(state, simplex, v)` thread extra per-simplex
-    data (Cech witness masks, filtration values); child_state may return None
-    to prune the child.
+    Returns ({dim: [simplex tuples]}, {dim: [states]}), each dimension in lex
+    order.  Bit v of adj_masks[u] marks an edge; a vertex's own bit is
+    ignored.  Optional `root_state(v)` / `child_state(state, simplex, v)`
+    thread extra per-simplex data (Cech witness masks, filtration values);
+    child_state may return None to prune the child.  The states are kept,
+    parallel to the simplices, only when child_state is given; otherwise the
+    second dict is empty.  Every simplex, vertices included, counts against
+    the budget.
     """
     simplices: dict[int, list[tuple[int, ...]]] = {0: [(i,) for i in range(n)]}
     count = n
     if count > budget:
         raise BudgetExceededError(budget, 0)
-    states = None if root_state is None else [root_state(i) for i in range(n)]
+    roots = [None] * n if root_state is None else [root_state(i) for i in range(n)]
+    kept: dict[int, list] = {} if child_state is None else {0: roots}
     # candidates start as neighbors above the vertex
-    frontier = []
-    for i in range(n):
-        above = -1 << (i + 1)
-        frontier.append(((i,), adj_masks[i] & above,
-                         None if states is None else states[i]))
+    frontier = [((i,), adj_masks[i] & (-1 << (i + 1)), roots[i]) for i in range(n)]
     for dim in range(1, dim_cap + 1):
         nxt = []
         out = []
+        states = []
         for simplex, cand, state in frontier:
             m = cand
             while m:
@@ -155,6 +135,7 @@ def _expand_cliques(n: int, adj_masks: list[int], dim_cap: int, budget: int,
                     cstate = child_state(state, simplex, v)
                     if cstate is None:
                         continue
+                    states.append(cstate)
                 else:
                     cstate = None
                 child = simplex + (v,)
@@ -167,13 +148,15 @@ def _expand_cliques(n: int, adj_masks: list[int], dim_cap: int, budget: int,
         if not out:
             break
         simplices[dim] = out
+        if child_state is not None:
+            kept[dim] = states
         frontier = nxt
-    return simplices
+    return simplices, kept
 
 
 def vr_complex(space: FiniteMetricSpace, r: float, convention: str = "leq",
                dim_cap: int = DEFAULT_DIM_CAP, budget: int = DEFAULT_BUDGET) -> SimplicialComplex:
-    """Vietoris-Rips complex at scale r: the flag complex of the neighborhood graph.
+    """Vietoris-Rips complex at scale r: the clique complex of the r-balls.
 
     Parameters
     ----------
@@ -187,10 +170,8 @@ def vr_complex(space: FiniteMetricSpace, r: float, convention: str = "leq",
     budget : int
         Total simplex cap; overflow raises BudgetExceededError.
     """
-    _check_convention(convention)
-    graph = neighborhood_graph(space, r, convention)
-    masks = _masks_from_adj(graph.adj)
-    simplices = _expand_cliques(space.n, masks, dim_cap, budget)
+    masks = ball_masks(space, r, convention)
+    simplices, _ = _expand_cliques(space.n, masks, dim_cap, budget)
     return SimplicialComplex(space.n, "vr", convention, float(r), dim_cap, simplices)
 
 
@@ -203,36 +184,27 @@ def cech_complex(space: FiniteMetricSpace, r: float, convention: str = "leq",
     the sample itself.  Vertices are always present.  Candidate cliques are
     pruned by the pairwise-witness graph, a refinement of the VR graph at 2r.
     """
-    _check_convention(convention)
-    D = space.dist
-    balls = (D <= r) if convention == "leq" else (D < r)
-    ball_masks = _masks_from_adj(balls)  # bit y of mask i: y witnesses i's ball
-    # diagonal: a point witnesses its own ball when d(x,x)=0 satisfies the comparison
-    if convention == "leq" or r > 0:
-        for i in range(space.n):
-            ball_masks[i] |= 1 << i
+    balls = ball_masks(space, r, convention)  # bit y of mask i: y witnesses i's ball
     pair_adj = [0] * space.n
     for i in range(space.n):
-        mi = ball_masks[i]
+        mi = balls[i]
         for j in range(i + 1, space.n):
-            if mi & ball_masks[j]:
+            if mi & balls[j]:
                 pair_adj[i] |= 1 << j
                 pair_adj[j] |= 1 << i
 
-    def root_state(i):
-        return ball_masks[i]
-
     def child_state(state, simplex, v):
-        w = state & ball_masks[v]
+        w = state & balls[v]
         return w if w else None
 
-    simplices = _expand_cliques(space.n, pair_adj, dim_cap, budget,
-                                child_state=child_state, root_state=root_state)
+    simplices, _ = _expand_cliques(space.n, pair_adj, dim_cap, budget,
+                                   child_state=child_state,
+                                   root_state=balls.__getitem__)
     return SimplicialComplex(space.n, "cech", convention, float(r), dim_cap, simplices)
 
 
 class VRFiltration:
-    """All simplices up to dim_cap with their VR appearance values.
+    """Simplices up to dim_cap with their VR appearance values.
 
     Entries are sorted by (value, dimension, lexicographic vertices), which is
     a valid filtration order: faces never come after cofaces.
@@ -246,66 +218,39 @@ class VRFiltration:
     def __len__(self):
         return len(self.entries)
 
-    def max_value(self) -> float:
-        return max((v for v, _ in self.entries), default=0.0)
-
-    def truncate(self, r: float, convention: str = "leq") -> "VRFiltration":
-        """Sub-filtration of simplices present at scale r under the convention."""
-        _check_convention(convention)
-        if convention == "leq":
-            kept = [e for e in self.entries if e[0] <= r]
-        else:
-            kept = [e for e in self.entries if e[0] < r]
-        return VRFiltration(self.n, self.dim_cap, kept)
-
 
 def vr_filtration(space: FiniteMetricSpace, dim_cap: int = DEFAULT_DIM_CAP,
-                  budget: int = DEFAULT_BUDGET) -> VRFiltration:
-    """Full VR filtration: every subset of <= dim_cap+1 points, valued at its diameter."""
+                  budget: int = DEFAULT_BUDGET,
+                  max_scale: float | None = None) -> VRFiltration:
+    """VR filtration: every simplex of <= dim_cap+1 points, valued at its diameter.
+
+    With max_scale, the walk enumerates only the simplices of diameter
+    <= max_scale (the filtration cut at that scale), and the budget counts
+    those simplices alone.  Without it every subset is kept, and their
+    binomial count is checked against the budget before the walk starts.
+    """
     n = space.n
-    total = sum(math.comb(n, k + 1) for k in range(min(dim_cap, n - 1) + 1))
-    if total > budget:
-        raise BudgetExceededError(budget, dim_cap)
+    if max_scale is not None and not max_scale >= 0:
+        raise ValueError(f"max_scale must be nonnegative, got {max_scale!r}")
+    if max_scale is None:
+        total = sum(math.comb(n, k + 1) for k in range(min(dim_cap, n - 1) + 1))
+        if total > budget:
+            raise BudgetExceededError(budget, dim_cap)
+        max_scale = math.inf
     Dl = space.dist.tolist()
-    all_mask = (1 << n) - 1
-    adj = [(all_mask ^ (1 << i)) for i in range(n)]
-
-    values: list[tuple[float, tuple[int, ...]]] = []
-
-    def root_state(i):
-        return 0.0
 
     def child_state(value, simplex, v):
         row = Dl[v]
-        m = value
         for u in simplex:
             duv = row[u]
-            if duv > m:
-                m = duv
-        return m
+            if duv > value:
+                value = duv
+        return value
 
-    # reuse the expansion walk but record values alongside
-    simplices: dict[int, list] = {0: [(i,) for i in range(n)]}
-    for i in range(n):
-        values.append((0.0, (i,)))
-    frontier = [((i,), adj[i] & (-1 << (i + 1)), 0.0) for i in range(n)]
-    for dim in range(1, dim_cap + 1):
-        nxt = []
-        any_child = False
-        for simplex, cand, val in frontier:
-            m = cand
-            while m:
-                low = m & -m
-                v = low.bit_length() - 1
-                m ^= low
-                cval = child_state(val, simplex, v)
-                child = simplex + (v,)
-                values.append((cval, child))
-                any_child = True
-                if dim < dim_cap:
-                    nxt.append((child, cand & adj[v] & (-1 << (v + 1)), cval))
-        if not any_child:
-            break
-        frontier = nxt
-    values.sort(key=lambda e: (e[0], len(e[1]), e[1]))
-    return VRFiltration(n, dim_cap, values)
+    masks = ball_masks(space, max_scale, "leq")
+    simplices, values = _expand_cliques(n, masks, dim_cap, budget,
+                                        child_state=child_state,
+                                        root_state=lambda v: 0.0)
+    entries = [e for d in simplices for e in zip(values[d], simplices[d])]
+    entries.sort(key=lambda e: (e[0], len(e[1]), e[1]))
+    return VRFiltration(n, dim_cap, entries)

@@ -18,45 +18,17 @@ import numpy as np
 
 from .actions import IsometricAction, build_quotient
 from .complexes import (DEFAULT_BUDGET, DEFAULT_DIM_CAP, SimplicialComplex,
-                        cech_complex, vr_complex)
+                        ball_masks, cech_complex, vr_complex)
 from .lifts import anchored_min_diameter, anchored_witnessed_lifts
 from .spaces import FiniteMetricSpace
-from .thresholds import _ball_masks
 
 __all__ = [
     "QuotientComplex",
     "IsoCertificate",
-    "induced_action",
     "quotient_complex",
     "iso_check",
     "verify_certificate",
 ]
-
-
-def induced_action(complex_: SimplicialComplex, action: IsometricAction) -> dict[int, list[list[int]]]:
-    """Permutation of simplex indices induced by each group element, per dim.
-
-    Raises ValueError if some element fails to map the complex to itself
-    (cannot happen for VR/Cech complexes of an isometric action; kept as a
-    guard for hand-built complexes).
-    """
-    out: dict[int, list[list[int]]] = {}
-    for dim, simplices in sorted(complex_.simplices.items()):
-        index = {verts: i for i, verts in enumerate(simplices)}
-        perms: list[list[int]] = []
-        for gi in range(len(action.elements)):
-            arr = action.element_arrays[gi]
-            perm = []
-            for verts in simplices:
-                img = tuple(sorted(int(arr[v]) for v in verts))
-                j = index.get(img)
-                if j is None:
-                    raise ValueError(
-                        f"element {gi} maps {verts} outside the complex")
-                perm.append(j)
-            perms.append(perm)
-        out[dim] = perms
-    return out
 
 
 @dataclass
@@ -66,7 +38,7 @@ class QuotientComplex:
     Per dimension: canonical representatives (lexicographically least in
     their orbit, listed in lex order), orbit sizes, projected vertex-orbit
     tuples (sorted, possibly with repeats), and degeneracy flags (repeat
-    present).  `class_of[dim]` sends every simplex to its class index.
+    present).
     """
 
     dim_cap: int
@@ -74,7 +46,6 @@ class QuotientComplex:
     sizes: dict[int, list[int]]
     images: dict[int, list[tuple[int, ...]]]
     degenerate: dict[int, list[bool]]
-    class_of: dict[int, dict[tuple[int, ...], int]] = field(repr=False, default_factory=dict)
 
     def counts(self) -> dict[int, int]:
         return {d: len(v) for d, v in self.reps.items()}
@@ -92,11 +63,10 @@ def quotient_complex(complex_: SimplicialComplex, action: IsometricAction,
     sizes: dict[int, list[int]] = {}
     images: dict[int, list[tuple[int, ...]]] = {}
     degenerate: dict[int, list[bool]] = {}
-    class_of: dict[int, dict[tuple[int, ...], int]] = {}
 
     for dim, simplices in sorted(complex_.simplices.items()):
         have = set(simplices)
-        seen: dict[tuple[int, ...], int] = {}
+        seen: set[tuple[int, ...]] = set()
         classes: list[tuple[tuple[int, ...], int]] = []
         for verts in simplices:
             if verts in seen:
@@ -106,21 +76,16 @@ def quotient_complex(complex_: SimplicialComplex, action: IsometricAction,
             if missing:
                 raise ValueError(
                     f"complex is not invariant: {min(missing)} missing from dim {dim}")
-            cid = len(classes)
-            for s in orbit:
-                seen[s] = cid
+            seen |= orbit
             classes.append((min(orbit), len(orbit)))
-        order = sorted(range(len(classes)), key=lambda c: classes[c][0])
-        rank = {cid: k for k, cid in enumerate(order)}
-        reps[dim] = [classes[cid][0] for cid in order]
-        sizes[dim] = [classes[cid][1] for cid in order]
+        classes.sort()
+        reps[dim] = [rep for rep, _ in classes]
+        sizes[dim] = [size for _, size in classes]
         images[dim] = [tuple(sorted(int(proj[v]) for v in rep)) for rep in reps[dim]]
         degenerate[dim] = [len(set(img)) < len(img) for img in images[dim]]
-        class_of[dim] = {s: rank[cid] for s, cid in seen.items()}
 
     return QuotientComplex(dim_cap=complex_.dim_cap, reps=reps, sizes=sizes,
-                           images=images, degenerate=degenerate,
-                           class_of=class_of)
+                           images=images, degenerate=degenerate)
 
 
 @dataclass
@@ -235,7 +200,7 @@ def iso_check(space: FiniteMetricSpace, action: IsometricAction, r: float,
                 evidence = {"min_lift_diam": min_diam,
                             "min_lifts": [list(t) for t in achievers[:4]]}
             else:
-                masks = _ball_masks(space, r, convention)
+                masks = ball_masks(space, r, convention)
                 lifts = anchored_witnessed_lifts(masks, members, simplex)
                 evidence = {"witnessed_lifts": [list(t) for t, _ in lifts[:4]]}
             ce = {"dim": dim, "missing": list(simplex), **evidence}
@@ -286,7 +251,7 @@ def verify_certificate(space: FiniteMetricSpace, action: IsometricAction,
             min_diam, _ = anchored_min_diameter(space.dist.tolist(),
                                                 q.members, missing)
             return not (min_diam < r if convention == "lt" else min_diam <= r)
-        masks = _ball_masks(space, r, convention)
+        masks = ball_masks(space, r, convention)
         return not anchored_witnessed_lifts(masks, q.members, missing)
     if cert.verdict == "not-injective":
         simplices = [tuple(s) for s in ce["simplices"][:2]]

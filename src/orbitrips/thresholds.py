@@ -27,7 +27,7 @@ import numpy as np
 from .actions import (ISOMETRY_EPS, IsometricAction, QuotientSpace,
                       build_quotient)
 from .complexes import (DEFAULT_BUDGET, DEFAULT_DIM_CAP, BudgetExceededError,
-                        cech_complex, vr_complex)
+                        ball_masks, cech_complex, vr_complex)
 from .lifts import (EQ_EPS, anchored_lifts_within, anchored_min_diameter,
                     anchored_witnessed_lifts)
 from .spaces import FiniteMetricSpace, critical_values
@@ -181,7 +181,7 @@ def ball_threshold(space: FiniteMetricSpace, action: IsometricAction) -> Thresho
 
 def _doubles_failure(space: FiniteMetricSpace, action: IsometricAction,
                      quotient: QuotientSpace, r: float, ball: bool,
-                     ball_masks: list[int] | None = None) -> dict | None:
+                     masks: list[int] | None = None) -> dict | None:
     """Doubled-point part of the diameter/nerve checks, at representatives.
 
     diameter flavor (ball=False): some nonidentity g moves a representative by
@@ -199,7 +199,7 @@ def _doubles_failure(space: FiniteMetricSpace, action: IsometricAction,
                     return {"part": "doubles", "orbit": a, "g": gi,
                             "x": rep, "gx": img, "moved": float(D[rep, img])}
             else:
-                common = ball_masks[rep] & ball_masks[img]
+                common = masks[rep] & masks[img]
                 if common:
                     y = (common & -common).bit_length() - 1
                     return {"part": "doubles", "orbit": a, "g": gi,
@@ -283,17 +283,6 @@ def diameter_action_check(space: FiniteMetricSpace, action: IsometricAction,
                              subsets_checked=checked)
 
 
-def _ball_masks(space: FiniteMetricSpace, r: float, convention: str) -> list[int]:
-    D = space.dist
-    inside = D < r if convention == "lt" else D <= r
-    if convention == "lt" and r > 0:
-        np.fill_diagonal(inside, True)
-    elif convention == "leq":
-        np.fill_diagonal(inside, r >= 0)
-    packed = np.packbits(inside, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
 def nerve_action_check(space: FiniteMetricSpace, action: IsometricAction,
                        r: float, k_max: int = DEFAULT_DIM_CAP,
                        convention: str = "lt",
@@ -311,8 +300,8 @@ def nerve_action_check(space: FiniteMetricSpace, action: IsometricAction,
     Cech complex with the Cech complex of the quotient.
     """
     q = quotient if quotient is not None else build_quotient(space, action)
-    masks = _ball_masks(space, r, convention)
-    doubles = _doubles_failure(space, action, q, r, ball=True, ball_masks=masks)
+    masks = ball_masks(space, r, convention)
+    doubles = _doubles_failure(space, action, q, r, ball=True, masks=masks)
     if doubles is not None:
         return ActionCheckResult(kind="nerve", r=float(r), ok=False,
                                  k_max=k_max, convention=convention,
@@ -504,7 +493,7 @@ def verify_witness(space: FiniteMetricSpace, action: IsometricAction,
             return False
         if kind == "diameter":
             return float(D[x, img]) < r
-        masks = _ball_masks(space, r, convention)
+        masks = ball_masks(space, r, convention)
         return bool(masks[x] & masks[img])
 
     orbits = tuple(witness["orbits"])
@@ -525,8 +514,8 @@ def verify_witness(space: FiniteMetricSpace, action: IsometricAction,
             return min_diam <= qdiam + EQ_EPS and len(achievers) == 1 and len(within) > 1
         return False
     if kind == "nerve":
-        masks = _ball_masks(space, r, convention)
-        qmasks = _ball_masks(q.space, r, convention)
+        masks = ball_masks(space, r, convention)
+        qmasks = ball_masks(q.space, r, convention)
         common = qmasks[orbits[0]]
         for a in orbits[1:]:
             common &= qmasks[a]

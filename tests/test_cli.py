@@ -190,11 +190,25 @@ def test_persistence_subcommand(tmp_path):
     manifest = json.loads(first.lstrip("# "))
     assert manifest["subcommand"] == "persistence"
 
-    truncated = tmp_path / "bars-trunc.tsv"
+    cut = tmp_path / "bars-cut.tsv"
     assert main(["persistence", "--space", str(space), "--max-scale", "0.2",
-                 "--out", str(truncated)]) == 0
-    tb = read_barcode_tsv(truncated)
+                 "--out", str(cut)]) == 0
+    tb = read_barcode_tsv(cut)
     assert tb[1] == [(1 / 6, math.inf)]  # the loop never fills in by 0.2
+
+
+def test_persistence_max_scale_fits_a_budget_the_full_filtration_exceeds(
+        tmp_path, circle12):
+    # the full filtration of 12 points up to dimension 3 has 793 simplices;
+    # at 0.2 only 12 vertices, 24 edges and 12 triangles remain
+    argv = ["persistence", "--space", str(circle12)]
+    free = tmp_path / "free.tsv"
+    cut = tmp_path / "cut.tsv"
+    assert main(argv + ["--max-scale", "0.2", "--out", str(free)]) == 0
+    assert main(argv + ["--max-scale", "0.2", "--budget", "100",
+                        "--out", str(cut)]) == 0
+    assert read_barcode_tsv(cut) == read_barcode_tsv(free)
+    assert main(argv + ["--budget", "100", "--out", str(tmp_path / "full.tsv")]) == 4
 
 
 def test_betti_subcommand(tmp_path, capsys):

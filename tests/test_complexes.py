@@ -4,9 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from orbitrips.complexes import (BudgetExceededError, cech_complex,
-                                 neighborhood_graph, vr_complex,
-                                 vr_filtration)
+from orbitrips.complexes import (BudgetExceededError, ball_masks,
+                                 cech_complex, vr_complex, vr_filtration)
 from orbitrips.spaces import (ShapeSpec, critical_values, generate_space)
 
 from conftest import brute_cech, brute_vr, random_cloud_space
@@ -132,12 +131,31 @@ def test_bad_convention_rejected(rng):
         cech_complex(space, 1.0, "<=")
 
 
-def test_neighborhood_graph_shape(rng):
+def _mask_rows(masks, n):
+    return np.array([[bool(m >> y & 1) for y in range(n)] for m in masks])
+
+
+def test_ball_masks_match_distance_comparisons(rng):
+    for _ in range(6):
+        space = random_cloud_space(rng, n=int(rng.integers(2, 12)))
+        D, n = space.dist, space.n
+        off = ~np.eye(n, dtype=bool)
+        for r in [float(v) for v in critical_values(space)] + [float(D.max()) * 2]:
+            for convention, inside in (("leq", D <= r), ("lt", D < r)):
+                rows = _mask_rows(ball_masks(space, r, convention), n)
+                assert np.array_equal(rows[off], inside[off])
+                own = r > 0 or convention == "leq"
+                assert np.array_equal(rows.diagonal(), np.full(n, own))
+
+
+def test_ball_masks_at_zero_and_below(rng):
     space = random_cloud_space(rng, n=7)
-    g = neighborhood_graph(space, float(np.median(space.dist)), "leq")
-    assert g.adj.dtype == bool
-    assert not g.adj.diagonal().any()
-    assert np.array_equal(g.adj, g.adj.T)
+    assert ball_masks(space, 0.0, "leq") == [1 << x for x in range(7)]
+    assert ball_masks(space, 0.0, "lt") == [0] * 7
+    for convention in ("leq", "lt"):
+        assert ball_masks(space, -0.5, convention) == [0] * 7
+    with pytest.raises(ValueError):
+        ball_masks(space, 1.0, "le")
 
 
 def test_filtration_values_are_diameters(rng):
@@ -153,7 +171,7 @@ def test_filtration_values_are_diameters(rng):
             assert value == diam
     keys = [(v, len(s), s) for v, s in filt.entries]
     assert keys == sorted(keys)
-    assert filt.max_value() == float(D.max())
+    assert max(v for v, _ in filt.entries) == float(D.max())
 
 
 def test_filtration_faces_precede_cofaces(rng):
@@ -166,16 +184,34 @@ def test_filtration_faces_precede_cofaces(rng):
                 assert position[face] < position[verts]
 
 
-@pytest.mark.parametrize("convention", ["leq", "lt"])
-def test_truncate_matches_fixed_scale_complex(rng, convention):
+def test_cut_filtration_matches_fixed_scale_complex(rng):
     space = random_cloud_space(rng, n=8)
     cv = critical_values(space)
+    full = vr_filtration(space, dim_cap=3)
     for r in [float(cv[3]), float(cv[len(cv) // 2])]:
-        filt = vr_filtration(space, dim_cap=3)
-        sub = filt.truncate(r, convention)
-        cx = vr_complex(space, r, convention, dim_cap=3)
+        cut = vr_filtration(space, dim_cap=3, max_scale=r)
+        assert cut.entries == [e for e in full.entries if e[0] <= r]
+        cx = vr_complex(space, r, "leq", dim_cap=3)
         by_dim: dict[int, set] = {}
-        for _, verts in sub.entries:
+        for _, verts in cut.entries:
             by_dim.setdefault(len(verts) - 1, set()).add(verts)
         for d in set(by_dim) | set(cx.simplices):
             assert by_dim.get(d, set()) == set(cx.simplices.get(d, []))
+    below = vr_filtration(space, dim_cap=3, max_scale=float(cv[0]) / 2)
+    assert below.entries == [(0.0, (i,)) for i in range(space.n)]
+    top = vr_filtration(space, dim_cap=3, max_scale=float(space.dist.max()))
+    assert top.entries == full.entries
+    with pytest.raises(ValueError):
+        vr_filtration(space, dim_cap=3, max_scale=-0.1)
+
+
+def test_cut_filtration_budget_counts_only_the_cut(rng):
+    space = random_cloud_space(rng, n=12)
+    r = float(critical_values(space)[5])
+    cut = vr_filtration(space, dim_cap=3, max_scale=r)
+    budget = len(cut)
+    assert vr_filtration(space, dim_cap=3, budget=budget, max_scale=r).entries == cut.entries
+    with pytest.raises(BudgetExceededError):
+        vr_filtration(space, dim_cap=3, budget=budget - 1, max_scale=r)
+    with pytest.raises(BudgetExceededError):
+        vr_filtration(space, dim_cap=3, budget=budget)

@@ -128,6 +128,17 @@ def test_fixed_point_fails_doubles_part_everywhere():
     assert rep.fails_at == 1.0
 
 
+def test_unknown_convention_rejected_by_nerve_check_and_replay():
+    space, action = _circle12_antipodal()
+    res = nerve_action_check(space, action, 0.3, convention="leq")
+    assert res.witness["part"] == "doubles"
+    with pytest.raises(ValueError):
+        nerve_action_check(space, action, 0.3, convention="le")
+    with pytest.raises(ValueError):
+        verify_witness(space, action, "nerve", 0.3, res.witness,
+                       convention="bogus")
+
+
 def test_custom_grid_is_respected():
     space, action = _circle12_antipodal()
     rep = threshold_scan(space, action, "diameter", r_values=[0.1, 0.3])
