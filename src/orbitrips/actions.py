@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,25 +56,10 @@ class IsometricAction:
         self.n = n
         self.elements = elements
         self.generator_indices = generator_indices
-        self._index = {p: i for i, p in enumerate(elements)}
         self.element_arrays = np.array(elements, dtype=np.intp)
 
     def __len__(self):
         return len(self.elements)
-
-    def index_of(self, perm: tuple[int, ...]) -> int:
-        return self._index[perm]
-
-    def multiply(self, i: int, j: int) -> int:
-        """Index of elements[i] o elements[j] (apply j, then i)."""
-        return self._index[_compose(self.elements[i], self.elements[j])]
-
-    def inverse(self, i: int) -> int:
-        p = self.elements[i]
-        inv = [0] * self.n
-        for a, b in enumerate(p):
-            inv[b] = a
-        return self._index[tuple(inv)]
 
 
 def _check_permutation(n: int, perm) -> tuple[int, ...]:

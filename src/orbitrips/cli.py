@@ -34,12 +34,12 @@ from .complexes import (DEFAULT_BUDGET, DEFAULT_DIM_CAP, BudgetExceededError,
                         cech_complex, vr_complex, vr_filtration)
 from .persistence import betti_at, format_barcode_tsv, reduce_filtration
 from .quotient_iso import iso_check
-from .spaces import (ShapeSpec, SpaceValidationError, critical_values,
-                     generate_space, load_space, space_from_csv, space_to_dict,
+from .spaces import (ShapeSpec, SpaceValidationError, generate_space,
+                     load_space, space_from_csv, space_to_dict,
                      twelve_circles_action_generators, validate_metric)
-from .thresholds import (ball_threshold, diameter_action_check,
-                         distance_threshold, nerve_action_check,
-                         threshold_scan)
+from .thresholds import (ActionCheckResult, ball_threshold,
+                         diameter_action_check, distance_threshold,
+                         nerve_action_check, threshold_scan)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -66,7 +66,10 @@ def parse_scale(text: str) -> float:
     if m.group(2):
         value *= math.pi
     if m.group(3):
-        value /= float(m.group(3))
+        denominator = float(m.group(3))
+        if denominator == 0:
+            raise ValueError(f"zero denominator in scale {text!r}")
+        value /= denominator
     if value < 0:
         raise ValueError(f"scale must be nonnegative, got {text!r}")
     return value
@@ -90,16 +93,6 @@ def _manifest(args, inputs: list[str]) -> dict:
     }
 
 
-def _emit_json(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-        print(f"wrote {out}", file=sys.stderr)
-    else:
-        sys.stdout.write(text)
-
-
 def _emit_text(text: str, out: str | None) -> None:
     if out:
         with open(out, "w") as fh:
@@ -107,6 +100,10 @@ def _emit_text(text: str, out: str | None) -> None:
         print(f"wrote {out}", file=sys.stderr)
     else:
         sys.stdout.write(text)
+
+
+def _emit_json(doc: dict, out: str | None) -> None:
+    _emit_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", out)
 
 
 def _load_space_arg(path: str):
@@ -240,9 +237,8 @@ def cmd_check(args) -> int:
     if args.kind in ("distance", "ball"):
         rep = (distance_threshold if args.kind == "distance" else ball_threshold)(space, action)
         ok = rep.vacuous or r <= rep.passes_at
-        doc = {"kind": args.kind, "r": r, "ok": ok, "k_max": 0,
-               "convention": "lt", "witness": None if ok else rep.witness,
-               "subsets_checked": 0}
+        doc = ActionCheckResult(kind=args.kind, r=r, ok=ok, k_max=0, convention="lt",
+                                witness=None if ok else rep.witness).to_dict()
     elif args.kind == "diameter":
         res = diameter_action_check(space, action, r, k_max=args.k_max,
                                     budget=_budget(args))

@@ -175,6 +175,25 @@ def vr_complex(space: FiniteMetricSpace, r: float, convention: str = "leq",
     return SimplicialComplex(space.n, "vr", convention, float(r), dim_cap, simplices)
 
 
+def _witness_graph(balls: list[int]) -> list[int]:
+    """Pairwise-witness graph: bit j of row i is set iff balls i and j share a point.
+
+    Row i is the OR of balls[y] over the witnesses y in balls[i].  That is the
+    pairwise test only when y in ball(j) iff j in ball(y), i.e. when the
+    distances are exactly symmetric.  Row i also carries its own bit whenever
+    its ball is nonempty; the clique walker ignores it.
+    """
+    graph = []
+    for mask in balls:
+        row = 0
+        while mask:
+            low = mask & -mask
+            row |= balls[low.bit_length() - 1]
+            mask ^= low
+        graph.append(row)
+    return graph
+
+
 def cech_complex(space: FiniteMetricSpace, r: float, convention: str = "leq",
                  dim_cap: int = DEFAULT_DIM_CAP, budget: int = DEFAULT_BUDGET) -> SimplicialComplex:
     """Cech complex with sample-point witnesses.
@@ -182,22 +201,17 @@ def cech_complex(space: FiniteMetricSpace, r: float, convention: str = "leq",
     A simplex enters iff some sample point y lies within r of every member
     (strictly for "lt"), i.e. the balls around the members share a witness in
     the sample itself.  Vertices are always present.  Candidate cliques are
-    pruned by the pairwise-witness graph, a refinement of the VR graph at 2r.
+    pruned by the pairwise-witness graph, a refinement of the VR graph at 2r,
+    built by `_witness_graph`, which assumes the distance matrix is exactly
+    symmetric (as `load_space`, `build_quotient` and the generators ensure).
     """
     balls = ball_masks(space, r, convention)  # bit y of mask i: y witnesses i's ball
-    pair_adj = [0] * space.n
-    for i in range(space.n):
-        mi = balls[i]
-        for j in range(i + 1, space.n):
-            if mi & balls[j]:
-                pair_adj[i] |= 1 << j
-                pair_adj[j] |= 1 << i
 
     def child_state(state, simplex, v):
         w = state & balls[v]
         return w if w else None
 
-    simplices, _ = _expand_cliques(space.n, pair_adj, dim_cap, budget,
+    simplices, _ = _expand_cliques(space.n, _witness_graph(balls), dim_cap, budget,
                                    child_state=child_state,
                                    root_state=balls.__getitem__)
     return SimplicialComplex(space.n, "cech", convention, float(r), dim_cap, simplices)

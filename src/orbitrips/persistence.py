@@ -21,7 +21,6 @@ __all__ = [
     "betti_at",
     "homology_oracle",
     "format_barcode_tsv",
-    "write_barcode_tsv",
     "read_barcode_tsv",
 ]
 
@@ -47,6 +46,8 @@ class Barcode:
 
     def betti_alive_at(self, r: float, convention: str = "leq") -> tuple[int, ...]:
         """Number of bars containing r: birth cmp r < death (bars are [birth, death))."""
+        if convention not in ("leq", "lt"):
+            raise ValueError(f"convention must be one of ('leq', 'lt'), got {convention!r}")
         out = []
         for d in range(self.dim_cap):
             if convention == "leq":
@@ -68,80 +69,81 @@ def _filtration_hash(filtration: VRFiltration) -> str:
     return h.hexdigest()
 
 
-def reduce_filtration(filtration: VRFiltration) -> Barcode:
-    """Standard Z/2 column reduction in filtration order, with clearing.
+def _reduce(by_dim: dict[int, list[tuple[int, ...]]]) -> dict[int, dict[int, int]]:
+    """Z/2 column reduction of every boundary matrix of a graded complex, with clearing.
 
-    Boundary matrices are graded by dimension and processed top dimension
-    first; when a column acquires pivot row i, column i of the next matrix
-    down is cleared (known zero) instead of being reduced.  Columns are
-    bit-packed integers; the pivot is the face latest in filtration order.
+    `by_dim[d]` lists the d-simplices in one order, which serves both as the
+    column order of the matrix of dimension d and the row order of dimension
+    d+1; the pivot of a column is its face latest in that order.  Dimensions
+    are reduced top first, and each column is built only when it is reached,
+    from a face-index dict of the dimension below.  A row that is a pivot of
+    dimension d+1 marks the matching column of dimension d as reducing to
+    zero (clearing; Chen & Kerber 2011), so that column is skipped.
+
+    Returns `pivots[d] = {pivot row: column}` for d >= 1.  The pivot rows are
+    those of the standard reduction, so `len(pivots[d])` is the rank of the
+    boundary matrix of dimension d in any order consistent across dimensions.
     """
-    by_dim: dict[int, list[tuple[float, tuple[int, ...]]]] = {}
-    for value, verts in filtration.entries:
-        by_dim.setdefault(len(verts) - 1, []).append((value, verts))
-    top = max(by_dim) if by_dim else 0
-    pos: dict[int, dict[tuple[int, ...], int]] = {
-        d: {verts: i for i, (_, verts) in enumerate(entries)}
-        for d, entries in by_dim.items()
-    }
-
-    # killed[d][i] = (death value, killing simplex) for dim-d simplex index i;
-    # negatives[d] = columns that became pivot owners (they create no class).
-    killed: dict[int, dict[int, tuple[float, tuple[int, ...]]]] = {d: {} for d in by_dim}
-    negatives: dict[int, set[int]] = {d: set() for d in by_dim}
-    cleared: set[int] = set()
-
-    for d in range(top, 0, -1):
-        entries = by_dim.get(d, [])
-        if not entries or (d - 1) not in by_dim:
-            cleared = set()
-            continue
-        facepos = pos[d - 1]
-        pivots: dict[int, int] = {}
-        next_cleared: set[int] = set()
-        neg = negatives[d]
-        for j, (value, verts) in enumerate(entries):
+    pivots: dict[int, dict[int, int]] = {}
+    for d in range(max(by_dim, default=0), 0, -1):
+        cleared = pivots.get(d + 1, {})
+        face_index = {verts: i for i, verts in enumerate(by_dim[d - 1])}
+        reduced: dict[int, int] = {}  # pivot row -> bit-packed reduced column
+        owner = pivots[d] = {}
+        for j, verts in enumerate(by_dim[d]):
             if j in cleared:
-                continue  # pivot row of the dimension above: positive, already paired
+                continue
             col = 0
             for k in range(len(verts)):
-                face = verts[:k] + verts[k + 1:]
-                col |= 1 << facepos[face]
+                col |= 1 << face_index[verts[:k] + verts[k + 1:]]
             while col:
                 low = col.bit_length() - 1
-                other = pivots.get(low)
+                other = reduced.get(low)
                 if other is None:
-                    pivots[low] = col
-                    killed[d - 1][low] = (value, verts)
-                    next_cleared.add(low)
-                    neg.add(j)
+                    reduced[low] = col
+                    owner[low] = j
                     break
                 col ^= other
-        cleared = next_cleared
+    return pivots
+
+
+def reduce_filtration(filtration: VRFiltration) -> Barcode:
+    """Persistence barcode of a VR filtration over Z/2.
+
+    The simplices of each dimension go to `_reduce` in filtration order.  A
+    column that owns pivot row i is negative and kills the class born at
+    simplex i; every other simplex of a dimension below dim_cap is positive
+    and gives a bar, essential when no column owns its row.
+    """
+    values: dict[int, list[float]] = {}
+    simplices: dict[int, list[tuple[int, ...]]] = {}
+    for value, verts in filtration.entries:
+        values.setdefault(len(verts) - 1, []).append(value)
+        simplices.setdefault(len(verts) - 1, []).append(verts)
+    pivots = _reduce(simplices)
 
     intervals: dict[int, list[tuple[float, float]]] = {}
     pairs: dict[int, list[tuple[tuple, tuple | None]]] = {}
-    for d in range(min(filtration.dim_cap, top + 1)):
+    for d in range(filtration.dim_cap):
+        negative = set(pivots.get(d, {}).values())
+        killer = pivots.get(d + 1, {})
         bars = []
         raw = []
-        for i, (birth, verts) in enumerate(by_dim.get(d, [])):
-            if i in negatives.get(d, set()):
+        for i, (birth, verts) in enumerate(zip(values.get(d, []), simplices.get(d, []))):
+            if i in negative:
                 continue  # negative simplex: kills a (d-1)-class, creates nothing
-            death = killed[d].get(i)
-            if death is None:
+            j = killer.get(i)
+            if j is None:
                 bars.append((birth, math.inf))
                 raw.append(((birth, verts), None))
             else:
-                dval, dverts = death
-                raw.append(((birth, verts), (dval, dverts)))
+                dval = values[d + 1][j]
+                raw.append(((birth, verts), (dval, simplices[d + 1][j])))
                 if dval != birth:
                     bars.append((birth, dval))
         bars.sort()
         intervals[d] = bars
         pairs[d] = raw
-    for d in range(min(filtration.dim_cap, top + 1), filtration.dim_cap):
-        intervals[d] = []
-        pairs[d] = []
 
     return Barcode(
         dim_cap=filtration.dim_cap,
@@ -163,46 +165,20 @@ class BettiVector:
     provenance: dict = field(default_factory=dict)
 
 
-def _gf2_rank(columns: list[int]) -> int:
-    """Rank over Z/2 of a matrix given as bit-packed columns."""
-    pivots: dict[int, int] = {}
-    rank = 0
-    for col in columns:
-        while col:
-            low = col.bit_length() - 1
-            other = pivots.get(low)
-            if other is None:
-                pivots[low] = col
-                rank += 1
-                break
-            col ^= other
-    return rank
-
-
-def _boundary_columns(complex_: SimplicialComplex, d: int) -> list[int]:
-    below = {verts: i for i, verts in enumerate(complex_.simplices.get(d - 1, []))}
-    cols = []
-    for verts in complex_.simplices.get(d, []):
-        col = 0
-        for k in range(len(verts)):
-            col |= 1 << below[verts[:k] + verts[k + 1:]]
-        cols.append(col)
-    return cols
-
-
 def betti_at(space: FiniteMetricSpace, r: float, convention: str = "leq",
              dim_cap: int = DEFAULT_DIM_CAP, budget: int = DEFAULT_BUDGET) -> BettiVector:
     """Betti numbers of VR(space, r) over Z/2 from boundary-operator ranks.
 
-    b_k = nullity(d_k) - rank(d_{k+1}); reading the barcode of the full VR
-    filtration at r must agree (asserted in the test suite, not here).
+    b_k = nullity(d_k) - rank(d_{k+1}), where rank(d_k) is the number of
+    pivots `_reduce` finds with the complex's simplices in lex order.  The
+    barcode reduces other matrices (the full filtration, in filtration order)
+    with the same engine; reading it at r must agree (asserted in the test
+    suite, not here), and `homology_oracle` referees both.
     """
     cx = vr_complex(space, r, convention=convention, dim_cap=dim_cap, budget=budget)
     counts = [len(cx.simplices.get(d, [])) for d in range(dim_cap + 1)]
-    ranks = [0] * (dim_cap + 2)
-    for d in range(1, dim_cap + 1):
-        if counts[d]:
-            ranks[d] = _gf2_rank(_boundary_columns(cx, d))
+    pivots = _reduce(cx.simplices)
+    ranks = [len(pivots.get(d, {})) for d in range(dim_cap + 2)]
     values = tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(dim_cap))
 
     top_nonempty = max((d for d in range(dim_cap + 1) if counts[d]), default=0)
@@ -273,11 +249,6 @@ def format_barcode_tsv(barcode: Barcode, header_lines: list[str] | None = None) 
             dtxt = "inf" if math.isinf(death) else repr(death)
             lines.append(f"{d}\t{birth!r}\t{dtxt}")
     return "\n".join(lines) + "\n"
-
-
-def write_barcode_tsv(barcode: Barcode, path, header_lines: list[str] | None = None) -> None:
-    with open(path, "w") as fh:
-        fh.write(format_barcode_tsv(barcode, header_lines))
 
 
 def read_barcode_tsv(path) -> dict[int, list[tuple[float, float]]]:

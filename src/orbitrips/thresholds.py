@@ -125,38 +125,8 @@ def _moved_minimum(space: FiniteMetricSpace, action: IsometricAction):
     return best, witness
 
 
-def distance_threshold(space: FiniteMetricSpace, action: IsometricAction) -> ThresholdReport:
-    """Exact threshold for the distance property: min over g != e of d(x, g.x).
-
-    The property "every nonidentity element moves every point by at least r"
-    holds exactly for r <= passes_at.
-    """
-    if len(action.elements) == 1:
-        return ThresholdReport(kind="distance", k_max=0, convention="lt",
-                               passes_at=math.inf, fails_at=math.inf,
-                               vacuous=True)
-    best, witness = _moved_minimum(space, action)
-    crit = critical_values(space)
-    above = crit[crit > best]
-    fails_at = float(above[0]) if above.size else math.inf
-    return ThresholdReport(kind="distance", k_max=0, convention="lt",
-                           passes_at=best, fails_at=fails_at, witness=witness,
-                           resolution=(fails_at - best) if math.isfinite(fails_at) else None,
-                           provenance={"method": "exact-minimum"})
-
-
-def ball_threshold(space: FiniteMetricSpace, action: IsometricAction) -> ThresholdReport:
-    """Exact threshold for the ball property.
-
-    passes_at = min over nonidentity g and sample points x, y of
-    max(d(x, y), d(g.x, y)); open balls of radius r around x and g.x share a
-    sample point iff that minimum is < r, so the property holds exactly for
-    r <= passes_at.
-    """
-    if len(action.elements) == 1:
-        return ThresholdReport(kind="ball", k_max=0, convention="lt",
-                               passes_at=math.inf, fails_at=math.inf,
-                               vacuous=True)
+def _ball_minimum(space: FiniteMetricSpace, action: IsometricAction):
+    """Smallest max(d(x, y), d(g.x, y)) over nonidentity g, with an argmin witness."""
     D = space.dist
     best = math.inf
     witness = None
@@ -170,13 +140,48 @@ def ball_threshold(space: FiniteMetricSpace, action: IsometricAction) -> Thresho
             best = float(worst[x, y])
             witness = {"g": gi, "x": int(x), "gx": int(perm[x]), "y": int(y),
                        "value": float(worst[x, y])}
+    return best, witness
+
+
+def _exact_threshold(kind: str, space: FiniteMetricSpace, action: IsometricAction,
+                     minimum) -> ThresholdReport:
+    """Report of a threshold that `minimum(space, action)` computes exactly.
+
+    The trivial group passes vacuously at every scale; otherwise the property
+    fails at the first critical value above the minimum.
+    """
+    if len(action.elements) == 1:
+        return ThresholdReport(kind=kind, k_max=0, convention="lt",
+                               passes_at=math.inf, fails_at=math.inf,
+                               vacuous=True)
+    best, witness = minimum(space, action)
     crit = critical_values(space)
     above = crit[crit > best]
     fails_at = float(above[0]) if above.size else math.inf
-    return ThresholdReport(kind="ball", k_max=0, convention="lt",
+    return ThresholdReport(kind=kind, k_max=0, convention="lt",
                            passes_at=best, fails_at=fails_at, witness=witness,
                            resolution=(fails_at - best) if math.isfinite(fails_at) else None,
                            provenance={"method": "exact-minimum"})
+
+
+def distance_threshold(space: FiniteMetricSpace, action: IsometricAction) -> ThresholdReport:
+    """Exact threshold for the distance property: min over g != e of d(x, g.x).
+
+    The property "every nonidentity element moves every point by at least r"
+    holds exactly for r <= passes_at.
+    """
+    return _exact_threshold("distance", space, action, _moved_minimum)
+
+
+def ball_threshold(space: FiniteMetricSpace, action: IsometricAction) -> ThresholdReport:
+    """Exact threshold for the ball property.
+
+    passes_at = min over nonidentity g and sample points x, y of
+    max(d(x, y), d(g.x, y)); open balls of radius r around x and g.x share a
+    sample point iff that minimum is < r, so the property holds exactly for
+    r <= passes_at.
+    """
+    return _exact_threshold("ball", space, action, _ball_minimum)
 
 
 def _doubles_failure(space: FiniteMetricSpace, action: IsometricAction,

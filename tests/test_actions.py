@@ -35,14 +35,23 @@ def test_identity_first_and_deterministic():
 
 def test_group_table_consistency():
     action = close_group(48, twelve_circles_action_generators(4))
-    k = len(action)
-    for i in range(k):
-        inv = action.inverse(i)
-        assert action.multiply(i, inv) == 0
-        assert action.multiply(inv, i) == 0
+    elements = set(action.elements)
+    identity = action.elements[0]
+
+    def compose(p, q):  # apply q, then p
+        return tuple(p[i] for i in q)
+
+    for p in action.elements:
+        inv = [0] * action.n
+        for a, b in enumerate(p):
+            inv[b] = a
+        inv = tuple(inv)
+        assert inv in elements
+        assert compose(p, inv) == identity
+        assert compose(inv, p) == identity
     # closure: the multiplication table never leaves the element list
-    for i, j in itertools.product(range(k), repeat=2):
-        assert 0 <= action.multiply(i, j) < k
+    for p, q in itertools.product(action.elements, repeat=2):
+        assert compose(p, q) in elements
 
 
 def test_closure_cap_raises():

@@ -33,7 +33,8 @@ def test_parse_scale_accepts(text, value):
     assert parse_scale(text) == value
 
 
-@pytest.mark.parametrize("text", ["", "abc", "-1", "1/-6", "/6", "pi pi", "1/0x3"])
+@pytest.mark.parametrize("text", ["", "abc", "-1", "1/-6", "/6", "pi pi", "1/0x3",
+                                  "1/0", "pi/0"])
 def test_parse_scale_rejects(text):
     with pytest.raises(ValueError):
         parse_scale(text)
@@ -270,6 +271,7 @@ def test_validation_errors_exit_3(tmp_path, circle12, antipodal12):
     assert main(["action", "--kind", "rotation", "--n", "12"]) == 3  # no --steps
     assert main(["check", "--kind", "diameter", "--space", str(circle12),
                  "--action", str(antipodal12), "--scale", "QQQ"]) == 3
+    assert main(["betti", "--space", str(circle12), "--scale", "1/0"]) == 3
     # a space document is not an action document
     assert main(["check", "--kind", "diameter", "--space", str(circle12),
                  "--action", str(circle12), "--scale", "0.1"]) == 3

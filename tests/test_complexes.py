@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from orbitrips.complexes import (BudgetExceededError, ball_masks,
+from orbitrips.complexes import (BudgetExceededError, _witness_graph, ball_masks,
                                  cech_complex, vr_complex, vr_filtration)
 from orbitrips.spaces import (ShapeSpec, critical_values, generate_space)
 
@@ -35,6 +35,25 @@ def test_cech_matches_brute_on_random_spaces(rng, convention):
         for r in [cv[2], cv[len(cv) // 2], cv[-2]]:
             cx = cech_complex(space, float(r), convention, dim_cap=3)
             _assert_same(cx, brute_cech(space.dist, float(r), convention, 3))
+
+
+@pytest.mark.parametrize("convention", ["leq", "lt"])
+def test_witness_graph_equals_pairwise_double_loop(rng, convention):
+    for _ in range(8):
+        space = random_cloud_space(rng, n=int(rng.integers(2, 14)))
+        n = space.n
+        for r in [float(v) for v in critical_values(space)] + [0.0]:
+            balls = ball_masks(space, r, convention)
+            pairs = [0] * n
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if balls[i] & balls[j]:
+                        pairs[i] |= 1 << j
+                        pairs[j] |= 1 << i
+            graph = _witness_graph(balls)
+            # off the diagonal the rows agree; a row's own bit is set iff its ball is nonempty
+            assert [row & ~(1 << i) for i, row in enumerate(graph)] == pairs
+            assert [bool(row >> i & 1) for i, row in enumerate(graph)] == [b != 0 for b in balls]
 
 
 def test_conventions_differ_exactly_at_critical_values():

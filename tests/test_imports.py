@@ -1,8 +1,10 @@
 """Import hygiene of the package: modules reach each other only through
-public names, and every name a module exports exists."""
+public names, every name a module exports exists, and no public function or
+method is dead API that only tests call."""
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ import orbitrips
 
 SRC = Path(orbitrips.__file__).parent
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
+REPO = SRC.parent.parent
 
 
 @pytest.mark.parametrize("name", MODULES + ["__init__"])
@@ -29,3 +32,31 @@ def test_every_exported_name_resolves(name):
     module = orbitrips if name == "__init__" else importlib.import_module(f"orbitrips.{name}")
     exported = getattr(module, "__all__", [])
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def _references(node) -> Counter:
+    """Names read as identifiers or attributes anywhere under node."""
+    refs = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            refs[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            refs[sub.attr] += 1
+    return refs
+
+
+def test_every_public_function_and_method_has_a_caller():
+    # a caller is a reference in src/ or perfbench/ outside the definition
+    # itself; names in import lists and __all__ do not count, tests do not count
+    callers = Counter()
+    for path in sorted((REPO / "src").rglob("*.py")) + sorted((REPO / "perfbench").rglob("*.py")):
+        callers += _references(ast.parse(path.read_text()))
+    dead = []
+    for name in MODULES:
+        tree = ast.parse((SRC / f"{name}.py").read_text())
+        defs = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
+        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+            defs += [n for n in cls.body if isinstance(n, ast.FunctionDef)]
+        dead += [f"{name}.{d.name}" for d in defs if not d.name.startswith("_")
+                 and callers[d.name] <= _references(d)[d.name]]
+    assert dead == []

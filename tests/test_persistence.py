@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from orbitrips.complexes import SimplicialComplex, vr_complex, vr_filtration
-from orbitrips.persistence import (ORACLE_LIMIT, betti_at, homology_oracle,
-                                   read_barcode_tsv, reduce_filtration,
-                                   write_barcode_tsv)
+from orbitrips.persistence import (ORACLE_LIMIT, betti_at, format_barcode_tsv,
+                                   homology_oracle, read_barcode_tsv,
+                                   reduce_filtration)
 from orbitrips.spaces import ShapeSpec, critical_values, generate_space
 
 from conftest import random_cloud_space
@@ -33,6 +33,15 @@ def test_alive_conventions_straddle_critical_values():
     assert bc.betti_alive_at(1 / 6, "lt") == (6, 0, 0)
     assert bc.betti_alive_at(1 / 3, "lt") == (1, 1, 0)
     assert bc.betti_alive_at(0.5, "lt") == (1, 0, 1)
+
+
+@pytest.mark.parametrize("convention", ["le", "bogus"])
+def test_alive_rejects_unknown_conventions(convention):
+    # read as "lt", "le" would give (6, 0, 0) at 1/6, where "leq" gives (1, 1, 0)
+    space = generate_space(ShapeSpec("evenly-spaced-circle", {"n": 6}))
+    bc = reduce_filtration(vr_filtration(space, dim_cap=3))
+    with pytest.raises(ValueError):
+        bc.betti_alive_at(1 / 6, convention)
 
 
 @pytest.mark.parametrize("convention", ["leq", "lt"])
@@ -121,7 +130,7 @@ def test_barcode_tsv_roundtrip(tmp_path):
     space = generate_space(ShapeSpec("evenly-spaced-circle", {"n": 6}))
     bc = reduce_filtration(vr_filtration(space, dim_cap=3))
     path = tmp_path / "bars.tsv"
-    write_barcode_tsv(bc, path, header_lines=["hexagon barcode"])
+    path.write_text(format_barcode_tsv(bc, header_lines=["hexagon barcode"]))
     back = read_barcode_tsv(path)
     for d in range(3):
         assert back.get(d, []) == bc.bars(d)

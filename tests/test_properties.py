@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from orbitrips.actions import build_quotient
 from orbitrips.cli import parse_scale
 from orbitrips.complexes import cech_complex, vr_complex, vr_filtration
-from orbitrips.persistence import homology_oracle, reduce_filtration
+from orbitrips.persistence import betti_at, homology_oracle, reduce_filtration
 from orbitrips.quotient_iso import iso_check
 from orbitrips.spaces import critical_values, validate_metric
 from orbitrips.thresholds import (ball_threshold, diameter_action_check,
@@ -31,6 +31,19 @@ def test_vr_and_cech_match_brute(seed, n, pick):
         ce = cech_complex(space, r, convention, dim_cap=3)
         assert {d: s for d, s in ce.simplices.items()} == \
             {d: s for d, s in brute_cech(space.dist, r, convention, 3).items() if s}
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=SEEDS, n=st.integers(4, 9), pick=st.floats(0.0, 1.0))
+def test_betti_at_matches_dense_oracle(seed, n, pick):
+    # betti_at shares its reduction engine with the barcode, so the dense
+    # elimination is its independent referee, under both conventions
+    space = random_cloud_space(np.random.default_rng(seed), n=n)
+    cv = critical_values(space)
+    r = float(cv[int(pick * (len(cv) - 1))])
+    for convention in ("leq", "lt"):
+        assert betti_at(space, r, convention, 3).values == \
+            homology_oracle(vr_complex(space, r, convention, 3)), (r, convention)
 
 
 @settings(max_examples=20, deadline=None)
