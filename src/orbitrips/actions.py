@@ -109,9 +109,9 @@ class IsometryReport:
     counterexample: dict | None = None  # {"g": ..., "x": ..., "y": ..., "deviation": ...}
 
 
-def verify_isometric(space: FiniteMetricSpace, action: IsometricAction,
-                     eps: float = ISOMETRY_EPS) -> IsometryReport:
-    """Check |d(gx, gy) - d(x, y)| <= eps for every element, reporting the worst pair."""
+def verify_isometric(space: FiniteMetricSpace, action: IsometricAction) -> IsometryReport:
+    """Check |d(gx, gy) - d(x, y)| <= ISOMETRY_EPS for every element, reporting
+    the worst pair."""
     if action.n != space.n:
         raise ValueError("action and space sizes differ")
     D = space.dist
@@ -124,8 +124,8 @@ def verify_isometric(space: FiniteMetricSpace, action: IsometricAction,
         if dev[x, y] > worst:
             worst = float(dev[x, y])
             worst_at = {"g": gi, "x": int(x), "y": int(y), "deviation": worst}
-    ok = worst <= eps
-    return IsometryReport(ok=ok, max_deviation=worst, eps=eps,
+    ok = worst <= ISOMETRY_EPS
+    return IsometryReport(ok=ok, max_deviation=worst, eps=ISOMETRY_EPS,
                           counterexample=None if ok else worst_at)
 
 
@@ -135,28 +135,26 @@ class QuotientSpace:
     qdist[a][b] = min d(x, y) over x in orbit a, y in orbit b, which realizes
     inf_g d(rep_a, g . rep_b); block minima keep the matrix exactly symmetric
     and every entry is an existing base distance (no new arithmetic).
+    members[a] lists orbit a in ascending order; its first point is the
+    orbit's representative reps[a].
     """
 
     def __init__(self, base: FiniteMetricSpace, action: IsometricAction,
-                 reps: list[int], proj: np.ndarray, qdist: np.ndarray):
+                 proj: np.ndarray, members: list[list[int]], qdist: np.ndarray):
         self.base = base
         self.action = action
-        self.reps = reps
         self.proj = proj
+        self.members = members
+        self.reps = [m[0] for m in members]
         self.space = FiniteMetricSpace(
             qdist,
             labels=None,
             provenance={"kind": "quotient",
                         "base": base.provenance.get("kind", "explicit"),
                         "group_order": len(action),
-                        "orbits": len(reps)},
+                        "orbits": len(members)},
         )
         self.validation = validate_metric(self.space)
-        # members[a] is ascending, and members[a][0] == reps[a] because
-        # representatives are chosen by an ascending scan
-        self.members: list[list[int]] = [
-            [int(i) for i in np.flatnonzero(proj == a)] for a in range(len(reps))
-        ]
 
     @property
     def n_orbits(self) -> int:
@@ -175,26 +173,23 @@ def build_quotient(space: FiniteMetricSpace, action: IsometricAction) -> Quotien
         raise ValueError(f"action is not isometric within {iso.eps}: {iso.counterexample}")
     n = space.n
     proj = np.full(n, -1, dtype=np.intp)
-    reps: list[int] = []
-    for i in range(n):
-        if proj[i] >= 0:
-            continue
-        a = len(reps)
-        reps.append(i)
-        for p in action.elements:
-            proj[p[i]] = a
-    q = len(reps)
+    q = 0
+    for i in range(n):  # ascending, so each orbit is numbered at its least point
+        if proj[i] < 0:
+            for p in action.elements:
+                proj[p[i]] = q
+            q += 1
+    members = [np.flatnonzero(proj == a) for a in range(q)]
     D = space.dist
     # row-stage then column-stage block minima: exact entries, exact symmetry
-    member_lists = [np.flatnonzero(proj == a) for a in range(q)]
     rowmin = np.empty((q, n))
     for a in range(q):
-        rowmin[a] = D[member_lists[a]].min(axis=0)
+        rowmin[a] = D[members[a]].min(axis=0)
     qdist = np.empty((q, q))
     for b in range(q):
-        qdist[:, b] = rowmin[:, member_lists[b]].min(axis=1)
+        qdist[:, b] = rowmin[:, members[b]].min(axis=1)
     np.fill_diagonal(qdist, 0.0)
-    return QuotientSpace(space, action, reps, proj, qdist)
+    return QuotientSpace(space, action, proj, [m.tolist() for m in members], qdist)
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +201,10 @@ def action_to_dict(action: IsometricAction) -> dict:
             "generators": [list(action.elements[i]) for i in action.generator_indices]}
 
 
-def action_from_dict(data: dict, cap: int = GROUP_CAP) -> IsometricAction:
+def action_from_dict(data: dict) -> IsometricAction:
     if "n" not in data or "generators" not in data:
         raise ValueError("action document needs 'n' and 'generators'")
-    return close_group(int(data["n"]), data["generators"], cap=cap)
+    return close_group(int(data["n"]), data["generators"])
 
 
 def save_action(action: IsometricAction, path) -> None:
@@ -218,9 +213,9 @@ def save_action(action: IsometricAction, path) -> None:
         fh.write("\n")
 
 
-def load_action(path, cap: int = GROUP_CAP) -> IsometricAction:
+def load_action(path) -> IsometricAction:
     with open(path) as fh:
-        return action_from_dict(json.load(fh), cap=cap)
+        return action_from_dict(json.load(fh))
 
 
 def circle_rotation_generator(n: int, steps: int) -> list[int]:

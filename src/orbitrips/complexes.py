@@ -229,9 +229,6 @@ class VRFiltration:
         self.dim_cap = dim_cap
         self.entries = entries
 
-    def __len__(self):
-        return len(self.entries)
-
 
 def vr_filtration(space: FiniteMetricSpace, dim_cap: int = DEFAULT_DIM_CAP,
                   budget: int = DEFAULT_BUDGET,

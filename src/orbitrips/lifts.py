@@ -7,11 +7,16 @@ orbit.  Every unanchored lift is carried to an anchored one by a single group
 element, so uniqueness up to the action is equivalent to uniqueness among
 anchored tuples whenever no nonidentity element moves a point by less than
 the scale (the doubled-point condition checked separately).
+
+One depth-first walk, `_walk`, visits the anchored tuples in lexicographic
+order.  The three searches differ only in the state they thread through it
+(a diameter or a ball mask) and in what they prune.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 __all__ = [
     "EQ_EPS",
@@ -23,8 +28,30 @@ __all__ = [
 EQ_EPS = 1e-9
 
 
+def _walk(members_by_orbit, orbits, extend, leaf, state) -> None:
+    """Visit the anchored tuples over `orbits` in lexicographic order.
+
+    `state` belongs to the anchor alone.  `extend(state, chosen, y)` returns
+    the state of the tuple `chosen + (y,)`, or None to prune that branch;
+    `leaf(points, state)` receives each complete tuple.  Member lists are
+    assumed sorted ascending.
+    """
+    k = len(orbits)
+
+    def rec(chosen: tuple[int, ...], state) -> None:
+        if len(chosen) == k:
+            leaf(chosen, state)
+            return
+        for y in members_by_orbit[orbits[len(chosen)]]:
+            child = extend(state, chosen, y)
+            if child is not None:
+                rec(chosen + (y,), child)
+
+    rec((members_by_orbit[orbits[0]][0],), state)
+
+
 def anchored_lifts_within(
-    Dl: list[list[float]],
+    Dl: Sequence[Sequence[float]],
     members_by_orbit: list[list[int]],
     orbits: tuple[int, ...],
     bound: float,
@@ -35,74 +62,53 @@ def anchored_lifts_within(
     Returns (diameter, points) pairs in lexicographic order of the point
     tuples; member lists are assumed sorted ascending.
     """
-    anchor = members_by_orbit[orbits[0]][0]
-    k = len(orbits)
     out: list[tuple[float, tuple[int, ...]]] = []
 
-    def admit(d: float) -> bool:
-        return d < bound if strict else d <= bound
+    def extend(diam: float, chosen: tuple[int, ...], y: int) -> float | None:
+        row = Dl[y]
+        for x in chosen:
+            d = row[x]
+            if not (d < bound if strict else d <= bound):
+                return None
+            if d > diam:
+                diam = d
+        return diam
 
-    def rec(chosen: list[int], diam: float) -> None:
-        i = len(chosen)
-        if i == k:
-            out.append((diam, tuple(chosen)))
-            return
-        for y in members_by_orbit[orbits[i]]:
-            row = Dl[y]
-            nd = diam
-            ok = True
-            for x in chosen:
-                d = row[x]
-                if not admit(d):
-                    ok = False
-                    break
-                if d > nd:
-                    nd = d
-            if ok:
-                rec(chosen + [y], nd)
-
-    rec([anchor], 0.0)
+    _walk(members_by_orbit, orbits, extend,
+          lambda points, diam: out.append((diam, points)), 0.0)
     return out
 
 
 def anchored_min_diameter(
-    Dl: list[list[float]],
+    Dl: Sequence[Sequence[float]],
     members_by_orbit: list[list[int]],
     orbits: tuple[int, ...],
 ) -> tuple[float, list[tuple[int, ...]]]:
     """Minimum diameter over all anchored lift tuples, with every tuple
     achieving it (exact float equality), in lexicographic order."""
-    anchor = members_by_orbit[orbits[0]][0]
-    k = len(orbits)
     best = math.inf
+    achievers: list[tuple[int, ...]] = []
 
-    def rec_min(chosen: list[int], diam: float) -> None:
+    def extend(diam: float, chosen: tuple[int, ...], y: int) -> float | None:
+        row = Dl[y]
+        for x in chosen:
+            d = row[x]
+            if d > best:  # cannot reach the incumbent minimum
+                return None
+            if d > diam:
+                diam = d
+        return diam
+
+    def leaf(points: tuple[int, ...], diam: float) -> None:
         nonlocal best
-        i = len(chosen)
-        if i == k:
-            if diam < best:
-                best = diam
-            return
-        for y in members_by_orbit[orbits[i]]:
-            row = Dl[y]
-            nd = diam
-            ok = True
-            for x in chosen:
-                d = row[x]
-                if d >= best:  # cannot beat the incumbent minimum
-                    ok = False
-                    break
-                if d > nd:
-                    nd = d
-            if ok:
-                rec_min(chosen + [y], nd)
+        if diam < best:
+            best = diam
+            achievers.clear()
+        achievers.append(points)
 
-    rec_min([anchor], 0.0)
+    _walk(members_by_orbit, orbits, extend, leaf, 0.0)
     if math.isinf(best):
         return best, []
-    achievers = [t for d, t in
-                 anchored_lifts_within(Dl, members_by_orbit, orbits, best, strict=False)
-                 if d == best]
     return best, achievers
 
 
@@ -117,21 +123,14 @@ def anchored_witnessed_lifts(
     Returns (points, witness) pairs in lexicographic order of the point tuples;
     the witness is the lowest-index common sample point.
     """
-    anchor = members_by_orbit[orbits[0]][0]
-    k = len(orbits)
     out: list[tuple[tuple[int, ...], int]] = []
 
-    def rec(chosen: list[int], mask: int) -> None:
-        i = len(chosen)
-        if i == k:
-            out.append((tuple(chosen), (mask & -mask).bit_length() - 1))
-            return
-        for y in members_by_orbit[orbits[i]]:
-            m2 = mask & ball_masks[y]
-            if m2:
-                rec(chosen + [y], m2)
+    def extend(mask: int, chosen: tuple[int, ...], y: int) -> int | None:
+        return (mask & ball_masks[y]) or None
 
-    start = ball_masks[anchor]
+    start = ball_masks[members_by_orbit[orbits[0]][0]]
     if start:
-        rec([anchor], start)
+        _walk(members_by_orbit, orbits, extend,
+              lambda points, mask: out.append((points, (mask & -mask).bit_length() - 1)),
+              start)
     return out

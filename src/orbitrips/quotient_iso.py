@@ -19,7 +19,8 @@ import numpy as np
 from .actions import IsometricAction, build_quotient
 from .complexes import (DEFAULT_BUDGET, DEFAULT_DIM_CAP, SimplicialComplex,
                         ball_masks, cech_complex, vr_complex)
-from .lifts import anchored_min_diameter, anchored_witnessed_lifts
+from .lifts import (anchored_lifts_within, anchored_min_diameter,
+                    anchored_witnessed_lifts)
 from .spaces import FiniteMetricSpace
 
 __all__ = [
@@ -248,9 +249,8 @@ def verify_certificate(space: FiniteMetricSpace, action: IsometricAction,
         if not quot.contains(missing):
             return False
         if kind == "vr":
-            min_diam, _ = anchored_min_diameter(space.dist.tolist(),
-                                                q.members, missing)
-            return not (min_diam < r if convention == "lt" else min_diam <= r)
+            return not anchored_lifts_within(space.dist.tolist(), q.members,
+                                             missing, r, strict=convention == "lt")
         masks = ball_masks(space, r, convention)
         return not anchored_witnessed_lifts(masks, q.members, missing)
     if cert.verdict == "not-injective":

@@ -94,13 +94,12 @@ class SpaceValidationError(ValueError):
         super().__init__(f"invalid metric: {len(report.violations)} violation(s), first={first}")
 
 
-def validate_metric(space: FiniteMetricSpace, eps_triangle: float = TRIANGLE_EPS,
-                    max_violations: int = 100) -> MetricValidation:
+def validate_metric(space: FiniteMetricSpace) -> MetricValidation:
     """Check symmetry, zero diagonal, positivity, and the triangle inequality.
 
     Symmetry, the diagonal, and positivity are exact comparisons; the triangle
-    inequality gets `eps_triangle` of absolute slack.  At most `max_violations`
-    offending index tuples are reported (the scan stops once the cap is hit).
+    inequality gets TRIANGLE_EPS of absolute slack.  At most 100 offending
+    index tuples are reported (the scan stops once the cap is hit).
     """
     D = space.dist
     n = space.n
@@ -109,7 +108,7 @@ def validate_metric(space: FiniteMetricSpace, eps_triangle: float = TRIANGLE_EPS
 
     def _add(kind, indices, value):
         nonlocal truncated
-        if len(violations) >= max_violations:
+        if len(violations) >= 100:
             truncated = True
             return False
         violations.append({"kind": kind, "indices": list(indices), "value": float(value)})
@@ -136,15 +135,15 @@ def validate_metric(space: FiniteMetricSpace, eps_triangle: float = TRIANGLE_EPS
     if not truncated:
         # d(i,k) <= d(i,j) + d(j,k) + eps, scanned one middle point at a time
         for j in range(n):
-            slack = D[:, j][:, None] + D[j, :][None, :] + eps_triangle
+            slack = D[:, j][:, None] + D[j, :][None, :] + TRIANGLE_EPS
             bad = np.argwhere(D > slack)
             for i, k in bad:
-                if not _add("triangle", (int(i), int(j), int(k)), D[i, k] - slack[i, k] + eps_triangle):
+                if not _add("triangle", (int(i), int(j), int(k)), D[i, k] - slack[i, k] + TRIANGLE_EPS):
                     break
             if truncated:
                 break
 
-    return MetricValidation(ok=not violations, n=n, eps_triangle=eps_triangle,
+    return MetricValidation(ok=not violations, n=n, eps_triangle=TRIANGLE_EPS,
                             violations=violations, truncated=truncated)
 
 
@@ -368,32 +367,32 @@ def space_to_dict(space: FiniteMetricSpace) -> dict:
     return out
 
 
-def space_from_dict(data: dict, validate: bool = True) -> FiniteMetricSpace:
-    n = int(data["n"])
-    D = _unpack_lower_triangular(n, data["matrix"])
-    space = FiniteMetricSpace(D, labels=data.get("labels"), provenance=data.get("provenance"))
-    if validate:
-        report = validate_metric(space)
-        if not report.ok:
-            raise SpaceValidationError(report)
+def _validated(space: FiniteMetricSpace) -> FiniteMetricSpace:
+    report = validate_metric(space)
+    if not report.ok:
+        raise SpaceValidationError(report)
     return space
 
 
-def save_space(space: FiniteMetricSpace, path, extra: dict | None = None) -> None:
-    doc = space_to_dict(space)
-    if extra:
-        doc.update(extra)
+def space_from_dict(data: dict) -> FiniteMetricSpace:
+    n = int(data["n"])
+    D = _unpack_lower_triangular(n, data["matrix"])
+    return _validated(FiniteMetricSpace(D, labels=data.get("labels"),
+                                        provenance=data.get("provenance")))
+
+
+def save_space(space: FiniteMetricSpace, path) -> None:
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+        json.dump(space_to_dict(space), fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
 
 
-def load_space(path, validate: bool = True) -> FiniteMetricSpace:
+def load_space(path) -> FiniteMetricSpace:
     with open(path) as fh:
-        return space_from_dict(json.load(fh), validate=validate)
+        return space_from_dict(json.load(fh))
 
 
-def space_from_csv(path, validate: bool = True) -> FiniteMetricSpace:
+def space_from_csv(path) -> FiniteMetricSpace:
     """Read a lower-triangular CSV: line i holds the i distances d(i,0..i-1)."""
     rows = []
     with open(path) as fh:
@@ -407,10 +406,6 @@ def space_from_csv(path, validate: bool = True) -> FiniteMetricSpace:
         if len(row) != i:
             raise ValueError(f"csv row {i} should hold {i} entries, got {len(row)}")
     flat = [v for row in rows for v in row]
-    space = FiniteMetricSpace(_unpack_lower_triangular(n, flat),
-                              provenance={"kind": "explicit-matrix", "source": "csv"})
-    if validate:
-        report = validate_metric(space)
-        if not report.ok:
-            raise SpaceValidationError(report)
-    return space
+    return _validated(FiniteMetricSpace(_unpack_lower_triangular(n, flat),
+                                        provenance={"kind": "explicit-matrix",
+                                                    "source": "csv"}))

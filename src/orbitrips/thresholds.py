@@ -214,19 +214,25 @@ def _doubles_failure(space: FiniteMetricSpace, action: IsometricAction,
     return None
 
 
-_DIST_LISTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_DIST_ROWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _dist_lists(q: QuotientSpace) -> tuple[list, list]:
-    """Base and quotient distances as nested lists, built once per quotient.
+def _dist_rows(q: QuotientSpace) -> tuple[list, list]:
+    """Base and quotient distances as rows indexable by int, built once per
+    quotient.
 
-    The lift searches index lists far faster than arrays; a scan passes the
-    same quotient to every check, so the conversion is paid once per scan.
+    The lift searches index Python sequences far faster than arrays; a scan
+    passes the same quotient to every check, so the conversion is paid once
+    per scan.  Base rows are memoryviews of the distance matrix: as nested
+    lists they would hold one float object per entry (over 100 MB for the
+    1764 points of a 42x42 torus), rebuilt on every scan, where the views
+    copy nothing and index almost as fast.
     """
-    lists = _DIST_LISTS.get(q)
-    if lists is None:
-        lists = _DIST_LISTS[q] = (q.base.dist.tolist(), q.space.dist.tolist())
-    return lists
+    rows = _DIST_ROWS.get(q)
+    if rows is None:
+        rows = _DIST_ROWS[q] = ([memoryview(row) for row in q.base.dist],
+                                q.space.dist.tolist())
+    return rows
 
 
 def diameter_action_check(space: FiniteMetricSpace, action: IsometricAction,
@@ -250,14 +256,19 @@ def diameter_action_check(space: FiniteMetricSpace, action: IsometricAction,
                                  k_max=k_max, witness=doubles)
 
     qcx = vr_complex(q.space, r, convention="lt", dim_cap=k_max, budget=budget)
-    Dl, Ql = _dist_lists(q)
+    Dl, Ql = _dist_rows(q)
     members = q.members
     checked = 0
     for dim in range(1, k_max + 1):
         for orbits in qcx.simplices.get(dim, []):
             checked += 1
             qdiam = max(Ql[a][b] for i, a in enumerate(orbits) for b in orbits[i + 1:])
-            min_diam, achievers = anchored_min_diameter(Dl, members, orbits)
+            within = anchored_lifts_within(Dl, members, orbits, r)
+            if within:
+                min_diam = min(d for d, _ in within)
+                achievers = [t for d, t in within if d == min_diam]
+            else:  # the minimum is >= r; find it and its achievers
+                min_diam, achievers = anchored_min_diameter(Dl, members, orbits)
             if min_diam > qdiam + EQ_EPS:
                 witness = {"part": "sets", "mode": "no_equality_lift",
                            "orbits": list(orbits), "qdiam": qdiam,
@@ -273,9 +284,7 @@ def diameter_action_check(space: FiniteMetricSpace, action: IsometricAction,
                 return ActionCheckResult(kind="diameter", r=float(r), ok=False,
                                          k_max=k_max, witness=witness,
                                          subsets_checked=checked)
-            extras = [t for d, t in
-                      anchored_lifts_within(Dl, members, orbits, r, strict=True)
-                      if t != achievers[0]]
+            extras = [t for _, t in within if t != achievers[0]]
             if extras:
                 witness = {"part": "sets", "mode": "extra_lift_within_scale",
                            "orbits": list(orbits), "qdiam": qdiam,
@@ -340,8 +349,6 @@ def nerve_action_check(space: FiniteMetricSpace, action: IsometricAction,
 def _tight_indices(grid: list[float], crit: np.ndarray) -> list[int]:
     """Indices of grid values with a base critical value other than
     themselves within ISOMETRY_EPS, in ascending order."""
-    if not crit.size:
-        return []
     g = np.asarray(grid, dtype=float)
     below = np.searchsorted(crit, g, side="left") - 1   # largest value < g
     above = np.searchsorted(crit, g, side="right")      # smallest value > g
@@ -354,17 +361,16 @@ def _tight_indices(grid: list[float], crit: np.ndarray) -> list[int]:
 def threshold_scan(space: FiniteMetricSpace, action: IsometricAction,
                    kind: str, k_max: int = DEFAULT_DIM_CAP,
                    convention: str = "lt",
-                   r_values=None, budget: int = DEFAULT_BUDGET) -> ThresholdReport:
+                   budget: int = DEFAULT_BUDGET) -> ThresholdReport:
     """Bracket the largest scale at which a property of the action holds.
 
     distance and ball are computed exactly.  diameter and nerve are searched
     over the critical values of the base space (every quotient distance is a
     base distance, so this grid sees every scale at which the qualifying
-    subsets or their lifts can change), or over r_values when given.  The
-    report is the one an ascending walk that stops at the first failing check
-    would give: fails_at is the first grid value whose check fails, passes_at
-    its predecessor (0.0 when there is none), and the witness comes from the
-    check at fails_at.
+    subsets or their lifts can change).  The report is the one an ascending
+    walk that stops at the first failing check would give: fails_at is the
+    first grid value whose check fails, passes_at its predecessor (0.0 when
+    there is none), and the witness comes from the check at fails_at.
 
     The search gallops over grid indices 1, 3, 7, ... until a check fails,
     then bisects down to an adjacent pass/fail pair.  That is exact for
@@ -398,12 +404,8 @@ def threshold_scan(space: FiniteMetricSpace, action: IsometricAction,
         raise ValueError(f"unknown threshold kind: {kind!r}")
 
     q = build_quotient(space, action)
-    crit = None
-    if r_values is None:
-        crit = critical_values(space)
-        grid = [float(v) for v in crit]
-    else:
-        grid = sorted(float(v) for v in r_values)
+    crit = critical_values(space)
+    grid = [float(v) for v in crit]
     results: dict[int, ActionCheckResult | BudgetExceededError] = {}
 
     def passes(i: int) -> bool:
@@ -441,8 +443,6 @@ def threshold_scan(space: FiniteMetricSpace, action: IsometricAction,
 
     tight_checked = 0
     if kind == "nerve" and lo > 0:
-        if crit is None:
-            crit = critical_values(space)
         for t in _tight_indices(grid[:lo], crit):
             if t in results:
                 continue
@@ -503,7 +503,7 @@ def verify_witness(space: FiniteMetricSpace, action: IsometricAction,
 
     orbits = tuple(witness["orbits"])
     members = q.members
-    Dl, Ql = _dist_lists(q)
+    Dl, Ql = _dist_rows(q)
     if kind == "diameter":
         qdiam = max(Ql[a][b] for i, a in enumerate(orbits) for b in orbits[i + 1:])
         if not qdiam < r:

@@ -189,15 +189,12 @@ def _brute_qdist(D: np.ndarray, members: list[list[int]]) -> list[list[float]]:
 
 
 def linear_scan(space: FiniteMetricSpace, action: IsometricAction, kind: str,
-                k_max: int, convention: str = "lt", r_values=None,
+                k_max: int, convention: str = "lt",
                 budget: int = DEFAULT_BUDGET) -> ThresholdReport:
     """threshold_scan for diameter/nerve by an ascending walk over the grid
     that stops at the first failing check; scanned is the number of checks."""
     q = build_quotient(space, action)
-    if r_values is None:
-        grid = [float(v) for v in critical_values(space)]
-    else:
-        grid = sorted(float(v) for v in r_values)
+    grid = [float(v) for v in critical_values(space)]
     passes_at, fails_at, witness, scanned = 0.0, math.inf, None, 0
     for r in grid:
         scanned += 1

@@ -180,7 +180,7 @@ def test_ball_masks_at_zero_and_below(rng):
 def test_filtration_values_are_diameters(rng):
     space = random_cloud_space(rng, n=8)
     filt = vr_filtration(space, dim_cap=3)
-    assert len(filt) == sum(math.comb(8, k) for k in range(1, 5))
+    assert len(filt.entries) == sum(math.comb(8, k) for k in range(1, 5))
     D = space.dist
     for value, verts in filt.entries:
         if len(verts) == 1:
@@ -228,7 +228,7 @@ def test_cut_filtration_budget_counts_only_the_cut(rng):
     space = random_cloud_space(rng, n=12)
     r = float(critical_values(space)[5])
     cut = vr_filtration(space, dim_cap=3, max_scale=r)
-    budget = len(cut)
+    budget = len(cut.entries)
     assert vr_filtration(space, dim_cap=3, budget=budget, max_scale=r).entries == cut.entries
     with pytest.raises(BudgetExceededError):
         vr_filtration(space, dim_cap=3, budget=budget - 1, max_scale=r)

@@ -1,6 +1,7 @@
 """Import hygiene of the package: modules reach each other only through
-public names, every name a module exports exists, and no public function or
-method is dead API that only tests call."""
+public names, every name a module exports exists, no module imports a name
+it never uses, and no public function or method is dead API that only tests
+call."""
 
 import ast
 import importlib
@@ -32,6 +33,30 @@ def test_every_exported_name_resolves(name):
     module = orbitrips if name == "__init__" else importlib.import_module(f"orbitrips.{name}")
     exported = getattr(module, "__all__", [])
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def _exported(tree) -> set[str]:
+    """Names listed in a module's literal __all__."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+@pytest.mark.parametrize("name", MODULES + ["__init__"])
+def test_every_imported_name_is_used(name):
+    # an import is used when the module reads the bound name or re-exports it
+    tree = ast.parse((SRC / f"{name}.py").read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    read = {sub.id for sub in ast.walk(tree)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+    assert [n for n in imported if n not in read | _exported(tree)] == []
 
 
 def _references(node) -> Counter:

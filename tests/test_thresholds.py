@@ -139,14 +139,6 @@ def test_unknown_convention_rejected_by_nerve_check_and_replay():
                        convention="bogus")
 
 
-def test_custom_grid_is_respected():
-    space, action = _circle12_antipodal()
-    rep = threshold_scan(space, action, "diameter", r_values=[0.1, 0.3])
-    assert rep.passes_at == 0.1
-    assert rep.fails_at == 0.3
-    assert rep.scanned == 2
-
-
 def test_unknown_kind_rejected():
     space, action = _circle12_antipodal()
     with pytest.raises(ValueError):
@@ -222,9 +214,9 @@ def test_six_circles_extra_lift_mode():
 @given(seed=st.integers(0, 10**9), m=st.integers(2, 4), k=st.integers(2, 3),
        kind=st.sampled_from(["diameter", "nerve"]),
        convention=st.sampled_from(["lt", "leq"]), k_max=st.integers(1, 3),
-       jitter=st.booleans(), custom_grid=st.booleans())
+       jitter=st.booleans())
 def test_scan_matches_linear_oracle(seed, m, k, kind, convention, k_max,
-                                    jitter, custom_grid):
+                                    jitter):
     rng = np.random.default_rng(seed)
     space, action = random_rotated_cloud(rng, m=m, k=k)
     if jitter:
@@ -233,26 +225,20 @@ def test_scan_matches_linear_oracle(seed, m, k, kind, convention, k_max,
         # be monotone and the tight-point sweep is exercised
         noise = np.triu(rng.uniform(-1e-10, 1e-10, size=(space.n, space.n)), 1)
         space = FiniteMetricSpace(space.dist + noise + noise.T)
-    r_values = None
-    if custom_grid:
-        cv = critical_values(space)
-        picks = rng.choice(len(cv), size=min(len(cv), 8), replace=False)
-        r_values = [float(cv[i]) for i in picks] + \
-            rng.uniform(0.0, float(cv[-1]) * 1.1, size=4).tolist()
     rep = threshold_scan(space, action, kind, k_max=k_max,
-                         convention=convention, r_values=r_values)
+                         convention=convention)
     oracle = linear_scan(space, action, kind, k_max=k_max,
-                         convention=convention, r_values=r_values)
+                         convention=convention)
     assert_same_bracket(rep, oracle)
 
 
-def test_nerve_scan_of_one_point_space_on_custom_grid():
-    # no critical values at all, so no grid value can be tight
+def test_nerve_scan_of_one_point_space_on_empty_grid():
+    # no critical values at all, so the grid is empty and nothing is checked
     space, action = FiniteMetricSpace([[0.0]]), close_group(1, [])
-    rep = threshold_scan(space, action, "nerve", r_values=[0.1, 0.2, 0.3])
-    assert_same_bracket(rep, linear_scan(space, action, "nerve", k_max=3,
-                                         r_values=[0.1, 0.2, 0.3]))
-    assert rep.passes_at == 0.3
+    rep = threshold_scan(space, action, "nerve")
+    assert_same_bracket(rep, linear_scan(space, action, "nerve", k_max=3))
+    assert rep.passes_at == 0.0
+    assert rep.fails_at == math.inf
 
 
 def _paired_sphere30():
