@@ -1,10 +1,36 @@
 """Z/2 persistent homology of VR filtrations, fixed-scale Betti numbers, and
-an independent dense-elimination homology oracle for cross-checking."""
+an independent dense-elimination homology oracle for cross-checking.
+
+One engine, `_reduce`, serves both the barcode (`reduce_filtration`) and the
+Betti numbers (`betti_at`).  It reduces coboundary matrices, after U. Bauer,
+"Ripser: efficient computation of Vietoris-Rips persistence barcodes"
+(J. Appl. Comput. Topol. 2021):
+
+- columns are the simplices of one dimension in reverse order, rows their
+  cofaces, and a column's pivot is its earliest coface;
+- dimensions run upward, and clearing goes with them: a simplex that is the
+  pivot of a column one dimension down reduces to zero and is skipped, so the
+  top-dimension simplices are never columns at all;
+- emergent pairs: the earliest coface of every simplex is computed at once,
+  and a column whose earliest coface is not owned yet is paired without
+  building its coboundary; the few remaining coboundaries are built on demand
+  from sorted simplex keys, with no per-simplex dict.
+
+Persistent homology and cohomology pair the same simplices (de Silva, Morozov
+& Vejdemo-Johansson, "Dualities in persistent (co)homology", Inverse Problems
+2011): the pivot pairs of a matrix reduction depend only on the ranks of its
+lower-left submatrices, and the coboundary matrix in reverse order is the
+boundary matrix turned about its anti-diagonal.  So the pairs, and with them
+the bars and ranks, are those of the textbook boundary reduction.
+`homology_oracle` is the dense referee that shares no code with the engine.
+"""
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +43,7 @@ __all__ = [
     "ORACLE_LIMIT",
     "Barcode",
     "BettiVector",
+    "SimplexPairs",
     "reduce_filtration",
     "betti_at",
     "homology_oracle",
@@ -25,6 +52,33 @@ __all__ = [
 ]
 
 ORACLE_LIMIT = 20000
+_END = np.iinfo(np.int64).max  # closes every sorted key array of `_reduce`
+
+
+class SimplexPairs(Sequence):
+    """The simplex pairs of one homology dimension d, held as arrays.
+
+    Item i reads `((birth, simplex), None)` for an essential class and
+    `((birth, simplex), (death, killer))` otherwise, with the values as
+    floats and the simplices as vertex tuples.  Storage: `births` and
+    `deaths` (NaN where essential) are float arrays, `simplices` an (m, d+1)
+    and `killers` an (m, d+2) vertex array (rows of -1 where essential).
+    """
+
+    def __init__(self, births: np.ndarray, simplices: np.ndarray,
+                 deaths: np.ndarray, killers: np.ndarray):
+        self.births = births
+        self.simplices = simplices
+        self.deaths = deaths
+        self.killers = killers
+
+    def __len__(self) -> int:
+        return len(self.births)
+
+    def __getitem__(self, i: int):
+        killer = self.killers[i].tolist()
+        return ((float(self.births[i]), tuple(self.simplices[i].tolist())),
+                None if killer[0] < 0 else (float(self.deaths[i]), tuple(killer)))
 
 
 @dataclass
@@ -33,12 +87,15 @@ class Barcode:
 
     `intervals[d]` holds (birth, death) with death = inf for essential classes;
     zero-length bars are dropped there but the raw simplex pairing is kept in
-    `pairs` for verification.
+    `pairs` for verification: `pairs[d]` lists every positive d-simplex with
+    its value, and the (d+1)-simplex that kills its class (None if none
+    does), as a `SimplexPairs` of arrays.  The pairing is the one the
+    boundary reduction gives; the engine gets it from the coboundary side.
     """
 
     dim_cap: int
     intervals: dict[int, list[tuple[float, float]]]
-    pairs: dict[int, list[tuple[tuple, tuple | None]]] = field(repr=False, default_factory=dict)
+    pairs: dict[int, SimplexPairs] = field(repr=False, default_factory=dict)
     provenance: dict = field(default_factory=dict)
 
     def bars(self, dim: int) -> list[tuple[float, float]]:
@@ -58,52 +115,133 @@ class Barcode:
         return tuple(out)
 
 
-def _filtration_hash(filtration: VRFiltration) -> str:
+def _filtration_hash(filtration: VRFiltration, values: np.ndarray,
+                     simplices: list[tuple[int, ...]]) -> str:
+    """sha256 of the filtration's size, values and vertices, in entry order."""
     h = hashlib.sha256()
-    h.update(f"{filtration.n}:{filtration.dim_cap}:{len(filtration.entries)}".encode())
-    if filtration.entries:
-        vals = np.array([v for v, _ in filtration.entries], dtype=np.float64)
-        verts = np.array([i for _, s in filtration.entries for i in s], dtype=np.int64)
-        h.update(vals.tobytes())
-        h.update(verts.tobytes())
+    h.update(f"{filtration.n}:{filtration.dim_cap}:{len(simplices)}".encode())
+    if simplices:
+        h.update(values.tobytes())
+        h.update(np.fromiter(itertools.chain.from_iterable(simplices),
+                             dtype=np.int64).tobytes())
     return h.hexdigest()
 
 
-def _reduce(by_dim: dict[int, list[tuple[int, ...]]]) -> dict[int, dict[int, int]]:
-    """Z/2 column reduction of every boundary matrix of a graded complex, with clearing.
+def _vertex_array(simplices: list[tuple[int, ...]], d: int) -> np.ndarray:
+    """The d-simplices as an (m, d+1) int32 array (a space of 2^31 points
+    would not fit its distance matrix in memory)."""
+    flat = itertools.chain.from_iterable(simplices)
+    return np.fromiter(flat, dtype=np.int32, count=len(simplices) * (d + 1)).reshape(-1, d + 1)
 
-    `by_dim[d]` lists the d-simplices in one order, which serves both as the
-    column order of the matrix of dimension d and the row order of dimension
-    d+1; the pivot of a column is its face latest in that order.  Dimensions
-    are reduced top first, and each column is built only when it is reached,
-    from a face-index dict of the dimension below.  A row that is a pivot of
-    dimension d+1 marks the matching column of dimension d as reducing to
-    zero (clearing; Chen & Kerber 2011), so that column is skipped.
 
-    Returns `pivots[d] = {pivot row: column}` for d >= 1.  The pivot rows are
-    those of the standard reduction, so `len(pivots[d])` is the rank of the
-    boundary matrix of dimension d in any order consistent across dimensions.
+def _descend(sorted_keys: list[np.ndarray], n: int, rank, columns, level: int,
+             found: np.ndarray | None = None) -> np.ndarray:
+    """Lex ranks of vertex rows, extended by one vertex column per level.
+
+    `rank` holds the lex ranks of the rows' first `level` vertices among the
+    (level-1)-simplices (None at level 0).  Each column of `columns` appends
+    a vertex: the key of a prefix is its own prefix's rank times n plus its
+    last vertex, searched in `sorted_keys` of its dimension (each ends in
+    the sentinel _END, so every rank indexes it).  Rows whose prefixes are
+    all simplices get their exact ranks.  Given `found`, rows with a prefix
+    that is not a simplex are cleared there; their ranks are meaningless.
     """
+    for col in columns:
+        keys = col if level == 0 else rank * n + col
+        sk = sorted_keys[level]
+        rank = sk.searchsorted(keys)
+        if found is not None:
+            found &= sk[rank] == keys
+        level += 1
+    return rank
+
+
+def _reduce(by_dim: dict[int, list[tuple[int, ...]]]) -> dict[int, dict[int, int]]:
+    """Z/2 reduction of the coboundary matrices of a graded complex, with
+    clearing and emergent pairs (see the module docstring).
+
+    `by_dim[d]` lists the d-simplices in one order, the same for every use of
+    dimension d.  For d = 0 .. top-1 the columns are the d-simplices, last
+    first, and a column's pivot is its earliest coface.  Clearing runs
+    upward: a d-simplex already paired with a (d-1)-simplex reduces to zero
+    and is skipped.  The earliest coface
+    of every d-simplex comes from one vectorised pass over the facets of the
+    (d+1)-simplices.  Coboundaries are built only for columns that are not
+    emergent, and for the owners they must add, by searching each candidate
+    coface in the sorted keys of the (d+1)-simplices.  A key is the lex rank
+    of a simplex's prefix times n plus its last vertex, so keys stay below
+    (number of simplices + 1) * n for every n and dimension.
+
+    Returns `pivots[d] = {(d-1)-simplex: d-simplex}` for d >= 1, indices into
+    `by_dim`.  Homology and cohomology pair the same simplices, so these are
+    the pairs of the standard reduction of the boundary matrices in the same
+    orders, and `len(pivots[d])` is the rank of the boundary matrix of
+    dimension d.
+    """
+    top = max(by_dim, default=0)
     pivots: dict[int, dict[int, int]] = {}
-    for d in range(max(by_dim, default=0), 0, -1):
-        cleared = pivots.get(d + 1, {})
-        face_index = {verts: i for i, verts in enumerate(by_dim[d - 1])}
-        reduced: dict[int, int] = {}  # pivot row -> bit-packed reduced column
-        owner = pivots[d] = {}
-        for j, verts in enumerate(by_dim[d]):
-            if j in cleared:
+    if top == 0:
+        return pivots
+    S = [_vertex_array(by_dim.get(d, []), d) for d in range(top + 1)]
+    n = int(S[0].max()) + 1
+    vertices = S[0][:, 0]
+    sorted_keys = [np.append(np.sort(vertices), _END)]
+    order = [np.argsort(vertices, kind="stable")]  # lex rank -> index in by_dim
+    for d in range(top):
+        cofaces = S[d + 1]
+        m, mc = len(S[d]), len(cofaces)
+        # chain[l]: lex ranks of the first l+1 vertices of each (d+1)-simplex
+        chain = [None]
+        for level in range(d + 1):
+            chain.append(_descend(sorted_keys, n, chain[-1], [cofaces[:, level]], level))
+        # earliest coface of each d-simplex; facet k of a coface drops vertex
+        # k, so it shares the rank of the first k vertices
+        earliest = np.full(m, mc, dtype=np.int64)
+        indices = np.arange(mc, dtype=np.int64)
+        for k in range(d + 2):
+            rank = _descend(sorted_keys, n, chain[k], cofaces[:, k + 1:].T, k)
+            np.minimum.at(earliest, order[d][rank], indices)
+        keys = chain[-1] * n + cofaces[:, d + 1]
+        del chain, rank, indices  # freed before the sort: a barcode's memory peak sits here
+        o = np.argsort(keys, kind="stable")
+        sorted_keys.append(np.append(keys[o], _END))
+        order.append(o)
+
+        def coboundary(j: int) -> set[int]:
+            simplex = S[d][j]
+            outside = np.ones(n, dtype=bool)
+            outside[simplex] = False
+            cand = vertices[outside[vertices]]
+            rows = np.empty((len(cand), d + 2), dtype=np.int32)
+            rows[:, :-1] = simplex
+            rows[:, -1] = cand
+            rows.sort(axis=1)
+            found = np.ones(len(rows), dtype=bool)
+            rank = _descend(sorted_keys, n, None, rows.T, 0, found)
+            return set(order[d + 1][rank[found]].tolist())
+
+        cleared = set(pivots.get(d, {}).values())
+        owner: dict[int, int] = {}  # pivot coface -> column
+        reduced: dict[int, set[int]] = {}  # pivot -> reduced column
+        first = earliest.tolist()
+        for j in range(m - 1, -1, -1):
+            if j in cleared or first[j] == mc:
                 continue
-            col = 0
-            for k in range(len(verts)):
-                col |= 1 << face_index[verts[:k] + verts[k + 1:]]
+            if first[j] not in owner:
+                owner[first[j]] = j  # emergent pair
+                continue
+            col = coboundary(j)
             while col:
-                low = col.bit_length() - 1
-                other = reduced.get(low)
+                low = min(col)
+                other = owner.get(low)
                 if other is None:
-                    reduced[low] = col
                     owner[low] = j
+                    reduced[low] = col
                     break
-                col ^= other
+                if low not in reduced:
+                    reduced[low] = coboundary(other)
+                col ^= reduced[low]
+        pivots[d + 1] = {j: e for e, j in owner.items()}
     return pivots
 
 
@@ -111,46 +249,55 @@ def reduce_filtration(filtration: VRFiltration) -> Barcode:
     """Persistence barcode of a VR filtration over Z/2.
 
     The simplices of each dimension go to `_reduce` in filtration order.  A
-    column that owns pivot row i is negative and kills the class born at
-    simplex i; every other simplex of a dimension below dim_cap is positive
-    and gives a bar, essential when no column owns its row.
+    simplex paired with a face one dimension down is negative and creates
+    nothing; every other simplex of a dimension below dim_cap is positive and
+    gives a bar, killed by the simplex it is paired with one dimension up, or
+    essential when it has none.
     """
-    values: dict[int, list[float]] = {}
+    entries = filtration.entries
+    all_values = np.array([value for value, _ in entries], dtype=np.float64)
+    all_simplices = [verts for _, verts in entries]
+    digest = _filtration_hash(filtration, all_values, all_simplices)
+    dims = np.fromiter(map(len, all_simplices), dtype=np.int64, count=len(entries)) - 1
+    values: dict[int, np.ndarray] = {}
     simplices: dict[int, list[tuple[int, ...]]] = {}
-    for value, verts in filtration.entries:
-        values.setdefault(len(verts) - 1, []).append(value)
-        simplices.setdefault(len(verts) - 1, []).append(verts)
+    for d in range(int(dims.max(initial=-1)) + 1):
+        here = dims == d
+        values[d] = all_values[here]
+        simplices[d] = list(itertools.compress(all_simplices, here.tolist()))
+    del all_values, all_simplices, dims
     pivots = _reduce(simplices)
 
     intervals: dict[int, list[tuple[float, float]]] = {}
-    pairs: dict[int, list[tuple[tuple, tuple | None]]] = {}
+    pairs: dict[int, SimplexPairs] = {}
     for d in range(filtration.dim_cap):
-        negative = set(pivots.get(d, {}).values())
-        killer = pivots.get(d + 1, {})
-        bars = []
-        raw = []
-        for i, (birth, verts) in enumerate(zip(values.get(d, []), simplices.get(d, []))):
-            if i in negative:
-                continue  # negative simplex: kills a (d-1)-class, creates nothing
-            j = killer.get(i)
-            if j is None:
-                bars.append((birth, math.inf))
-                raw.append(((birth, verts), None))
-            else:
-                dval = values[d + 1][j]
-                raw.append(((birth, verts), (dval, simplices[d + 1][j])))
-                if dval != birth:
-                    bars.append((birth, dval))
-        bars.sort()
-        intervals[d] = bars
-        pairs[d] = raw
+        m = len(simplices.get(d, ()))
+        positive = np.ones(m, dtype=bool)
+        positive[list(pivots.get(d, {}).values())] = False
+        killed = pivots.get(d + 1, {})
+        partner = np.full(m, -1, dtype=np.int64)
+        partner[list(killed)] = list(killed.values())
+        index = np.flatnonzero(positive)
+        births = values.get(d, np.zeros(0))[index]
+        partner = partner[index]
+        essential = partner < 0
+        deaths = np.full(len(index), math.nan)
+        deaths[~essential] = values.get(d + 1, np.zeros(0))[partner[~essential]]
+        killers = np.full((len(index), d + 2), -1, dtype=np.int32)
+        killers[~essential] = _vertex_array(
+            [simplices[d + 1][j] for j in partner[~essential].tolist()], d + 1)
+        pairs[d] = SimplexPairs(births, _vertex_array(simplices.get(d, []), d)[index],
+                                deaths, killers)
+        ends = np.where(essential, math.inf, deaths)
+        bar = essential | (ends != births)
+        intervals[d] = sorted(zip(births[bar].tolist(), ends[bar].tolist()))
 
     return Barcode(
         dim_cap=filtration.dim_cap,
         intervals=intervals,
         pairs=pairs,
-        provenance={"field": "Z/2", "n_simplices": len(filtration.entries),
-                    "filtration_hash": _filtration_hash(filtration)},
+        provenance={"field": "Z/2", "n_simplices": len(entries),
+                    "filtration_hash": digest},
     )
 
 

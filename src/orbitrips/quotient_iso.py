@@ -188,7 +188,7 @@ def iso_check(space: FiniteMetricSpace, action: IsometricAction, r: float,
             idx.setdefault(img, []).append(cid)
         image_index[dim] = idx
 
-    Dl = space.dist.tolist()
+    Dl = space.rows
     members = q.members
     for dim in range(dim_cap + 1):
         idx = image_index[dim]
@@ -249,7 +249,7 @@ def verify_certificate(space: FiniteMetricSpace, action: IsometricAction,
         if not quot.contains(missing):
             return False
         if kind == "vr":
-            return not anchored_lifts_within(space.dist.tolist(), q.members,
+            return not anchored_lifts_within(space.rows, q.members,
                                              missing, r, strict=convention == "lt")
         masks = ball_masks(space, r, convention)
         return not anchored_witnessed_lifts(masks, q.members, missing)

@@ -223,15 +223,12 @@ def _dist_rows(q: QuotientSpace) -> tuple[list, list]:
 
     The lift searches index Python sequences far faster than arrays; a scan
     passes the same quotient to every check, so the conversion is paid once
-    per scan.  Base rows are memoryviews of the distance matrix: as nested
-    lists they would hold one float object per entry (over 100 MB for the
-    1764 points of a 42x42 torus), rebuilt on every scan, where the views
-    copy nothing and index almost as fast.
+    per scan.  The base rows are the memoryviews of `FiniteMetricSpace.rows`;
+    the much smaller quotient matrix is a nested list.
     """
     rows = _DIST_ROWS.get(q)
     if rows is None:
-        rows = _DIST_ROWS[q] = ([memoryview(row) for row in q.base.dist],
-                                q.space.dist.tolist())
+        rows = _DIST_ROWS[q] = (q.base.rows, q.space.dist.tolist())
     return rows
 
 

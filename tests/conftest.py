@@ -5,7 +5,9 @@ with itertools-style enumeration and no shared code with the library internals
 (no bitmasks, no clique expansion, no anchoring, no branch-and-bound), so
 agreement is meaningful.  linear_scan is the exception: it is the search
 oracle for threshold_scan and calls the library's per-scale checks, which the
-brute-force oracles referee on their own.
+brute-force oracles referee on their own.  homology_pivots is the boundary
+(homology) reduction that the coboundary engine replaced, kept as its referee;
+it shares no code with it.
 """
 
 from __future__ import annotations
@@ -182,6 +184,44 @@ def _brute_qdist(D: np.ndarray, members: list[list[int]]) -> list[list[float]]:
             if a != b:
                 out[a][b] = min(D[x, y] for x in members[a] for y in members[b])
     return out
+
+
+# ---------------------------------------------------------------------------
+# homology-side reduction referee
+
+
+def homology_pivots(by_dim: dict[int, list[tuple[int, ...]]]) -> dict[int, dict[int, int]]:
+    """Pivots of the boundary matrices by the textbook homology reduction.
+
+    `by_dim[d]` lists the d-simplices in one order: the column order of
+    dimension d and the row order of dimension d+1.  Dimensions run top
+    first; each column is a bit set of its facets' indices, built from a
+    face-index dict, its pivot is its latest facet, and columns whose index is
+    a pivot row one dimension up are skipped (clearing).  Returns
+    `pivots[d] = {pivot row: column}` for d >= 1, the contract of
+    `persistence._reduce`, which reduces coboundaries instead and must agree.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for d in range(max(by_dim, default=0), 0, -1):
+        cleared = pivots.get(d + 1, {})
+        face_index = {verts: i for i, verts in enumerate(by_dim[d - 1])}
+        reduced: dict[int, int] = {}
+        owner = pivots[d] = {}
+        for j, verts in enumerate(by_dim[d]):
+            if j in cleared:
+                continue
+            col = 0
+            for k in range(len(verts)):
+                col |= 1 << face_index[verts[:k] + verts[k + 1:]]
+            while col:
+                low = col.bit_length() - 1
+                other = reduced.get(low)
+                if other is None:
+                    reduced[low] = col
+                    owner[low] = j
+                    break
+                col ^= other
+    return pivots
 
 
 # ---------------------------------------------------------------------------

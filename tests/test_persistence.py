@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbitrips.complexes import SimplicialComplex, vr_complex, vr_filtration
-from orbitrips.persistence import (ORACLE_LIMIT, betti_at, format_barcode_tsv,
-                                   homology_oracle, read_barcode_tsv,
-                                   reduce_filtration)
-from orbitrips.spaces import ShapeSpec, critical_values, generate_space
+from orbitrips.persistence import (ORACLE_LIMIT, _reduce, betti_at,
+                                   format_barcode_tsv, homology_oracle,
+                                   read_barcode_tsv, reduce_filtration)
+from orbitrips.spaces import (FiniteMetricSpace, ShapeSpec, critical_values,
+                              generate_space)
 
-from conftest import random_cloud_space
+from conftest import homology_pivots, random_cloud_space
 
 
 def test_hexagon_barcode_is_the_octahedron_story():
@@ -137,3 +139,65 @@ def test_barcode_tsv_roundtrip(tmp_path):
     text = path.read_text()
     assert text.startswith("# hexagon barcode\n# dim\tbirth\tdeath\n")
     assert "inf" in text
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**9), n=st.integers(3, 11), dim_cap=st.integers(1, 4),
+       shape=st.sampled_from(["cloud", "circle"]),
+       source=st.sampled_from(["filtration", "cut", "leq", "lt"]),
+       pick=st.floats(0.0, 1.0), empty_top=st.booleans())
+def test_coboundary_pivots_equal_homology_reduction(seed, n, dim_cap, shape, source,
+                                                    pick, empty_top):
+    # full filtrations, max_scale cuts (cofaces missing) and lex-ordered
+    # complexes; the circle's tied distances exercise the lex tie-breaks
+    if shape == "cloud":
+        space = random_cloud_space(np.random.default_rng(seed), n)
+    else:
+        space = generate_space(ShapeSpec("evenly-spaced-circle", {"n": n}))
+    cv = critical_values(space)
+    r = float(cv[int(pick * (len(cv) - 1))])
+    if source in ("filtration", "cut"):
+        filt = vr_filtration(space, dim_cap, max_scale=r if source == "cut" else None)
+        by_dim: dict[int, list] = {}
+        for _, verts in filt.entries:
+            by_dim.setdefault(len(verts) - 1, []).append(verts)
+    else:
+        by_dim = dict(vr_complex(space, r, source, dim_cap).simplices)
+    if empty_top:
+        by_dim[max(by_dim) + 1] = []
+    assert _reduce(by_dim) == homology_pivots(by_dim)
+
+
+def _cross_polytope(k: int) -> np.ndarray:
+    """The 2k points +-e_i of R^k; their VR complex at 1.5 is a (k-1)-sphere."""
+    return np.concatenate([np.eye(k), -np.eye(k)])
+
+
+def test_betti_at_is_exact_where_base_n_keys_overflow_int64():
+    # 2,000 points and dim_cap 6: the base-n key of a 6-simplex would need
+    # n**7 > 2**63.  Spheres of dimensions 1..5 and a solid 7-simplex sit on
+    # shuffled labels among isolated points, so b = (components, 1, 1, 1, 1, 1).
+    n, dim = 2000, 6
+    hexagon = np.array([[math.cos(t), math.sin(t)] for t in np.arange(6) * math.pi / 3])
+    clusters = [hexagon] + [_cross_polytope(k) for k in (3, 4, 5, 6)]
+    clusters.append(np.random.default_rng(0).uniform(0.0, 0.1, size=(8, dim)))
+    pts = np.zeros((n, dim))
+    row = 0
+    for c, cluster in enumerate(clusters):
+        pts[row:row + len(cluster), :cluster.shape[1]] = cluster
+        pts[row:row + len(cluster), 0] += 100.0 * (c + 1)
+        row += len(cluster)
+    grid = np.arange(n - row)
+    pts[row:, 0] = -10.0 * (grid % 50) - 100.0
+    pts[row:, 1] = 10.0 * (grid // 50)
+    pts = pts[np.random.default_rng(1).permutation(n)]
+    D = np.zeros((n, n))
+    for k in range(dim):
+        D += (pts[:, k, None] - pts[None, :, k]) ** 2
+    space = FiniteMetricSpace(np.sqrt(D))
+    r, dim_cap = 1.5, 6
+    cx = vr_complex(space, r, "leq", dim_cap)
+    assert len(cx.simplices[6]) == 8
+    assert n ** 7 > 2 ** 63
+    expected = (n - row + len(clusters), 1, 1, 1, 1, 1)
+    assert betti_at(space, r, "leq", dim_cap).values == homology_oracle(cx) == expected
