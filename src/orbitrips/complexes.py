@@ -1,10 +1,13 @@
 """Vietoris-Rips and Cech complexes of finite metric spaces, plus the VR
 filtration.  Everything is built from two primitives: the r-balls of the
 points as bitmasks (ball_masks), and one ordered clique walk over bitmask
-adjacency, so output order is deterministic (dimension, then lex)."""
+adjacency, so output order is deterministic (dimension, then lex).
+`LexIndex` ranks vertex rows among the simplices of a complex; membership
+tests, orbit grouping and the reduction engine all search it."""
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -15,9 +18,11 @@ __all__ = [
     "DEFAULT_BUDGET",
     "DEFAULT_DIM_CAP",
     "BudgetExceededError",
+    "LexIndex",
     "SimplicialComplex",
     "VRFiltration",
     "ball_masks",
+    "vertex_array",
     "vr_complex",
     "cech_complex",
     "vr_filtration",
@@ -27,6 +32,8 @@ DEFAULT_BUDGET = 10_000_000
 DEFAULT_DIM_CAP = 3
 
 _CONVENTIONS = ("leq", "lt")
+_END = np.iinfo(np.int64).max  # closes every sorted key array of a LexIndex
+_NO_KEYS = np.array([_END])  # the keys of a dimension the index does not hold
 
 
 class BudgetExceededError(RuntimeError):
@@ -56,8 +63,79 @@ def ball_masks(space: FiniteMetricSpace, r: float,
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
+def vertex_array(simplices: list[tuple[int, ...]], d: int) -> np.ndarray:
+    """The d-simplices as an (m, d+1) int32 array (a space of 2^31 points
+    would not fit its distance matrix in memory)."""
+    flat = itertools.chain.from_iterable(simplices)
+    return np.fromiter(flat, dtype=np.int32, count=len(simplices) * (d + 1)).reshape(-1, d + 1)
+
+
+class LexIndex:
+    """Lex ranks of vertex rows among the simplices of a graded complex.
+
+    `by_dim[d]` lists the d-simplices (sorted vertex tuples) of dimension
+    0 .. top in any order, a missing dimension being empty; n exceeds every
+    vertex.  Per dimension d the index holds:
+
+    - `vertices[d]`: the d-simplices as a `vertex_array`, in that order;
+    - `keys[d]`: their keys, sorted and closed by the sentinel _END, so the
+      position of a key is the lex rank of its simplex;
+    - `order[d]`: the row in `by_dim[d]` of each lex rank (the identity when
+      the list is in lex order, as every `SimplicialComplex` is).
+
+    The key of a vertex is the vertex; the key of a d-simplex, d >= 1, is the
+    lex rank of its first d vertices among the (d-1)-simplices times n plus
+    its last vertex.  Keys stay below (number of simplices + 1) * n for
+    every n and dimension, so they never overflow int64, and sorting them
+    sorts the simplices lexicographically.
+    """
+
+    def __init__(self, n: int, by_dim: dict[int, list[tuple[int, ...]]]):
+        self.n = n
+        self.vertices: list[np.ndarray] = []
+        self.keys: list[np.ndarray] = []
+        self.order: list[np.ndarray] = []
+        for d in range(max(by_dim, default=-1) + 1):
+            rows = vertex_array(by_dim.get(d, []), d)
+            if d == 0:
+                keys = rows[:, 0].astype(np.int64)
+            else:
+                keys = self.rank(rows[:, :-1].T) * n + rows[:, -1]
+            o = np.argsort(keys, kind="stable")
+            self.vertices.append(rows)
+            self.keys.append(np.append(keys[o], _END))
+            self.order.append(o)
+
+    def rank(self, columns, found: np.ndarray | None = None,
+             rank: np.ndarray | None = None, level: int = 0) -> np.ndarray:
+        """Lex ranks of vertex rows, given column by column.
+
+        Each column of `columns` appends a vertex to every row, and the rank
+        of the longer prefix is found by searching its key.  `rank` holds
+        the lex ranks of the rows' first `level` vertices among the
+        (level-1)-simplices, for a search that starts part way (None at
+        level 0).  Rows whose prefixes are all simplices get their exact
+        ranks.  Given `found`, rows with a prefix that is not a simplex
+        (a dimension the index does not hold included) are cleared there;
+        their ranks are meaningless but index `keys`.  Vertices must lie in
+        range(n): a larger or negative one can alias another prefix's key.
+        """
+        for col in columns:
+            keys = col if level == 0 else rank * self.n + col
+            sk = self.keys[level] if level < len(self.keys) else _NO_KEYS
+            rank = sk.searchsorted(keys)
+            if found is not None:
+                found &= sk[rank] == keys
+            level += 1
+        return rank
+
+
 class SimplicialComplex:
-    """A fixed-scale complex: dict of dimension -> lex-sorted vertex tuples."""
+    """A fixed-scale complex: dict of dimension -> lex-sorted vertex tuples.
+
+    `index` is its `LexIndex`, built on first use; since each list is in
+    lex order, a simplex's lex rank is its position in `simplices[d]`.
+    """
 
     def __init__(self, n: int, kind: str, convention: str, r: float,
                  dim_cap: int, simplices: dict[int, list[tuple[int, ...]]]):
@@ -67,7 +145,13 @@ class SimplicialComplex:
         self.r = r
         self.dim_cap = dim_cap
         self.simplices = simplices
-        self._sets: dict[int, set] = {}
+        self._index: LexIndex | None = None
+
+    @property
+    def index(self) -> LexIndex:
+        if self._index is None:
+            self._index = LexIndex(self.n, self.simplices)
+        return self._index
 
     @property
     def counts(self) -> dict[int, int]:
@@ -78,10 +162,12 @@ class SimplicialComplex:
         return sum(len(s) for s in self.simplices.values())
 
     def contains(self, simplex: tuple[int, ...]) -> bool:
-        d = len(simplex) - 1
-        if d not in self._sets:
-            self._sets[d] = set(self.simplices.get(d, ()))
-        return tuple(simplex) in self._sets[d]
+        """Whether the vertex tuple is a simplex (sorted, as listed) here."""
+        if not simplex or not all(0 <= v < self.n for v in simplex):
+            return False
+        found = np.ones(1, dtype=bool)
+        self.index.rank(np.array([simplex], dtype=np.int64).T, found)
+        return bool(found[0])
 
     def to_dict(self) -> dict:
         return {

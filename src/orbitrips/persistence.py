@@ -35,8 +35,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complexes import (DEFAULT_BUDGET, DEFAULT_DIM_CAP, SimplicialComplex,
-                        VRFiltration, vr_complex)
+from .complexes import (DEFAULT_BUDGET, DEFAULT_DIM_CAP, LexIndex,
+                        SimplicialComplex, VRFiltration, vertex_array,
+                        vr_complex)
 from .spaces import FiniteMetricSpace
 
 __all__ = [
@@ -52,7 +53,6 @@ __all__ = [
 ]
 
 ORACLE_LIMIT = 20000
-_END = np.iinfo(np.int64).max  # closes every sorted key array of `_reduce`
 
 
 class SimplexPairs(Sequence):
@@ -127,35 +127,6 @@ def _filtration_hash(filtration: VRFiltration, values: np.ndarray,
     return h.hexdigest()
 
 
-def _vertex_array(simplices: list[tuple[int, ...]], d: int) -> np.ndarray:
-    """The d-simplices as an (m, d+1) int32 array (a space of 2^31 points
-    would not fit its distance matrix in memory)."""
-    flat = itertools.chain.from_iterable(simplices)
-    return np.fromiter(flat, dtype=np.int32, count=len(simplices) * (d + 1)).reshape(-1, d + 1)
-
-
-def _descend(sorted_keys: list[np.ndarray], n: int, rank, columns, level: int,
-             found: np.ndarray | None = None) -> np.ndarray:
-    """Lex ranks of vertex rows, extended by one vertex column per level.
-
-    `rank` holds the lex ranks of the rows' first `level` vertices among the
-    (level-1)-simplices (None at level 0).  Each column of `columns` appends
-    a vertex: the key of a prefix is its own prefix's rank times n plus its
-    last vertex, searched in `sorted_keys` of its dimension (each ends in
-    the sentinel _END, so every rank indexes it).  Rows whose prefixes are
-    all simplices get their exact ranks.  Given `found`, rows with a prefix
-    that is not a simplex are cleared there; their ranks are meaningless.
-    """
-    for col in columns:
-        keys = col if level == 0 else rank * n + col
-        sk = sorted_keys[level]
-        rank = sk.searchsorted(keys)
-        if found is not None:
-            found &= sk[rank] == keys
-        level += 1
-    return rank
-
-
 def _reduce(by_dim: dict[int, list[tuple[int, ...]]]) -> dict[int, dict[int, int]]:
     """Z/2 reduction of the coboundary matrices of a graded complex, with
     clearing and emergent pairs (see the module docstring).
@@ -164,13 +135,11 @@ def _reduce(by_dim: dict[int, list[tuple[int, ...]]]) -> dict[int, dict[int, int
     dimension d.  For d = 0 .. top-1 the columns are the d-simplices, last
     first, and a column's pivot is its earliest coface.  Clearing runs
     upward: a d-simplex already paired with a (d-1)-simplex reduces to zero
-    and is skipped.  The earliest coface
-    of every d-simplex comes from one vectorised pass over the facets of the
-    (d+1)-simplices.  Coboundaries are built only for columns that are not
-    emergent, and for the owners they must add, by searching each candidate
-    coface in the sorted keys of the (d+1)-simplices.  A key is the lex rank
-    of a simplex's prefix times n plus its last vertex, so keys stay below
-    (number of simplices + 1) * n for every n and dimension.
+    and is skipped.  The earliest coface of every d-simplex comes from one
+    vectorised pass over the facets of the (d+1)-simplices, ranked in a
+    `LexIndex` of the complex.  Coboundaries are built only for columns that
+    are not emergent, and for the owners they must add, by searching each
+    candidate coface in the same index; no dict of tuples is built.
 
     Returns `pivots[d] = {(d-1)-simplex: d-simplex}` for d >= 1, indices into
     `by_dim`.  Homology and cohomology pair the same simplices, so these are
@@ -182,30 +151,27 @@ def _reduce(by_dim: dict[int, list[tuple[int, ...]]]) -> dict[int, dict[int, int
     pivots: dict[int, dict[int, int]] = {}
     if top == 0:
         return pivots
-    S = [_vertex_array(by_dim.get(d, []), d) for d in range(top + 1)]
-    n = int(S[0].max()) + 1
+    index = LexIndex(max(by_dim[0])[0] + 1, by_dim)
+    S, keys, order, n = index.vertices, index.keys, index.order, index.n
     vertices = S[0][:, 0]
-    sorted_keys = [np.append(np.sort(vertices), _END)]
-    order = [np.argsort(vertices, kind="stable")]  # lex rank -> index in by_dim
     for d in range(top):
         cofaces = S[d + 1]
         m, mc = len(S[d]), len(cofaces)
-        # chain[l]: lex ranks of the first l+1 vertices of each (d+1)-simplex
-        chain = [None]
-        for level in range(d + 1):
-            chain.append(_descend(sorted_keys, n, chain[-1], [cofaces[:, level]], level))
         # earliest coface of each d-simplex; facet k of a coface drops vertex
-        # k, so it shares the rank of the first k vertices
+        # k, so it shares `prefix`, the rank of the first k vertices.  A key
+        # over n is its simplex's prefix rank, so the prefixes come from the
+        # coface keys downward, one gather per level.
+        lex_rank = np.empty(mc, dtype=np.int64)
+        lex_rank[order[d + 1]] = np.arange(mc)
+        prefix = keys[d + 1][lex_rank] // n
+        del lex_rank
         earliest = np.full(m, mc, dtype=np.int64)
         indices = np.arange(mc, dtype=np.int64)
-        for k in range(d + 2):
-            rank = _descend(sorted_keys, n, chain[k], cofaces[:, k + 1:].T, k)
+        for k in range(d + 1, -1, -1):
+            rank = index.rank(cofaces[:, k + 1:].T, rank=prefix, level=k)
             np.minimum.at(earliest, order[d][rank], indices)
-        keys = chain[-1] * n + cofaces[:, d + 1]
-        del chain, rank, indices  # freed before the sort: a barcode's memory peak sits here
-        o = np.argsort(keys, kind="stable")
-        sorted_keys.append(np.append(keys[o], _END))
-        order.append(o)
+            prefix = keys[k - 1][prefix] // n if k > 1 else None
+        del rank, indices
 
         def coboundary(j: int) -> set[int]:
             simplex = S[d][j]
@@ -217,7 +183,7 @@ def _reduce(by_dim: dict[int, list[tuple[int, ...]]]) -> dict[int, dict[int, int
             rows[:, -1] = cand
             rows.sort(axis=1)
             found = np.ones(len(rows), dtype=bool)
-            rank = _descend(sorted_keys, n, None, rows.T, 0, found)
+            rank = index.rank(rows.T, found)
             return set(order[d + 1][rank[found]].tolist())
 
         cleared = set(pivots.get(d, {}).values())
@@ -284,9 +250,9 @@ def reduce_filtration(filtration: VRFiltration) -> Barcode:
         deaths = np.full(len(index), math.nan)
         deaths[~essential] = values.get(d + 1, np.zeros(0))[partner[~essential]]
         killers = np.full((len(index), d + 2), -1, dtype=np.int32)
-        killers[~essential] = _vertex_array(
+        killers[~essential] = vertex_array(
             [simplices[d + 1][j] for j in partner[~essential].tolist()], d + 1)
-        pairs[d] = SimplexPairs(births, _vertex_array(simplices.get(d, []), d)[index],
+        pairs[d] = SimplexPairs(births, vertex_array(simplices.get(d, []), d)[index],
                                 deaths, killers)
         ends = np.where(essential, math.inf, deaths)
         bar = essential | (ends != births)

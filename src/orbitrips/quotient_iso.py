@@ -8,6 +8,12 @@ is well defined, and the check classifies it as an isomorphism or produces a
 counterexample: a degenerate simplex (two vertices in one orbit), a
 quotient-space simplex with no in-complex lift (not surjective), or two
 simplex orbits with the same projection (not injective).
+
+Both steps work on arrays over `LexIndex` lex ranks, with no per-simplex
+Python loop: orbits are grouped one group element at a time (the least rank
+over an orbit is its representative), and the orbit images are ranked among
+the quotient-space simplices, so surjectivity and injectivity are counts of
+hits per rank.
 """
 
 from __future__ import annotations
@@ -36,17 +42,18 @@ __all__ = [
 class QuotientComplex:
     """Simplex orbits of a group-invariant complex, with their projections.
 
-    Per dimension: canonical representatives (lexicographically least in
-    their orbit, listed in lex order), orbit sizes, projected vertex-orbit
-    tuples (sorted, possibly with repeats), and degeneracy flags (repeat
-    present).
+    Per dimension, one row per orbit, as arrays: `reps` the canonical
+    representatives as an (k, d+1) vertex array (each lexicographically
+    least in its orbit, rows in lex order), `sizes` the orbit sizes,
+    `images` the projected vertex-orbit rows (sorted, possibly with
+    repeats), and `degenerate` the flags of rows with a repeat.
     """
 
     dim_cap: int
-    reps: dict[int, list[tuple[int, ...]]]
-    sizes: dict[int, list[int]]
-    images: dict[int, list[tuple[int, ...]]]
-    degenerate: dict[int, list[bool]]
+    reps: dict[int, np.ndarray]
+    sizes: dict[int, np.ndarray]
+    images: dict[int, np.ndarray]
+    degenerate: dict[int, np.ndarray]
 
     def counts(self) -> dict[int, int]:
         return {d: len(v) for d, v in self.reps.items()}
@@ -56,34 +63,38 @@ def quotient_complex(complex_: SimplicialComplex, action: IsometricAction,
                      proj: np.ndarray) -> QuotientComplex:
     """Group the simplices of an invariant complex into orbits.
 
+    Each group element g maps the d-simplices, as rows of the complex's
+    `LexIndex`, to sorted image rows, whose lex ranks are found in the same
+    index; a simplex's representative is the least rank over its orbit, and
+    the reps are the rows that are their own.  An image outside the complex
+    raises ValueError, naming the least missing simplex of the first
+    simplex, in (dimension, lex) order, whose orbit leaves the complex.
     proj[v] is the vertex-orbit id of base vertex v (as produced by
     build_quotient); projections and degeneracy are read off from it.
     """
-    arrays = action.element_arrays
-    reps: dict[int, list[tuple[int, ...]]] = {}
-    sizes: dict[int, list[int]] = {}
-    images: dict[int, list[tuple[int, ...]]] = {}
-    degenerate: dict[int, list[bool]] = {}
+    index = complex_.index
+    reps: dict[int, np.ndarray] = {}
+    sizes: dict[int, np.ndarray] = {}
+    images: dict[int, np.ndarray] = {}
+    degenerate: dict[int, np.ndarray] = {}
 
-    for dim, simplices in sorted(complex_.simplices.items()):
-        have = set(simplices)
-        seen: set[tuple[int, ...]] = set()
-        classes: list[tuple[tuple[int, ...], int]] = []
-        for verts in simplices:
-            if verts in seen:
-                continue
-            orbit = {tuple(sorted(int(arr[v]) for v in verts)) for arr in arrays}
-            missing = orbit - have
-            if missing:
-                raise ValueError(
-                    f"complex is not invariant: {min(missing)} missing from dim {dim}")
-            seen |= orbit
-            classes.append((min(orbit), len(orbit)))
-        classes.sort()
-        reps[dim] = [rep for rep, _ in classes]
-        sizes[dim] = [size for _, size in classes]
-        images[dim] = [tuple(sorted(int(proj[v]) for v in rep)) for rep in reps[dim]]
-        degenerate[dim] = [len(set(img)) < len(img) for img in images[dim]]
+    for dim, S in enumerate(index.vertices):
+        m = len(S)
+        rep = np.arange(m)  # the identity, element 0, maps each row to itself
+        inside = np.ones(m, dtype=bool)
+        for perm in action.element_arrays[1:]:
+            np.minimum(rep, index.rank(np.sort(perm[S], axis=1).T, inside), out=rep)
+        if not inside.all():
+            orbit = np.sort(action.element_arrays[:, S[np.argmin(inside)]], axis=1)
+            found = np.ones(len(orbit), dtype=bool)
+            index.rank(orbit.T, found)
+            missing = min(map(tuple, orbit[~found].tolist()))
+            raise ValueError(f"complex is not invariant: {missing} missing from dim {dim}")
+        own = rep == np.arange(m)
+        reps[dim] = S[own]
+        sizes[dim] = np.bincount(rep, minlength=m)[own]
+        images[dim] = np.sort(proj[reps[dim]], axis=1)
+        degenerate[dim] = (images[dim][:, 1:] == images[dim][:, :-1]).any(axis=1)
 
     return QuotientComplex(dim_cap=complex_.dim_cap, reps=reps, sizes=sizes,
                            images=images, degenerate=degenerate)
@@ -159,7 +170,7 @@ def iso_check(space: FiniteMetricSpace, action: IsometricAction, r: float,
     qc = quotient_complex(base, action, q.proj)
 
     counts_base = {d: len(base.simplices.get(d, [])) for d in range(dim_cap + 1)}
-    counts_orbits = {d: len(qc.reps.get(d, [])) for d in range(dim_cap + 1)}
+    counts_orbits = {d: qc.counts().get(d, 0) for d in range(dim_cap + 1)}
     counts_quotient = {d: len(quot.simplices.get(d, [])) for d in range(dim_cap + 1)}
     common = {"kind": kind, "r": float(r), "convention": convention,
               "dim_cap": dim_cap, "counts_base": counts_base,
@@ -167,60 +178,63 @@ def iso_check(space: FiniteMetricSpace, action: IsometricAction, r: float,
               "provenance": {"group_order": len(action.elements), "n": space.n,
                              "n_orbits": q.space.n}}
 
-    degenerate_ce = None
     for dim in range(1, dim_cap + 1):
-        for cid, flag in enumerate(qc.degenerate.get(dim, [])):
-            if flag:
-                degenerate_ce = {"dim": dim, "simplex": list(qc.reps[dim][cid]),
-                                 "image": list(qc.images[dim][cid]),
-                                 "orbit_size": qc.sizes[dim][cid]}
-                break
-        if degenerate_ce:
-            break
-    if degenerate_ce:
-        return IsoCertificate(verdict="degenerate",
-                              counterexample=degenerate_ce, **common)
+        flags = qc.degenerate.get(dim)
+        if flags is not None and flags.any():
+            cid = int(np.argmax(flags))
+            ce = {"dim": dim, "simplex": qc.reps[dim][cid].tolist(),
+                  "image": qc.images[dim][cid].tolist(),
+                  "orbit_size": int(qc.sizes[dim][cid])}
+            return IsoCertificate(verdict="degenerate", counterexample=ce, **common)
 
-    image_index: dict[int, dict[tuple[int, ...], list[int]]] = {}
+    # orbit images as lex ranks among the quotient simplices (positions in
+    # quot.simplices, which is lex-sorted); `found` clears images that are
+    # not quotient simplices
+    located = {}
     for dim in range(dim_cap + 1):
-        idx: dict[tuple[int, ...], list[int]] = {}
-        for cid, img in enumerate(qc.images.get(dim, [])):
-            idx.setdefault(img, []).append(cid)
-        image_index[dim] = idx
+        img = qc.images.get(dim, np.zeros((0, dim + 1), dtype=np.intp))
+        found = np.ones(len(img), dtype=bool)
+        located[dim] = quot.index.rank(img.T, found), found
 
     Dl = space.rows
     members = q.members
     for dim in range(dim_cap + 1):
-        idx = image_index[dim]
-        for simplex in quot.simplices.get(dim, []):
-            if simplex in idx:
-                continue
-            evidence: dict = {}
-            if kind == "vr":
-                min_diam, achievers = anchored_min_diameter(Dl, members, simplex)
-                evidence = {"min_lift_diam": min_diam,
-                            "min_lifts": [list(t) for t in achievers[:4]]}
-            else:
-                masks = ball_masks(space, r, convention)
-                lifts = anchored_witnessed_lifts(masks, members, simplex)
-                evidence = {"witnessed_lifts": [list(t) for t, _ in lifts[:4]]}
-            ce = {"dim": dim, "missing": list(simplex), **evidence}
-            return IsoCertificate(verdict="not-surjective",
-                                  counterexample=ce, **common)
+        ranks, found = located[dim]
+        hit = np.zeros(counts_quotient[dim], dtype=bool)
+        hit[ranks[found]] = True
+        if hit.all():
+            continue
+        simplex = quot.simplices[dim][int(np.argmin(hit))]
+        evidence: dict = {}
+        if kind == "vr":
+            min_diam, achievers = anchored_min_diameter(Dl, members, simplex)
+            evidence = {"min_lift_diam": min_diam,
+                        "min_lifts": [list(t) for t in achievers[:4]]}
+        else:
+            masks = ball_masks(space, r, convention)
+            lifts = anchored_witnessed_lifts(masks, members, simplex)
+            evidence = {"witnessed_lifts": [list(t) for t, _ in lifts[:4]]}
+        ce = {"dim": dim, "missing": list(simplex), **evidence}
+        return IsoCertificate(verdict="not-surjective",
+                              counterexample=ce, **common)
 
     for dim in range(dim_cap + 1):
-        for img, cids in sorted(image_index[dim].items()):
-            if len(cids) > 1:
-                ce = {"dim": dim, "image": list(img),
-                      "simplices": [list(qc.reps[dim][c]) for c in cids[:4]]}
-                return IsoCertificate(verdict="not-injective",
-                                      counterexample=ce, **common)
+        ranks, found = located[dim]
+        shared = np.bincount(ranks[found], minlength=counts_quotient[dim]) > 1
+        if shared.any():
+            first = int(np.argmax(shared))
+            cids = np.flatnonzero(found & (ranks == first))[:4]
+            ce = {"dim": dim, "image": list(quot.simplices[dim][first]),
+                  "simplices": qc.reps[dim][cids].tolist()}
+            return IsoCertificate(verdict="not-injective",
+                                  counterexample=ce, **common)
         # injection established; surjection was checked above, so any count
-        # mismatch would be an internal inconsistency
-        if len(image_index[dim]) != counts_quotient.get(dim, 0):
+        # mismatch (an image that is not a quotient simplex) would be an
+        # internal inconsistency
+        if len(ranks) != counts_quotient[dim]:
             raise AssertionError(
-                f"dim {dim}: {len(image_index[dim])} orbit images != "
-                f"{counts_quotient.get(dim, 0)} quotient simplices")
+                f"dim {dim}: {len(ranks)} orbit images != "
+                f"{counts_quotient[dim]} quotient simplices")
 
     return IsoCertificate(verdict="isomorphic", counterexample=None, **common)
 
@@ -265,7 +279,6 @@ def verify_certificate(space: FiniteMetricSpace, action: IsometricAction,
         if imgs[0] != imgs[1] or len(set(imgs[0])) < len(imgs[0]):
             return False
         # the two simplices must lie in different orbits
-        arrays = action.element_arrays
-        orbit0 = {tuple(sorted(int(a[v]) for v in simplices[0])) for a in arrays}
-        return simplices[1] not in orbit0
+        orbit0 = np.sort(action.element_arrays[:, simplices[0]], axis=1)
+        return not (orbit0 == simplices[1]).all(axis=1).any()
     raise ValueError(f"unknown verdict: {cert.verdict!r}")

@@ -7,7 +7,10 @@ agreement is meaningful.  linear_scan is the exception: it is the search
 oracle for threshold_scan and calls the library's per-scale checks, which the
 brute-force oracles referee on their own.  homology_pivots is the boundary
 (homology) reduction that the coboundary engine replaced, kept as its referee;
-it shares no code with it.
+it shares no code with it.  quotient_orbits_oracle (the per-tuple orbit loop
+that array orbit grouping replaced) and verify_isometric_oracle (the scan of
+every group element, without the exact-generator shortcut) referee
+quotient_complex and verify_isometric the same way.
 """
 
 from __future__ import annotations
@@ -18,8 +21,9 @@ import math
 import numpy as np
 import pytest
 
-from orbitrips.actions import IsometricAction, build_quotient, close_group
-from orbitrips.complexes import DEFAULT_BUDGET
+from orbitrips.actions import (ISOMETRY_EPS, IsometricAction, IsometryReport,
+                               build_quotient, close_group)
+from orbitrips.complexes import DEFAULT_BUDGET, SimplicialComplex
 from orbitrips.spaces import FiniteMetricSpace, critical_values
 from orbitrips.thresholds import (ThresholdReport, diameter_action_check,
                                   nerve_action_check)
@@ -222,6 +226,66 @@ def homology_pivots(by_dim: dict[int, list[tuple[int, ...]]]) -> dict[int, dict[
                     break
                 col ^= other
     return pivots
+
+
+# ---------------------------------------------------------------------------
+# orbit grouping and isometry referees
+
+
+def quotient_orbits_oracle(complex_: SimplicialComplex, action: IsometricAction,
+                           proj: np.ndarray) -> tuple[dict, dict, dict, dict]:
+    """The simplex orbits of an invariant complex, one orbit set per simplex.
+
+    Returns (reps, sizes, images, degenerate) per dimension as lists: the
+    lex-least member of each orbit in lex order, the orbit sizes, the sorted
+    projected tuples and their repeat flags.  A complex that is not
+    invariant raises ValueError naming the least missing simplex of the
+    first simplex, in (dimension, lex) order, whose orbit leaves it.
+    """
+    arrays = action.element_arrays
+    reps: dict[int, list[tuple[int, ...]]] = {}
+    sizes: dict[int, list[int]] = {}
+    images: dict[int, list[tuple[int, ...]]] = {}
+    degenerate: dict[int, list[bool]] = {}
+
+    for dim, simplices in sorted(complex_.simplices.items()):
+        have = set(simplices)
+        seen: set[tuple[int, ...]] = set()
+        classes: list[tuple[tuple[int, ...], int]] = []
+        for verts in simplices:
+            if verts in seen:
+                continue
+            orbit = {tuple(sorted(int(arr[v]) for v in verts)) for arr in arrays}
+            missing = orbit - have
+            if missing:
+                raise ValueError(
+                    f"complex is not invariant: {min(missing)} missing from dim {dim}")
+            seen |= orbit
+            classes.append((min(orbit), len(orbit)))
+        classes.sort()
+        reps[dim] = [rep for rep, _ in classes]
+        sizes[dim] = [size for _, size in classes]
+        images[dim] = [tuple(sorted(int(proj[v]) for v in rep)) for rep in reps[dim]]
+        degenerate[dim] = [len(set(img)) < len(img) for img in images[dim]]
+    return reps, sizes, images, degenerate
+
+
+def verify_isometric_oracle(space: FiniteMetricSpace,
+                            action: IsometricAction) -> IsometryReport:
+    """verify_isometric by scanning every group element, the worst pair kept."""
+    D = space.dist
+    worst = 0.0
+    worst_at = None
+    for gi, perm in enumerate(action.element_arrays):
+        dev = np.abs(D[np.ix_(perm, perm)] - D)
+        k = int(np.argmax(dev))
+        x, y = divmod(k, space.n)
+        if dev[x, y] > worst:
+            worst = float(dev[x, y])
+            worst_at = {"g": gi, "x": int(x), "y": int(y), "deviation": worst}
+    ok = worst <= ISOMETRY_EPS
+    return IsometryReport(ok=ok, max_deviation=worst, eps=ISOMETRY_EPS,
+                          counterexample=None if ok else worst_at)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ from orbitrips.spaces import (FiniteMetricSpace, ShapeSpec, generate_space,
                               twelve_circles_action_generators,
                               validate_metric)
 
-from conftest import _brute_proj, _brute_qdist
+from conftest import (_brute_proj, _brute_qdist, random_rotated_cloud,
+                      verify_isometric_oracle)
 
 
 def test_close_group_orders():
@@ -186,6 +187,36 @@ def test_sphere_paired_swap_isometric_within_eps():
     report = verify_isometric(space, action)
     assert report.ok
     assert report.max_deviation < 1e-12  # BLAS rounding only
+
+
+def _isometry_case(case: str, rng):
+    """(space, action, exact) for the shortcut-versus-full-scan referee."""
+    if case == "torus14":
+        space = generate_space(ShapeSpec("flat-torus-grid", {"k": 14}))
+        return space, close_group(196, torus_grid_shift_generators(14)), True
+    if case == "circle48/Z3":
+        space = generate_space(ShapeSpec("evenly-spaced-circle", {"n": 48}))
+        return space, close_group(48, [circle_rotation_generator(48, 16)]), True
+    if case == "sphere30":
+        space = generate_space(ShapeSpec("geodesic-sphere",
+                                         {"dim": 2, "count": 30, "paired": True}, seed=0))
+        return space, close_group(60, [paired_swap_generator(30)]), False
+    # a rotated cloud, exact by construction, with symmetric jitter of the
+    # given size: 1e-13 stays within ISOMETRY_EPS, 1e-6 does not
+    space, action = random_rotated_cloud(rng, m=4, k=3)
+    noise = np.triu(rng.uniform(-1.0, 1.0, size=space.dist.shape), 1)
+    jitter = float(case.split("@")[1])
+    return FiniteMetricSpace(space.dist + jitter * (noise + noise.T)), action, False
+
+
+@pytest.mark.parametrize("case", ["torus14", "circle48/Z3", "sphere30",
+                                  "jittered@1e-13", "jittered@1e-6"])
+def test_verify_isometric_equals_full_scan(case, rng):
+    space, action, exact = _isometry_case(case, rng)
+    report = verify_isometric(space, action)
+    assert report == verify_isometric_oracle(space, action)
+    assert (report.max_deviation == 0.0) == exact
+    assert report.ok == (case != "jittered@1e-6")
 
 
 def test_twelve_circles_action_isometric():

@@ -118,6 +118,22 @@ def test_cech_circle6_just_past_first_critical():
     assert not cx.contains((0, 2, 4))   # pairwise-intersecting balls, empty triple
 
 
+def test_contains_answers_only_listed_simplices():
+    # circle(12) at 0.2: edges join points one or two steps apart, and
+    # triangles span two steps; no tetrahedra
+    space = generate_space(ShapeSpec("evenly-spaced-circle", {"n": 12}))
+    cx = vr_complex(space, 0.2, "leq", dim_cap=3)
+    listed = [s for d in cx.simplices for s in cx.simplices[d]]
+    assert all(cx.contains(s) for s in listed)
+    assert cx.contains((1, 2)) and cx.contains((0, 1, 2))
+    assert not cx.contains((2, 1))            # unsorted
+    assert not cx.contains((0, 3))            # not an edge
+    assert not cx.contains((0, 14))           # its key would read as (1, 2)
+    assert not cx.contains((-1, 0))
+    assert not cx.contains(())
+    assert not cx.contains((0, 1, 2, 3))      # above the top dimension
+
+
 def test_cech_sees_farther_than_vr_at_same_scale():
     space = generate_space(ShapeSpec("evenly-spaced-circle", {"n": 6}))
     r = 1 / 6 + 1e-9

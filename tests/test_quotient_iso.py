@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbitrips.actions import (antipodal_generator, block_shift_generator,
                                build_quotient, circle_rotation_generator,
                                close_group)
-from orbitrips.complexes import SimplicialComplex, vr_complex
+from orbitrips.complexes import SimplicialComplex, cech_complex, vr_complex
 from orbitrips.quotient_iso import (iso_check, quotient_complex,
                                     verify_certificate)
 from orbitrips.spaces import ShapeSpec, critical_values, generate_space
 
-from conftest import random_rotated_cloud
+from conftest import (_brute_proj, quotient_orbits_oracle, random_cloud_space,
+                      random_rotated_cloud)
 
 
 def _circle12_antipodal():
@@ -23,6 +25,10 @@ def test_quotient_complex_structure():
     q = build_quotient(space, action)
     cx = vr_complex(space, 0.2, "leq", dim_cap=3)
     qc = quotient_complex(cx, action, q.proj)
+    for rows in (qc.reps, qc.images):  # array rows as tuples, values as lists
+        rows.update({d: [tuple(row) for row in v.tolist()] for d, v in rows.items()})
+    for values in (qc.sizes, qc.degenerate):
+        values.update({d: v.tolist() for d, v in values.items()})
     arrays = action.element_arrays
     for dim, reps in qc.reps.items():
         base = cx.simplices[dim]
@@ -44,6 +50,67 @@ def test_quotient_complex_guards_invariance():
                                {0: [(i,) for i in range(4)], 1: [(0, 1)]})
     with pytest.raises(ValueError):
         quotient_complex(broken, action, build_quotient(space, action).proj)
+
+
+def test_not_invariant_message_names_least_missing_simplex():
+    # the orbit of the edge (0, 1) under the 4-cycle is the four sides of
+    # the square; (0, 3) is the least of the three that are missing
+    action = close_group(4, [circle_rotation_generator(4, 1)])
+    broken = SimplicialComplex(4, "vr", "leq", 0.25, 1,
+                               {0: [(i,) for i in range(4)], 1: [(0, 1)]})
+    message = "complex is not invariant: (0, 3) missing from dim 1"
+    for group in (quotient_complex, quotient_orbits_oracle):
+        with pytest.raises(ValueError) as err:
+            group(broken, action, _brute_proj(action))
+        assert str(err.value) == message
+
+
+def _orbit_case(case: str, rng: np.random.Generator):
+    """A space and a permutation action on it, isometric unless the case
+    says "not-invariant"."""
+    if case == "rotated-cloud":
+        return random_rotated_cloud(rng, m=int(rng.integers(2, 6)),
+                                    k=int(rng.integers(2, 5)))
+    if case == "cloud-not-invariant":
+        space = random_cloud_space(rng, int(rng.integers(6, 13)), dim=2)
+        shift = int(rng.integers(1, space.n))
+        return space, close_group(space.n, [circle_rotation_generator(space.n, shift)])
+    n = int(rng.choice([12, 16, 18, 24]))
+    space = generate_space(ShapeSpec("evenly-spaced-circle", {"n": n}))
+    reflection = [(-i) % n for i in range(n)]  # fixes 0 (and n/2): not free
+    if case == "circle-mod":
+        m = int(rng.choice([d for d in (2, 3, 4, 6) if n % d == 0]))
+        return space, close_group(n, [circle_rotation_generator(n, n // m)])
+    if case == "circle-reflection":
+        return space, close_group(n, [reflection])
+    return space, close_group(n, [reflection, circle_rotation_generator(n, n // 2)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(["rotated-cloud", "cloud-not-invariant", "circle-mod",
+                             "circle-reflection", "circle-dihedral"]),
+       seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["vr", "cech"]),
+       convention=st.sampled_from(["lt", "leq"]), where=st.floats(0.0, 0.6))
+def test_quotient_complex_matches_orbit_oracle(case, seed, kind, convention, where):
+    space, action = _orbit_case(case, np.random.default_rng(seed))
+    cv = critical_values(space)
+    r = float(cv[int(where * (len(cv) - 1))])
+    build = vr_complex if kind == "vr" else cech_complex
+    cx = build(space, r, convention, dim_cap=3)
+    proj = _brute_proj(action)
+    try:
+        expected = quotient_orbits_oracle(cx, action, proj)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            quotient_complex(cx, action, proj)
+        assert str(got.value) == str(err)
+        return
+    qc = quotient_complex(cx, action, proj)
+    assert qc.counts() == {d: len(reps) for d, reps in expected[0].items()}
+    assert ({d: [tuple(row) for row in v.tolist()] for d, v in qc.reps.items()},
+            {d: v.tolist() for d, v in qc.sizes.items()},
+            {d: [tuple(row) for row in v.tolist()] for d, v in qc.images.items()},
+            {d: v.tolist() for d, v in qc.degenerate.items()}) == expected
 
 
 def test_antipodal_circle_isomorphic_below_threshold():
