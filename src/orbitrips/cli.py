@@ -307,7 +307,7 @@ def cmd_persistence(args) -> int:
     manifest_line = json.dumps(_manifest(args, [args.space]), sort_keys=True)
     _emit_text(format_barcode_tsv(barcode, header_lines=[manifest_line]), args.out)
     n_bars = sum(len(v) for v in barcode.intervals.values())
-    print(f"{len(filt.entries)} simplices -> {n_bars} bars", file=sys.stderr)
+    print(f"{filt.total} simplices -> {n_bars} bars", file=sys.stderr)
     return EXIT_OK
 
 

@@ -1,13 +1,12 @@
 """Vietoris-Rips and Cech complexes of finite metric spaces, plus the VR
 filtration.  Everything is built from two primitives: the r-balls of the
-points as bitmasks (ball_masks), and one ordered clique walk over bitmask
-adjacency, so output order is deterministic (dimension, then lex).
-`LexIndex` ranks vertex rows among the simplices of a complex; membership
-tests, orbit grouping and the reduction engine all search it."""
+points as packed bit rows, and one ordered clique walk that extends a whole
+dimension at once, as (m, d+1) int32 vertex arrays in (dimension, lex)
+order.  `LexIndex` ranks vertex rows among the simplices of a complex;
+membership tests, orbit grouping and the reduction engine all search it."""
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -22,7 +21,6 @@ __all__ = [
     "SimplicialComplex",
     "VRFiltration",
     "ball_masks",
-    "vertex_array",
     "vr_complex",
     "cech_complex",
     "vr_filtration",
@@ -34,6 +32,8 @@ DEFAULT_DIM_CAP = 3
 _CONVENTIONS = ("leq", "lt")
 _END = np.iinfo(np.int64).max  # closes every sorted key array of a LexIndex
 _NO_KEYS = np.array([_END])  # the keys of a dimension the index does not hold
+_CHUNK_BYTES = 1 << 17  # packed candidate bytes the clique walk scans at a time
+_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
 
 
 class BudgetExceededError(RuntimeError):
@@ -45,43 +45,36 @@ class BudgetExceededError(RuntimeError):
         super().__init__(f"simplex budget {budget} exceeded at dimension {dim_reached}")
 
 
+def _ball_rows(space: FiniteMetricSpace, r: float, convention: str) -> np.ndarray:
+    """The r-balls as an (n, ceil(n/8)) uint8 array of little-endian bit rows."""
+    if convention not in _CONVENTIONS:
+        raise ValueError(f"convention must be one of {_CONVENTIONS}, got {convention!r}")
+    within = np.less_equal if convention == "leq" else np.less
+    inside = within(space.dist, r)
+    np.fill_diagonal(inside, within(0, r))
+    return np.packbits(inside, axis=1, bitorder="little")
+
+
 def ball_masks(space: FiniteMetricSpace, r: float,
                convention: str = "leq") -> list[int]:
     """Row bitmasks of the r-balls: bit y of mask x is set iff d(x, y) <= r
     ("leq") or d(x, y) < r ("lt").  A point's own bit is set iff 0 passes the
     comparison, so every row is empty for r < 0, and for r = 0 under "lt"."""
-    if convention not in _CONVENTIONS:
-        raise ValueError(f"convention must be one of {_CONVENTIONS}, got {convention!r}")
-    D = space.dist
-    if convention == "leq":
-        inside = D <= r
-        np.fill_diagonal(inside, r >= 0)
-    else:
-        inside = D < r
-        np.fill_diagonal(inside, r > 0)
-    packed = np.packbits(inside, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
-def vertex_array(simplices: list[tuple[int, ...]], d: int) -> np.ndarray:
-    """The d-simplices as an (m, d+1) int32 array (a space of 2^31 points
-    would not fit its distance matrix in memory)."""
-    flat = itertools.chain.from_iterable(simplices)
-    return np.fromiter(flat, dtype=np.int32, count=len(simplices) * (d + 1)).reshape(-1, d + 1)
+    return [int.from_bytes(row.tobytes(), "little") for row in _ball_rows(space, r, convention)]
 
 
 class LexIndex:
     """Lex ranks of vertex rows among the simplices of a graded complex.
 
-    `by_dim[d]` lists the d-simplices (sorted vertex tuples) of dimension
-    0 .. top in any order, a missing dimension being empty; n exceeds every
-    vertex.  Per dimension d the index holds:
+    `by_dim[d]` holds the d-simplices of dimension 0 .. top as an (m, d+1)
+    int32 vertex array in any order, a missing dimension being empty; n
+    exceeds every vertex.  Per dimension d the index holds:
 
-    - `vertices[d]`: the d-simplices as a `vertex_array`, in that order;
+    - `vertices[d]`: that array, adopted without a copy;
     - `keys[d]`: their keys, sorted and closed by the sentinel _END, so the
       position of a key is the lex rank of its simplex;
-    - `order[d]`: the row in `by_dim[d]` of each lex rank (the identity when
-      the list is in lex order, as every `SimplicialComplex` is).
+    - `order[d]`: the row in `by_dim[d]` of each lex rank (the identity for
+      a `SimplicialComplex`, whose rows are in lex order).
 
     The key of a vertex is the vertex; the key of a d-simplex, d >= 1, is the
     lex rank of its first d vertices among the (d-1)-simplices times n plus
@@ -90,13 +83,13 @@ class LexIndex:
     sorts the simplices lexicographically.
     """
 
-    def __init__(self, n: int, by_dim: dict[int, list[tuple[int, ...]]]):
+    def __init__(self, n: int, by_dim: dict[int, np.ndarray]):
         self.n = n
         self.vertices: list[np.ndarray] = []
         self.keys: list[np.ndarray] = []
         self.order: list[np.ndarray] = []
         for d in range(max(by_dim, default=-1) + 1):
-            rows = vertex_array(by_dim.get(d, []), d)
+            rows = np.asarray(by_dim.get(d, ()), dtype=np.int32).reshape(-1, d + 1)
             if d == 0:
                 keys = rows[:, 0].astype(np.int64)
             else:
@@ -131,14 +124,15 @@ class LexIndex:
 
 
 class SimplicialComplex:
-    """A fixed-scale complex: dict of dimension -> lex-sorted vertex tuples.
+    """A fixed-scale complex: dict of dimension -> lex-sorted (m, d+1) int32
+    array of vertex rows.
 
-    `index` is its `LexIndex`, built on first use; since each list is in
-    lex order, a simplex's lex rank is its position in `simplices[d]`.
+    `index` is its `LexIndex`, built on first use; a simplex's lex rank is
+    its row in `simplices[d]`.
     """
 
     def __init__(self, n: int, kind: str, convention: str, r: float,
-                 dim_cap: int, simplices: dict[int, list[tuple[int, ...]]]):
+                 dim_cap: int, simplices: dict[int, np.ndarray]):
         self.n = n
         self.kind = kind
         self.convention = convention
@@ -177,8 +171,7 @@ class SimplicialComplex:
             "dim_cap": self.dim_cap,
             "n": self.n,
             "counts": {str(d): len(s) for d, s in self.simplices.items()},
-            "simplices": {str(d): [list(s) for s in simps]
-                          for d, simps in self.simplices.items()},
+            "simplices": {str(d): s.tolist() for d, s in self.simplices.items()},
         }
 
     def __repr__(self):
@@ -186,78 +179,74 @@ class SimplicialComplex:
                 f"convention={self.convention!r}, counts={self.counts})")
 
 
-def _expand_cliques(n: int, adj_masks: list[int], dim_cap: int, budget: int,
-                    child_state=None, root_state=None):
-    """Ordered clique expansion over bitmask adjacency.
+def _and_rows(a, ia, b, ib, step):
+    """The packed rows a[ia] & b[ib], built `step` rows at a time."""
+    out = np.empty((len(ia), a.shape[1]), dtype=np.uint8)
+    for lo in range(0, len(ia), step):
+        np.bitwise_and(np.take(a, ia[lo:lo + step], axis=0),
+                       np.take(b, ib[lo:lo + step], axis=0), out=out[lo:lo + step])
+    return out
 
-    Returns ({dim: [simplex tuples]}, {dim: [states]}), each dimension in lex
-    order.  Bit v of adj_masks[u] marks an edge; a vertex's own bit is
-    ignored.  Optional `root_state(v)` / `child_state(state, simplex, v)`
-    thread extra per-simplex data (Cech witness masks, filtration values);
-    child_state may return None to prune the child.  The states are kept,
-    parallel to the simplices, only when child_state is given; otherwise the
-    second dict is empty.  Every simplex, vertices included, counts against
-    the budget.
+
+def _cliques(n: int, adj: np.ndarray, dim_cap: int, budget: int,
+             witness: np.ndarray | None = None, rank: np.ndarray | None = None):
+    """Ordered clique walk over packed adjacency rows, a dimension at a time.
+
+    Bit v of row u of `adj` marks an edge (a vertex's own bit is ignored).
+    Each simplex carries its candidates, the common neighbours above its
+    last vertex, as a packed row; `np.nonzero` lists children by parent,
+    then by vertex, so each dimension comes out in lex order.  `witness`
+    (packed ball rows) keeps a child while its vertices' balls share a point
+    (Cech); `rank` gives each simplex the maximum of rank[v, u] over its
+    vertices.  Returns {dim: (m, dim+1) int32 rows} and {dim: maxima} up to
+    the first empty dimension.  Children are counted against the budget,
+    _CHUNK_BYTES of candidates at a time, before their dimension is stored.
     """
-    simplices: dict[int, list[tuple[int, ...]]] = {0: [(i,) for i in range(n)]}
-    count = n
-    if count > budget:
+    if dim_cap < 0:
+        raise ValueError(f"dim_cap must be nonnegative, got {dim_cap}")
+    if n > budget:
         raise BudgetExceededError(budget, 0)
-    roots = [None] * n if root_state is None else [root_state(i) for i in range(n)]
-    kept: dict[int, list] = {} if child_state is None else {0: roots}
-    # candidates start as neighbors above the vertex
-    frontier = [((i,), adj_masks[i] & (-1 << (i + 1)), roots[i]) for i in range(n)]
+    rows = np.arange(n, dtype=np.int32).reshape(n, 1)
+    simplices, count = {0: rows}, n
+    maxima = {} if rank is None else {0: np.zeros(n, dtype=rank.dtype)}
+    up = adj & np.packbits(rows.T > rows, axis=1, bitorder="little")  # bit v of row u: v > u
+    cand, common, step = up, witness, max(1, _CHUNK_BYTES // max(adj.shape[1], 1))
     for dim in range(1, dim_cap + 1):
-        nxt = []
-        out = []
-        states = []
-        for simplex, cand, state in frontier:
-            m = cand
-            while m:
-                low = m & -m
-                v = low.bit_length() - 1
-                m ^= low
-                if child_state is not None:
-                    cstate = child_state(state, simplex, v)
-                    if cstate is None:
-                        continue
-                    states.append(cstate)
-                else:
-                    cstate = None
-                child = simplex + (v,)
-                count += 1
-                if count > budget:
-                    raise BudgetExceededError(budget, dim)
-                out.append(child)
-                if dim < dim_cap:
-                    nxt.append((child, cand & adj_masks[v] & (-1 << (v + 1)), cstate))
-        if not out:
+        children, stored = [], count
+        for lo in range(0, len(rows), step):
+            chunk = cand[lo:lo + step]
+            p, byte = np.nonzero(chunk)  # only the nonzero bytes are unpacked
+            at, bit = np.nonzero(_BITS[chunk[p, byte]])
+            p, v = p[at] + lo, byte[at] * 8 + bit
+            if witness is not None:
+                keep = _and_rows(common, p, witness, v, step).any(axis=1)
+                p, v = p[keep], v[keep]
+            count += len(p)
+            if count > budget:
+                raise BudgetExceededError(budget, dim)
+            children.append((p, v))
+        if count == stored:
             break
-        simplices[dim] = out
-        if child_state is not None:
-            kept[dim] = states
-        frontier = nxt
-    return simplices, kept
+        p, v = map(np.concatenate, zip(*children))
+        parent = np.take(rows, p, axis=0)
+        simplices[dim] = rows = np.concatenate((parent, v[:, None].astype(np.int32)), axis=1)
+        if rank is not None:
+            maxima[dim] = top = maxima[dim - 1][p]
+            for k in range(dim):
+                np.maximum(top, rank.ravel()[v * n + parent[:, k]], out=top)
+        if dim < dim_cap:
+            cand = _and_rows(cand, p, up, v, step)
+            if witness is not None:
+                common = _and_rows(common, p, witness, v, step)
+    return simplices, maxima
 
 
 def vr_complex(space: FiniteMetricSpace, r: float, convention: str = "leq",
                dim_cap: int = DEFAULT_DIM_CAP, budget: int = DEFAULT_BUDGET) -> SimplicialComplex:
-    """Vietoris-Rips complex at scale r: the clique complex of the r-balls.
-
-    Parameters
-    ----------
-    space : FiniteMetricSpace
-    r : float
-        Scale.
-    convention : {"leq", "lt"}
-        Whether edges require d <= r or d < r.
-    dim_cap : int
-        Highest simplex dimension enumerated.
-    budget : int
-        Total simplex cap; overflow raises BudgetExceededError.
-    """
-    masks = ball_masks(space, r, convention)
-    simplices, _ = _expand_cliques(space.n, masks, dim_cap, budget)
+    """Vietoris-Rips complex at scale r: the clique complex of the r-balls,
+    edges at d <= r ("leq") or d < r ("lt"), simplices of dimension at most
+    dim_cap, at most `budget` of them in all (else BudgetExceededError)."""
+    simplices, _ = _cliques(space.n, _ball_rows(space, r, convention), dim_cap, budget)
     return SimplicialComplex(space.n, "vr", convention, float(r), dim_cap, simplices)
 
 
@@ -267,7 +256,7 @@ def _witness_graph(balls: list[int]) -> list[int]:
     Row i is the OR of balls[y] over the witnesses y in balls[i].  That is the
     pairwise test only when y in ball(j) iff j in ball(y), i.e. when the
     distances are exactly symmetric.  Row i also carries its own bit whenever
-    its ball is nonempty; the clique walker ignores it.
+    its ball is nonempty; the clique walk ignores it.
     """
     graph = []
     for mask in balls:
@@ -291,29 +280,44 @@ def cech_complex(space: FiniteMetricSpace, r: float, convention: str = "leq",
     built by `_witness_graph`, which assumes the distance matrix is exactly
     symmetric (as `load_space`, `build_quotient` and the generators ensure).
     """
-    balls = ball_masks(space, r, convention)  # bit y of mask i: y witnesses i's ball
-
-    def child_state(state, simplex, v):
-        w = state & balls[v]
-        return w if w else None
-
-    simplices, _ = _expand_cliques(space.n, _witness_graph(balls), dim_cap, budget,
-                                   child_state=child_state,
-                                   root_state=balls.__getitem__)
+    balls = _ball_rows(space, r, convention)  # bit y of row i: y witnesses i's ball
+    graph = _witness_graph([int.from_bytes(row.tobytes(), "little") for row in balls])
+    adj = np.frombuffer(b"".join(g.to_bytes(balls.shape[1], "little") for g in graph),
+                        dtype=np.uint8).reshape(balls.shape)
+    simplices, _ = _cliques(space.n, adj, dim_cap, budget, witness=balls)
     return SimplicialComplex(space.n, "cech", convention, float(r), dim_cap, simplices)
 
 
 class VRFiltration:
     """Simplices up to dim_cap with their VR appearance values.
 
-    Entries are sorted by (value, dimension, lexicographic vertices), which is
-    a valid filtration order: faces never come after cofaces.
+    Per dimension d, `simplices[d]` is an (m, d+1) int32 vertex array and
+    `values[d]` its float64 values, sorted by (value, lex).  `order()`
+    merges them into the entry order (value, dimension, lex), a valid
+    filtration order (no face after its cofaces); `entries` lists it as
+    (value, vertex tuple) pairs, built on each read.
     """
 
-    def __init__(self, n: int, dim_cap: int, entries: list[tuple[float, tuple[int, ...]]]):
+    def __init__(self, n: int, dim_cap: int, simplices: dict[int, np.ndarray],
+                 values: dict[int, np.ndarray]):
         self.n = n
         self.dim_cap = dim_cap
-        self.entries = entries
+        self.simplices = simplices
+        self.values = values
+
+    @property
+    def total(self) -> int:
+        return sum(len(v) for v in self.values.values())
+
+    def order(self) -> np.ndarray:
+        """Entry order, as positions in the values concatenated by dimension."""
+        return np.argsort(np.concatenate(list(self.values.values())), kind="stable")
+
+    @property
+    def entries(self) -> list[tuple[float, tuple[int, ...]]]:
+        values = np.concatenate(list(self.values.values())).tolist()
+        rows = [tuple(s) for d in self.simplices for s in self.simplices[d].tolist()]
+        return [(values[k], rows[k]) for k in self.order().tolist()]
 
 
 def vr_filtration(space: FiniteMetricSpace, dim_cap: int = DEFAULT_DIM_CAP,
@@ -325,6 +329,7 @@ def vr_filtration(space: FiniteMetricSpace, dim_cap: int = DEFAULT_DIM_CAP,
     <= max_scale (the filtration cut at that scale), and the budget counts
     those simplices alone.  Without it every subset is kept, and their
     binomial count is checked against the budget before the walk starts.
+    Each dimension, walked in lex order, is then sorted stably by value.
     """
     n = space.n
     if max_scale is not None and not max_scale >= 0:
@@ -334,20 +339,16 @@ def vr_filtration(space: FiniteMetricSpace, dim_cap: int = DEFAULT_DIM_CAP,
         if total > budget:
             raise BudgetExceededError(budget, dim_cap)
         max_scale = math.inf
-    Dl = space.dist.tolist()
-
-    def child_state(value, simplex, v):
-        row = Dl[v]
-        for u in simplex:
-            duv = row[u]
-            if duv > value:
-                value = duv
-        return value
-
-    masks = ball_masks(space, max_scale, "leq")
-    simplices, values = _expand_cliques(n, masks, dim_cap, budget,
-                                        child_state=child_state,
-                                        root_state=lambda v: 0.0)
-    entries = [e for d in simplices for e in zip(values[d], simplices[d])]
-    entries.sort(key=lambda e: (e[0], len(e[1]), e[1]))
-    return VRFiltration(n, dim_cap, entries)
+    # the walk takes maxima of exact distance ranks; rank 0 is +0.0, a vertex's
+    # value, and lower distances count as 0.0, as a running max from 0.0 would
+    values, rank = np.unique(np.append(space.dist.ravel(), 0.0), return_inverse=True)
+    values, rank = values[rank[-1]:], (rank[:-1] - rank[-1]).clip(0)
+    values[0] = 0.0
+    rank = rank.astype(np.min_scalar_type(len(values) - 1)).reshape(n, n)
+    simplices, maxima = _cliques(n, _ball_rows(space, max_scale, "leq"), dim_cap,
+                                 budget, rank=rank)
+    for d, top in maxima.items():
+        o = np.argsort(top, kind="stable")
+        simplices[d] = np.take(simplices[d], o, axis=0)
+        maxima[d] = values[top[o]]
+    return VRFiltration(n, dim_cap, simplices, maxima)

@@ -28,7 +28,6 @@ the bars and ranks, are those of the textbook boundary reduction.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -36,8 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .complexes import (DEFAULT_BUDGET, DEFAULT_DIM_CAP, LexIndex,
-                        SimplicialComplex, VRFiltration, vertex_array,
-                        vr_complex)
+                        SimplicialComplex, VRFiltration, vr_complex)
 from .spaces import FiniteMetricSpace
 
 __all__ = [
@@ -115,31 +113,35 @@ class Barcode:
         return tuple(out)
 
 
-def _filtration_hash(filtration: VRFiltration, values: np.ndarray,
-                     simplices: list[tuple[int, ...]]) -> str:
-    """sha256 of the filtration's size, values and vertices, in entry order."""
+def _filtration_hash(filtration: VRFiltration) -> str:
+    """sha256 of the filtration's size, then in entry order its float64
+    values and the int64 vertices of its simplices, one after another."""
+    order = filtration.order()
     h = hashlib.sha256()
-    h.update(f"{filtration.n}:{filtration.dim_cap}:{len(simplices)}".encode())
-    if simplices:
-        h.update(values.tobytes())
-        h.update(np.fromiter(itertools.chain.from_iterable(simplices),
-                             dtype=np.int64).tobytes())
+    h.update(f"{filtration.n}:{filtration.dim_cap}:{len(order)}".encode())
+    if len(order):
+        h.update(np.concatenate(list(filtration.values.values()))[order].tobytes())
+        top = max(filtration.simplices)  # rows padded with -1 to the widest
+        rows = np.take(np.concatenate([np.pad(s, ((0, 0), (0, top - d)), constant_values=-1)
+                                       for d, s in filtration.simplices.items()]), order, axis=0)
+        h.update(rows[rows >= 0].astype(np.int64).tobytes())
     return h.hexdigest()
 
 
-def _reduce(by_dim: dict[int, list[tuple[int, ...]]]) -> dict[int, dict[int, int]]:
-    """Z/2 reduction of the coboundary matrices of a graded complex, with
-    clearing and emergent pairs (see the module docstring).
+def _reduce(n: int, by_dim: dict[int, np.ndarray]) -> dict[int, dict[int, int]]:
+    """Z/2 reduction of the coboundary matrices of a graded complex on
+    range(n), with clearing and emergent pairs (see the module docstring).
 
-    `by_dim[d]` lists the d-simplices in one order, the same for every use of
-    dimension d.  For d = 0 .. top-1 the columns are the d-simplices, last
-    first, and a column's pivot is its earliest coface.  Clearing runs
-    upward: a d-simplex already paired with a (d-1)-simplex reduces to zero
-    and is skipped.  The earliest coface of every d-simplex comes from one
-    vectorised pass over the facets of the (d+1)-simplices, ranked in a
-    `LexIndex` of the complex.  Coboundaries are built only for columns that
-    are not emergent, and for the owners they must add, by searching each
-    candidate coface in the same index; no dict of tuples is built.
+    `by_dim[d]` holds the d-simplices as an (m, d+1) int32 vertex array in
+    one order, the same for every use of dimension d.  For d = 0 .. top-1
+    the columns are the d-simplices, last first, and a column's pivot is its
+    earliest coface.  Clearing runs upward: a d-simplex already paired with
+    a (d-1)-simplex reduces to zero and is skipped.  The earliest coface of
+    every d-simplex comes from one vectorised pass over the facets of the
+    (d+1)-simplices, ranked in a `LexIndex` that adopts the arrays.
+    Coboundaries are built only for columns that are not emergent, and for
+    the owners they must add, by searching each candidate coface in the
+    same index; no tuple per simplex is built.
 
     Returns `pivots[d] = {(d-1)-simplex: d-simplex}` for d >= 1, indices into
     `by_dim`.  Homology and cohomology pair the same simplices, so these are
@@ -151,8 +153,8 @@ def _reduce(by_dim: dict[int, list[tuple[int, ...]]]) -> dict[int, dict[int, int
     pivots: dict[int, dict[int, int]] = {}
     if top == 0:
         return pivots
-    index = LexIndex(max(by_dim[0])[0] + 1, by_dim)
-    S, keys, order, n = index.vertices, index.keys, index.order, index.n
+    index = LexIndex(n, by_dim)
+    S, keys, order = index.vertices, index.keys, index.order
     vertices = S[0][:, 0]
     for d in range(top):
         cofaces = S[d + 1]
@@ -220,28 +222,18 @@ def reduce_filtration(filtration: VRFiltration) -> Barcode:
     gives a bar, killed by the simplex it is paired with one dimension up, or
     essential when it has none.
     """
-    entries = filtration.entries
-    all_values = np.array([value for value, _ in entries], dtype=np.float64)
-    all_simplices = [verts for _, verts in entries]
-    digest = _filtration_hash(filtration, all_values, all_simplices)
-    dims = np.fromiter(map(len, all_simplices), dtype=np.int64, count=len(entries)) - 1
-    values: dict[int, np.ndarray] = {}
-    simplices: dict[int, list[tuple[int, ...]]] = {}
-    for d in range(int(dims.max(initial=-1)) + 1):
-        here = dims == d
-        values[d] = all_values[here]
-        simplices[d] = list(itertools.compress(all_simplices, here.tolist()))
-    del all_values, all_simplices, dims
-    pivots = _reduce(simplices)
+    digest = _filtration_hash(filtration)
+    values, simplices = filtration.values, filtration.simplices
+    pivots = _reduce(filtration.n, simplices)
 
     intervals: dict[int, list[tuple[float, float]]] = {}
     pairs: dict[int, SimplexPairs] = {}
     for d in range(filtration.dim_cap):
-        m = len(simplices.get(d, ()))
-        positive = np.ones(m, dtype=bool)
+        rows = simplices.get(d, np.zeros((0, d + 1), dtype=np.int32))
+        positive = np.ones(len(rows), dtype=bool)
         positive[list(pivots.get(d, {}).values())] = False
         killed = pivots.get(d + 1, {})
-        partner = np.full(m, -1, dtype=np.int64)
+        partner = np.full(len(rows), -1, dtype=np.int64)
         partner[list(killed)] = list(killed.values())
         index = np.flatnonzero(positive)
         births = values.get(d, np.zeros(0))[index]
@@ -250,10 +242,9 @@ def reduce_filtration(filtration: VRFiltration) -> Barcode:
         deaths = np.full(len(index), math.nan)
         deaths[~essential] = values.get(d + 1, np.zeros(0))[partner[~essential]]
         killers = np.full((len(index), d + 2), -1, dtype=np.int32)
-        killers[~essential] = vertex_array(
-            [simplices[d + 1][j] for j in partner[~essential].tolist()], d + 1)
-        pairs[d] = SimplexPairs(births, vertex_array(simplices.get(d, []), d)[index],
-                                deaths, killers)
+        if d + 1 in simplices:
+            killers[~essential] = simplices[d + 1][partner[~essential]]
+        pairs[d] = SimplexPairs(births, rows[index], deaths, killers)
         ends = np.where(essential, math.inf, deaths)
         bar = essential | (ends != births)
         intervals[d] = sorted(zip(births[bar].tolist(), ends[bar].tolist()))
@@ -262,7 +253,7 @@ def reduce_filtration(filtration: VRFiltration) -> Barcode:
         dim_cap=filtration.dim_cap,
         intervals=intervals,
         pairs=pairs,
-        provenance={"field": "Z/2", "n_simplices": len(entries),
+        provenance={"field": "Z/2", "n_simplices": filtration.total,
                     "filtration_hash": digest},
     )
 
@@ -290,7 +281,7 @@ def betti_at(space: FiniteMetricSpace, r: float, convention: str = "leq",
     """
     cx = vr_complex(space, r, convention=convention, dim_cap=dim_cap, budget=budget)
     counts = [len(cx.simplices.get(d, [])) for d in range(dim_cap + 1)]
-    pivots = _reduce(cx.simplices)
+    pivots = _reduce(cx.n, cx.simplices)
     ranks = [len(pivots.get(d, {})) for d in range(dim_cap + 2)]
     values = tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(dim_cap))
 
@@ -324,9 +315,9 @@ def homology_oracle(complex_: SimplicialComplex) -> tuple[int, ...]:
         rows, cols = counts[d - 1], counts[d]
         if not rows or not cols:
             continue
-        index = {verts: i for i, verts in enumerate(complex_.simplices[d - 1])}
+        index = {verts: i for i, verts in enumerate(map(tuple, complex_.simplices[d - 1].tolist()))}
         M = np.zeros((rows, cols), dtype=np.uint8)
-        for j, verts in enumerate(complex_.simplices[d]):
+        for j, verts in enumerate(map(tuple, complex_.simplices[d].tolist())):
             for k in range(len(verts)):
                 M[index[verts[:k] + verts[k + 1:]], j] = 1
         ranks[d] = _dense_rank_gf2(M)

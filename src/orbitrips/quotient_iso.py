@@ -204,7 +204,7 @@ def iso_check(space: FiniteMetricSpace, action: IsometricAction, r: float,
         hit[ranks[found]] = True
         if hit.all():
             continue
-        simplex = quot.simplices[dim][int(np.argmin(hit))]
+        simplex = tuple(quot.simplices[dim][int(np.argmin(hit))].tolist())
         evidence: dict = {}
         if kind == "vr":
             min_diam, achievers = anchored_min_diameter(Dl, members, simplex)
@@ -224,7 +224,7 @@ def iso_check(space: FiniteMetricSpace, action: IsometricAction, r: float,
         if shared.any():
             first = int(np.argmax(shared))
             cids = np.flatnonzero(found & (ranks == first))[:4]
-            ce = {"dim": dim, "image": list(quot.simplices[dim][first]),
+            ce = {"dim": dim, "image": quot.simplices[dim][first].tolist(),
                   "simplices": qc.reps[dim][cids].tolist()}
             return IsoCertificate(verdict="not-injective",
                                   counterexample=ce, **common)

@@ -232,6 +232,11 @@ def _dist_rows(q: QuotientSpace) -> tuple[list, list]:
     return rows
 
 
+def _check_k_max(k_max: int) -> None:
+    if k_max < 0:
+        raise ValueError(f"k_max must be nonnegative, got {k_max}")
+
+
 def diameter_action_check(space: FiniteMetricSpace, action: IsometricAction,
                           r: float, k_max: int = DEFAULT_DIM_CAP,
                           quotient: QuotientSpace | None = None,
@@ -246,6 +251,7 @@ def diameter_action_check(space: FiniteMetricSpace, action: IsometricAction,
     Together with the doubled-point part this is exactly the condition under
     which the quotient of VR(space, r) matches VR(quotient space, r).
     """
+    _check_k_max(k_max)
     q = quotient if quotient is not None else build_quotient(space, action)
     doubles = _doubles_failure(space, action, q, r, ball=False)
     if doubles is not None:
@@ -256,8 +262,8 @@ def diameter_action_check(space: FiniteMetricSpace, action: IsometricAction,
     Dl, Ql = _dist_rows(q)
     members = q.members
     checked = 0
-    for dim in range(1, k_max + 1):
-        for orbits in qcx.simplices.get(dim, []):
+    for dim in range(1, len(qcx.simplices)):
+        for orbits in map(tuple, qcx.simplices[dim].tolist()):
             checked += 1
             qdiam = max(Ql[a][b] for i, a in enumerate(orbits) for b in orbits[i + 1:])
             within = anchored_lifts_within(Dl, members, orbits, r)
@@ -310,6 +316,7 @@ def nerve_action_check(space: FiniteMetricSpace, action: IsometricAction,
     Together with the doubled-point part this matches the quotient of the
     Cech complex with the Cech complex of the quotient.
     """
+    _check_k_max(k_max)
     q = quotient if quotient is not None else build_quotient(space, action)
     masks = ball_masks(space, r, convention)
     doubles = _doubles_failure(space, action, q, r, ball=True, masks=masks)
@@ -322,8 +329,8 @@ def nerve_action_check(space: FiniteMetricSpace, action: IsometricAction,
                        budget=budget)
     members = q.members
     checked = 0
-    for dim in range(1, k_max + 1):
-        for orbits in qcx.simplices.get(dim, []):
+    for dim in range(1, len(qcx.simplices)):
+        for orbits in map(tuple, qcx.simplices[dim].tolist()):
             checked += 1
             lifts = anchored_witnessed_lifts(masks, members, orbits)
             if len(lifts) == 1:
@@ -399,6 +406,7 @@ def threshold_scan(space: FiniteMetricSpace, action: IsometricAction,
         return ball_threshold(space, action)
     if kind not in ("diameter", "nerve"):
         raise ValueError(f"unknown threshold kind: {kind!r}")
+    _check_k_max(k_max)
 
     q = build_quotient(space, action)
     crit = critical_values(space)

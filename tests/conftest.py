@@ -10,7 +10,10 @@ brute-force oracles referee on their own.  homology_pivots is the boundary
 it shares no code with it.  quotient_orbits_oracle (the per-tuple orbit loop
 that array orbit grouping replaced) and verify_isometric_oracle (the scan of
 every group element, without the exact-generator shortcut) referee
-quotient_complex and verify_isometric the same way.
+quotient_complex and verify_isometric the same way.  clique_oracle is the
+tuple clique walker that the array walk of `complexes` replaced, kept
+unchanged as its referee; `tuples` reads array rows as the vertex tuples the
+oracles list.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ import pytest
 
 from orbitrips.actions import (ISOMETRY_EPS, IsometricAction, IsometryReport,
                                build_quotient, close_group)
-from orbitrips.complexes import DEFAULT_BUDGET, SimplicialComplex
+from orbitrips.complexes import (DEFAULT_BUDGET, BudgetExceededError,
+                                 SimplicialComplex)
 from orbitrips.spaces import FiniteMetricSpace, critical_values
 from orbitrips.thresholds import (ThresholdReport, diameter_action_check,
                                   nerve_action_check)
@@ -33,6 +37,11 @@ EQ_EPS = 1e-9
 
 # ---------------------------------------------------------------------------
 # brute-force complexes
+
+
+def tuples(rows) -> list[tuple[int, ...]]:
+    """Vertex rows (an array or a list of tuples) as a list of tuples."""
+    return [tuple(row) for row in np.asarray(rows, dtype=np.int64).tolist()]
 
 
 def _cmp(value: float, r: float, convention: str) -> bool:
@@ -63,6 +72,64 @@ def brute_cech(D: np.ndarray, r: float, convention: str, dim_cap: int) -> dict[i
                 simps.append(verts)
         out[size - 1] = simps
     return out
+
+
+# ---------------------------------------------------------------------------
+# clique walk referee
+
+
+def clique_oracle(n: int, adj_masks: list[int], dim_cap: int, budget: int,
+                  child_state=None, root_state=None):
+    """Ordered clique expansion over bitmask adjacency.
+
+    Returns ({dim: [simplex tuples]}, {dim: [states]}), each dimension in lex
+    order.  Bit v of adj_masks[u] marks an edge; a vertex's own bit is
+    ignored.  Optional `root_state(v)` / `child_state(state, simplex, v)`
+    thread extra per-simplex data (Cech witness masks, filtration values);
+    child_state may return None to prune the child.  The states are kept,
+    parallel to the simplices, only when child_state is given; otherwise the
+    second dict is empty.  Every simplex, vertices included, counts against
+    the budget.
+    """
+    simplices: dict[int, list[tuple[int, ...]]] = {0: [(i,) for i in range(n)]}
+    count = n
+    if count > budget:
+        raise BudgetExceededError(budget, 0)
+    roots = [None] * n if root_state is None else [root_state(i) for i in range(n)]
+    kept: dict[int, list] = {} if child_state is None else {0: roots}
+    # candidates start as neighbors above the vertex
+    frontier = [((i,), adj_masks[i] & (-1 << (i + 1)), roots[i]) for i in range(n)]
+    for dim in range(1, dim_cap + 1):
+        nxt = []
+        out = []
+        states = []
+        for simplex, cand, state in frontier:
+            m = cand
+            while m:
+                low = m & -m
+                v = low.bit_length() - 1
+                m ^= low
+                if child_state is not None:
+                    cstate = child_state(state, simplex, v)
+                    if cstate is None:
+                        continue
+                    states.append(cstate)
+                else:
+                    cstate = None
+                child = simplex + (v,)
+                count += 1
+                if count > budget:
+                    raise BudgetExceededError(budget, dim)
+                out.append(child)
+                if dim < dim_cap:
+                    nxt.append((child, cand & adj_masks[v] & (-1 << (v + 1)), cstate))
+        if not out:
+            break
+        simplices[dim] = out
+        if child_state is not None:
+            kept[dim] = states
+        frontier = nxt
+    return simplices, kept
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +315,8 @@ def quotient_orbits_oracle(complex_: SimplicialComplex, action: IsometricAction,
     images: dict[int, list[tuple[int, ...]]] = {}
     degenerate: dict[int, list[bool]] = {}
 
-    for dim, simplices in sorted(complex_.simplices.items()):
+    for dim, rows in sorted(complex_.simplices.items()):
+        simplices = tuples(rows)
         have = set(simplices)
         seen: set[tuple[int, ...]] = set()
         classes: list[tuple[tuple[int, ...], int]] = []

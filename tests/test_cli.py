@@ -295,3 +295,25 @@ def test_budget_exit_4_and_env(tmp_path, circle12, monkeypatch):
     assert main(argv + ["--budget", "100000"]) == 0  # flag beats environment
     monkeypatch.setenv("ORBITRIPS_BUDGET", "notanumber")
     assert main(argv) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["complex", "--scale", "0.2"],
+    ["complex", "--scale", "0.2", "--kind", "cech"],
+    ["betti", "--scale", "0.2"],
+    ["persistence"],
+    ["iso-check", "--scale", "0.2"],
+    ["check", "--kind", "diameter", "--scale", "0.2"],
+    ["check", "--kind", "nerve", "--scale", "0.6"],
+    ["thresholds", "--kind", "diameter"],
+    ["thresholds", "--kind", "nerve"],
+])
+def test_negative_dim_cap_and_k_max_exit_3(tmp_path, circle12, antipodal12, argv):
+    inputs = ["--space", str(circle12), "--out", str(tmp_path / "out")]
+    if argv[0] not in ("complex", "betti", "persistence"):
+        inputs += ["--action", str(antipodal12)]
+    flag = "--k-max" if argv[0] in ("check", "thresholds") else "--dim-cap"
+    for bad in ("-1", "-2"):
+        assert main(argv + inputs + [flag, bad]) == 3
+        assert not (tmp_path / "out").exists()
+    assert main(argv + inputs + [flag, "0"]) == 0

@@ -1,20 +1,28 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from orbitrips import complexes
+from orbitrips.actions import antipodal_generator, close_group
 from orbitrips.complexes import (BudgetExceededError, _witness_graph, ball_masks,
                                  cech_complex, vr_complex, vr_filtration)
-from orbitrips.spaces import (ShapeSpec, critical_values, generate_space)
+from orbitrips.persistence import betti_at
+from orbitrips.spaces import (FiniteMetricSpace, ShapeSpec, critical_values,
+                              generate_space)
+from orbitrips.thresholds import diameter_action_check, nerve_action_check
 
-from conftest import brute_cech, brute_vr, random_cloud_space
+from conftest import (brute_cech, brute_vr, clique_oracle, random_cloud_space,
+                      tuples)
 
 
 def _assert_same(cx, brute):
     dims = set(cx.simplices) | {d for d, s in brute.items() if s}
     for d in dims:
-        assert cx.simplices.get(d, []) == brute.get(d, []), f"dim {d} differs"
+        assert tuples(cx.simplices.get(d, [])) == brute.get(d, []), f"dim {d} differs"
 
 
 @pytest.mark.parametrize("convention", ["leq", "lt"])
@@ -70,7 +78,8 @@ def test_downward_closure_and_lex_order(rng):
     r = float(np.median(space.dist))
     for cx in (vr_complex(space, r, "leq", dim_cap=4),
                cech_complex(space, r, "leq", dim_cap=4)):
-        for d, simps in cx.simplices.items():
+        for d, rows in cx.simplices.items():
+            simps = tuples(rows)
             assert simps == sorted(simps)
             assert len(set(simps)) == len(simps)
             for s in simps:
@@ -90,9 +99,9 @@ def test_lt_subset_of_leq_and_monotone_in_r(rng):
         small = build(space, r1, "leq")
         big = build(space, r2, "leq")
         for d in lt.simplices:
-            assert set(lt.simplices[d]) <= set(leq.simplices.get(d, []))
+            assert set(tuples(lt.simplices[d])) <= set(tuples(leq.simplices.get(d, [])))
         for d in small.simplices:
-            assert set(small.simplices[d]) <= set(big.simplices.get(d, []))
+            assert set(tuples(small.simplices[d])) <= set(tuples(big.simplices.get(d, [])))
 
 
 def test_vr_cech_vr_sandwich(rng):
@@ -105,9 +114,9 @@ def test_vr_cech_vr_sandwich(rng):
         ce = cech_complex(space, r, "lt")
         vr2 = vr_complex(space, 2 * r, "lt")
         for d in vr1.simplices:
-            assert set(vr1.simplices[d]) <= set(ce.simplices.get(d, []))
+            assert set(tuples(vr1.simplices[d])) <= set(tuples(ce.simplices.get(d, [])))
         for d in ce.simplices:
-            assert set(ce.simplices[d]) <= set(vr2.simplices.get(d, []))
+            assert set(tuples(ce.simplices[d])) <= set(tuples(vr2.simplices.get(d, [])))
 
 
 def test_cech_circle6_just_past_first_critical():
@@ -123,7 +132,7 @@ def test_contains_answers_only_listed_simplices():
     # triangles span two steps; no tetrahedra
     space = generate_space(ShapeSpec("evenly-spaced-circle", {"n": 12}))
     cx = vr_complex(space, 0.2, "leq", dim_cap=3)
-    listed = [s for d in cx.simplices for s in cx.simplices[d]]
+    listed = [s for d in cx.simplices for s in tuples(cx.simplices[d])]
     assert all(cx.contains(s) for s in listed)
     assert cx.contains((1, 2)) and cx.contains((0, 1, 2))
     assert not cx.contains((2, 1))            # unsorted
@@ -231,7 +240,7 @@ def test_cut_filtration_matches_fixed_scale_complex(rng):
         for _, verts in cut.entries:
             by_dim.setdefault(len(verts) - 1, set()).add(verts)
         for d in set(by_dim) | set(cx.simplices):
-            assert by_dim.get(d, set()) == set(cx.simplices.get(d, []))
+            assert by_dim.get(d, set()) == set(tuples(cx.simplices.get(d, [])))
     below = vr_filtration(space, dim_cap=3, max_scale=float(cv[0]) / 2)
     assert below.entries == [(0.0, (i,)) for i in range(space.n)]
     top = vr_filtration(space, dim_cap=3, max_scale=float(space.dist.max()))
@@ -250,3 +259,142 @@ def test_cut_filtration_budget_counts_only_the_cut(rng):
         vr_filtration(space, dim_cap=3, budget=budget - 1, max_scale=r)
     with pytest.raises(BudgetExceededError):
         vr_filtration(space, dim_cap=3, budget=budget)
+
+
+def test_negative_dim_cap_and_k_max_rejected():
+    space = generate_space(ShapeSpec("evenly-spaced-circle", {"n": 12}))
+    action = close_group(12, [antipodal_generator(12)])
+    for build in (vr_complex, cech_complex):
+        with pytest.raises(ValueError):
+            build(space, 0.2, "leq", dim_cap=-1)
+        assert build(space, 0.2, "leq", dim_cap=0).counts == {0: 12}
+    for max_scale in (None, 0.2):
+        with pytest.raises(ValueError):
+            vr_filtration(space, dim_cap=-2, max_scale=max_scale)
+        assert vr_filtration(space, dim_cap=0, max_scale=max_scale).total == 12
+    with pytest.raises(ValueError):
+        betti_at(space, 0.2, "leq", dim_cap=-1)
+    assert betti_at(space, 0.2, "leq", dim_cap=0).values == ()
+    # 0.6 fails the doubled-point part, which is checked before any subset
+    for r in (0.2, 0.6):
+        for check in (diameter_action_check, nerve_action_check):
+            with pytest.raises(ValueError):
+                check(space, action, r, k_max=-1)
+    assert diameter_action_check(space, action, 0.2, k_max=0).ok
+    assert not nerve_action_check(space, action, 0.6, k_max=0).ok
+
+
+# ---------------------------------------------------------------------------
+# the array walk against the tuple walker it replaced (conftest.clique_oracle),
+# through the pre-array wrappers: complexes, their order, filtration values
+# bit for bit, and the dimension a budget overflows at
+
+
+def _oracle_vr(space, r, convention, dim_cap, budget):
+    return clique_oracle(space.n, ball_masks(space, r, convention), dim_cap, budget)[0]
+
+
+def _oracle_cech(space, r, convention, dim_cap, budget):
+    balls = ball_masks(space, r, convention)
+
+    def child_state(state, simplex, v):
+        w = state & balls[v]
+        return w if w else None
+
+    return clique_oracle(space.n, _witness_graph(balls), dim_cap, budget,
+                         child_state=child_state, root_state=balls.__getitem__)[0]
+
+
+def _oracle_filtration(space, dim_cap, budget, max_scale):
+    n = space.n
+    if max_scale is not None and not max_scale >= 0:
+        raise ValueError(f"max_scale must be nonnegative, got {max_scale!r}")
+    if max_scale is None:
+        total = sum(math.comb(n, k + 1) for k in range(min(dim_cap, n - 1) + 1))
+        if total > budget:
+            raise BudgetExceededError(budget, dim_cap)
+        max_scale = math.inf
+    Dl = space.dist.tolist()
+
+    def child_state(value, simplex, v):
+        row = Dl[v]
+        for u in simplex:
+            duv = row[u]
+            if duv > value:
+                value = duv
+        return value
+
+    simplices, values = clique_oracle(n, ball_masks(space, max_scale, "leq"), dim_cap,
+                                      budget, child_state=child_state,
+                                      root_state=lambda v: 0.0)
+    entries = [e for d in simplices for e in zip(values[d], simplices[d])]
+    entries.sort(key=lambda e: (e[0], len(e[1]), e[1]))
+    return entries
+
+
+def _outcome(fn):
+    """("ok", result), ("budget", dim_reached) or ("invalid", None)."""
+    try:
+        return "ok", fn()
+    except BudgetExceededError as exc:
+        return "budget", exc.dim_reached
+    except ValueError:
+        return "invalid", None
+
+
+def _array_walk(kind, space, r, convention, dim_cap, budget):
+    """The library's result in the oracle's terms: complexes as tuple lists
+    per dimension, filtrations as entries with values as float.hex."""
+    if kind in ("vr", "cech"):
+        build = vr_complex if kind == "vr" else cech_complex
+        cx = build(space, r, convention, dim_cap=dim_cap, budget=budget)
+        return {d: tuples(s) for d, s in cx.simplices.items()}
+    filt = vr_filtration(space, dim_cap, budget, max_scale=r if kind == "cut" else None)
+    return [(value.hex(), verts) for value, verts in filt.entries]
+
+
+def _tuple_walk(kind, space, r, convention, dim_cap, budget):
+    if kind == "vr":
+        return _oracle_vr(space, r, convention, dim_cap, budget)
+    if kind == "cech":
+        return _oracle_cech(space, r, convention, dim_cap, budget)
+    entries = _oracle_filtration(space, dim_cap, budget, r if kind == "cut" else None)
+    return [(value.hex(), verts) for value, verts in entries]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10**9), n=st.sampled_from([0, 1, 2, 5, 9, 17, 65, 130]),
+       shape=st.sampled_from(["cloud", "circle"]), dim_cap=st.integers(0, 4),
+       where=st.floats(-0.2, 1.2), chunk=st.sampled_from([1, 20, 1 << 17]))
+def test_array_walk_matches_clique_oracle(seed, n, shape, dim_cap, where, chunk):
+    if n <= 1:
+        space = FiniteMetricSpace(np.zeros((n, n)))
+    elif shape == "circle" and n >= 3:
+        space = generate_space(ShapeSpec("evenly-spaced-circle", {"n": n}))
+    else:
+        space = random_cloud_space(np.random.default_rng(seed), n)
+    cv = critical_values(space)
+    if where < 0:
+        r = -0.5  # every ball empty
+    elif where > 1 or not len(cv):
+        r = 2.0 * float(space.dist.max(initial=0.0))
+    else:
+        r = float(cv[int(where * (len(cv) - 1))])
+    cases = [("vr", "leq"), ("vr", "lt"), ("cech", "leq"), ("cech", "lt"),
+             ("filtration", "leq"), ("cut", "leq")]
+    with mock.patch.object(complexes, "_CHUNK_BYTES", chunk):
+        for kind, convention in cases:
+            args = (kind, space, r, convention, dim_cap)
+            got = _outcome(lambda: _array_walk(*args, budget=20_000))
+            assert got == _outcome(lambda: _tuple_walk(*args, budget=20_000)), kind
+            if got[0] != "ok":
+                continue
+            # budgets on both sides of every dimension boundary
+            if kind in ("vr", "cech"):
+                sizes = [len(got[1][d]) for d in sorted(got[1])]
+            else:
+                sizes = np.bincount([len(verts) - 1 for _, verts in got[1]]).tolist()
+            for boundary in np.cumsum(sizes).tolist():
+                for budget in (boundary - 1, boundary):
+                    assert _outcome(lambda: _array_walk(*args, budget=budget)) == \
+                        _outcome(lambda: _tuple_walk(*args, budget=budget)), (kind, budget)

@@ -11,7 +11,7 @@ from orbitrips.persistence import (ORACLE_LIMIT, _reduce, betti_at,
 from orbitrips.spaces import (FiniteMetricSpace, ShapeSpec, critical_values,
                               generate_space)
 
-from conftest import homology_pivots, random_cloud_space
+from conftest import homology_pivots, random_cloud_space, tuples
 
 
 def test_hexagon_barcode_is_the_octahedron_story():
@@ -158,14 +158,18 @@ def test_coboundary_pivots_equal_homology_reduction(seed, n, dim_cap, shape, sou
     r = float(cv[int(pick * (len(cv) - 1))])
     if source in ("filtration", "cut"):
         filt = vr_filtration(space, dim_cap, max_scale=r if source == "cut" else None)
-        by_dim: dict[int, list] = {}
+        by_dim = dict(filt.simplices)
+        # the arrays list each dimension in entry order
+        entries: dict[int, list] = {}
         for _, verts in filt.entries:
-            by_dim.setdefault(len(verts) - 1, []).append(verts)
+            entries.setdefault(len(verts) - 1, []).append(verts)
+        assert {d: tuples(s) for d, s in by_dim.items()} == entries
     else:
         by_dim = dict(vr_complex(space, r, source, dim_cap).simplices)
     if empty_top:
-        by_dim[max(by_dim) + 1] = []
-    assert _reduce(by_dim) == homology_pivots(by_dim)
+        top = max(by_dim) + 1
+        by_dim[top] = np.zeros((0, top + 1), dtype=np.int32)
+    assert _reduce(space.n, by_dim) == homology_pivots({d: tuples(s) for d, s in by_dim.items()})
 
 
 def _cross_polytope(k: int) -> np.ndarray:

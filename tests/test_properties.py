@@ -13,7 +13,8 @@ from orbitrips.spaces import critical_values, validate_metric
 from orbitrips.thresholds import (ball_threshold, diameter_action_check,
                                   distance_threshold)
 
-from conftest import brute_cech, brute_vr, random_cloud_space, random_rotated_cloud
+from conftest import (brute_cech, brute_vr, random_cloud_space, random_rotated_cloud,
+                      tuples)
 
 SEEDS = st.integers(min_value=0, max_value=10**9)
 
@@ -26,10 +27,10 @@ def test_vr_and_cech_match_brute(seed, n, pick):
     r = float(cv[int(pick * (len(cv) - 1))])
     for convention in ("leq", "lt"):
         vr = vr_complex(space, r, convention, dim_cap=3)
-        assert {d: s for d, s in vr.simplices.items()} == \
+        assert {d: tuples(s) for d, s in vr.simplices.items()} == \
             {d: s for d, s in brute_vr(space.dist, r, convention, 3).items() if s}
         ce = cech_complex(space, r, convention, dim_cap=3)
-        assert {d: s for d, s in ce.simplices.items()} == \
+        assert {d: tuples(s) for d, s in ce.simplices.items()} == \
             {d: s for d, s in brute_cech(space.dist, r, convention, 3).items() if s}
 
 
@@ -130,7 +131,7 @@ def test_complex_inclusions(seed, n, pick):
     ce_lt = cech_complex(space, r, "lt", dim_cap=3)
     vr_2r = vr_complex(space, 2 * r, "lt", dim_cap=3)
     for d in range(4):
-        lt = set(vr_lt.simplices.get(d, []))
-        assert lt <= set(vr_leq.simplices.get(d, []))
-        assert lt <= set(ce_lt.simplices.get(d, []))
-        assert set(ce_lt.simplices.get(d, [])) <= set(vr_2r.simplices.get(d, []))
+        lt = set(tuples(vr_lt.simplices.get(d, [])))
+        assert lt <= set(tuples(vr_leq.simplices.get(d, [])))
+        assert lt <= set(tuples(ce_lt.simplices.get(d, [])))
+        assert set(tuples(ce_lt.simplices.get(d, []))) <= set(tuples(vr_2r.simplices.get(d, [])))
