@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .spaces import FiniteMetricSpace, validate_metric
+from .spaces import FiniteMetricSpace, MetricValidation, validate_metric
 
 __all__ = [
     "ISOMETRY_EPS",
@@ -61,6 +62,21 @@ class IsometricAction:
     def __len__(self):
         return len(self.elements)
 
+    def preserves_exactly(self, dist: np.ndarray) -> bool:
+        """Whether every generator maps the matrix to itself bit for bit.
+
+        Then so does every element: exact equalities compose,
+        d(ghx, ghy) = d(hx, hy) = d(x, y)."""
+        return all(np.array_equal(dist[np.ix_(p, p)], dist)
+                   for p in self.element_arrays[self.generator_indices])
+
+    @cached_property
+    def representatives(self) -> np.ndarray:
+        """The least point of each orbit, ascending.  The orbit of x is
+        {g x : g in G}, so its least point is the column minimum."""
+        least = self.element_arrays.min(axis=0)
+        return np.flatnonzero(least == np.arange(self.n))
+
 
 def _check_permutation(n: int, perm) -> tuple[int, ...]:
     p = tuple(int(v) for v in perm)
@@ -113,15 +129,14 @@ def verify_isometric(space: FiniteMetricSpace, action: IsometricAction) -> Isome
     """Check |d(gx, gy) - d(x, y)| <= ISOMETRY_EPS for every element, reporting
     the worst pair.
 
-    When every generator preserves the matrix exactly, so does every element:
-    exact equalities compose, d(ghx, ghy) = d(hx, hy) = d(x, y).  Then every
-    deviation is 0 and the report is read off the generators alone;
-    otherwise all elements are scanned."""
+    When every generator preserves the matrix exactly, so does every element
+    (IsometricAction.preserves_exactly).  Then every deviation is 0 and the
+    report is read off the generators alone; otherwise all elements are
+    scanned."""
     if action.n != space.n:
         raise ValueError("action and space sizes differ")
     D = space.dist
-    generators = action.element_arrays[action.generator_indices]
-    if all(np.array_equal(D[np.ix_(p, p)], D) for p in generators):
+    if action.preserves_exactly(D):
         return IsometryReport(ok=True, max_deviation=0.0, eps=ISOMETRY_EPS)
     worst = 0.0
     worst_at = None
@@ -162,7 +177,11 @@ class QuotientSpace:
                         "group_order": len(action),
                         "orbits": len(members)},
         )
-        self.validation = validate_metric(self.space)
+
+    @cached_property
+    def validation(self) -> MetricValidation:
+        """The metric report of the quotient matrix, computed on first read."""
+        return validate_metric(self.space)
 
     @property
     def n_orbits(self) -> int:
@@ -174,19 +193,17 @@ def build_quotient(space: FiniteMetricSpace, action: IsometricAction) -> Quotien
 
     The infimum in the quotient metric is a minimum here: each qdist entry is
     realized by an actual pair of sample points.  A validation report for the
-    quotient matrix is attached (non-fatal; callers may refuse bad reports).
+    quotient matrix is available as `validation`, computed on first read
+    (non-fatal; callers may refuse bad reports).
     """
     iso = verify_isometric(space, action)
     if not iso.ok:
         raise ValueError(f"action is not isometric within {iso.eps}: {iso.counterexample}")
     n = space.n
-    proj = np.full(n, -1, dtype=np.intp)
-    q = 0
-    for i in range(n):  # ascending, so each orbit is numbered at its least point
-        if proj[i] < 0:
-            for p in action.elements:
-                proj[p[i]] = q
-            q += 1
+    reps = action.representatives
+    # each orbit is numbered by the rank of its least point
+    proj = np.searchsorted(reps, action.element_arrays.min(axis=0))
+    q = len(reps)
     members = [np.flatnonzero(proj == a) for a in range(q)]
     D = space.dist
     # row-stage then column-stage block minima: exact entries, exact symmetry

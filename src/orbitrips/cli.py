@@ -106,10 +106,23 @@ def _emit_json(doc: dict, out: str | None) -> None:
     _emit_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", out)
 
 
-def _load_space_arg(path: str):
+def _load_space_arg(path: str, action=None):
     if path.endswith(".csv"):
-        return space_from_csv(path)
-    return load_space(path)
+        return space_from_csv(path, action)
+    return load_space(path, action)
+
+
+def _load_space_and_action(args):
+    """Load --action, then --space validated with it (an action that
+    preserves the matrix exactly narrows the triangle check to orbit
+    representatives).  A bad metric is reported before a bad action document,
+    so when the action fails to load the space is still loaded first."""
+    try:
+        action = load_action(args.action)
+    except Exception:
+        _load_space_arg(args.space)
+        raise
+    return _load_space_arg(args.space, action), action
 
 
 def _budget(args) -> int:
@@ -214,8 +227,7 @@ def cmd_action(args) -> int:
 
 
 def cmd_quotient(args) -> int:
-    space = _load_space_arg(args.space)
-    action = load_action(args.action)
+    space, action = _load_space_and_action(args)
     q = build_quotient(space, action)
     if not q.validation.ok:
         print(f"warning: quotient metric has {len(q.validation.violations)} "
@@ -231,8 +243,7 @@ def cmd_quotient(args) -> int:
 
 
 def cmd_check(args) -> int:
-    space = _load_space_arg(args.space)
-    action = load_action(args.action)
+    space, action = _load_space_and_action(args)
     r = parse_scale(args.scale)
     if args.kind in ("distance", "ball"):
         rep = (distance_threshold if args.kind == "distance" else ball_threshold)(space, action)
@@ -254,8 +265,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_thresholds(args) -> int:
-    space = _load_space_arg(args.space)
-    action = load_action(args.action)
+    space, action = _load_space_and_action(args)
     rep = threshold_scan(space, action, args.kind, k_max=args.k_max,
                          convention=args.convention, budget=_budget(args))
     doc = rep.to_dict()
@@ -284,8 +294,7 @@ def cmd_complex(args) -> int:
 
 
 def cmd_iso_check(args) -> int:
-    space = _load_space_arg(args.space)
-    action = load_action(args.action)
+    space, action = _load_space_and_action(args)
     r = parse_scale(args.scale)
     cert = iso_check(space, action, r, kind=args.kind,
                      convention=args.convention, dim_cap=args.dim_cap,

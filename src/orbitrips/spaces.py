@@ -7,9 +7,12 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import permutations
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .actions import IsometricAction
 
 __all__ = [
     "TRIANGLE_EPS",
@@ -31,6 +34,7 @@ __all__ = [
 # Absolute slack for the triangle inequality; distances are float64 and every
 # other axiom is checked exactly.
 TRIANGLE_EPS = 1e-9
+_TILE_BYTES = 1 << 18  # bytes of each row tile the triangle check holds at a time
 
 _SHAPE_KINDS = (
     "evenly-spaced-circle",
@@ -106,15 +110,72 @@ class SpaceValidationError(ValueError):
         super().__init__(f"invalid metric: {len(report.violations)} violation(s), first={first}")
 
 
-def validate_metric(space: FiniteMetricSpace) -> MetricValidation:
+def validate_metric(space: FiniteMetricSpace,
+                    action: IsometricAction | None = None) -> MetricValidation:
     """Check symmetry, zero diagonal, positivity, and the triangle inequality.
 
     Symmetry, the diagonal, and positivity are exact comparisons; the triangle
     inequality gets TRIANGLE_EPS of absolute slack.  At most 100 offending
     index tuples are reported (the scan stops once the cap is hit).
+
+    The verdict comes from a running min-plus product: row i violates the
+    triangle inequality iff d(i,k) > fl(min_j fl(d(i,j) + d(j,k)) + eps) for
+    some k.  Rounding is monotone, so fl(m + eps) for the minimum m is the
+    least of the per-j slacks fl(fl(d(i,j) + d(j,k)) + eps) that the report
+    compares against, and the verdict is the same.  Only a space that fails
+    is scanned one middle point at a time to build the report.
+
+    `action`, when it preserves the matrix exactly (every generator maps it
+    to itself bit for bit: `IsometricAction.preserves_exactly`, the test
+    `verify_isometric` also uses), narrows the triangle check to rows at
+    orbit representatives: a triangle (i, j, k) and its image (gi, gj, gk)
+    carry bit-identical distances, and some g takes i to its representative.
+    Any other action, or none, gets the full check.  The action changes no
+    verdict and no report.
     """
     D = space.dist
     n = space.n
+    off = ~np.eye(n, dtype=bool)
+    if (np.any(np.diag(D) != 0.0) or np.any(D != D.T)
+            or np.any((D <= 0.0) & off)):
+        return _metric_report(D)
+    exact = action is not None and action.n == n and action.preserves_exactly(D)
+    rows = action.representatives if exact else np.arange(n)
+    if not _triangle_rows_fail(D, rows, every_row=not exact):
+        return MetricValidation(ok=True, n=n, eps_triangle=TRIANGLE_EPS)
+    return _metric_report(D)
+
+
+def _triangle_rows_fail(D: np.ndarray, rows: np.ndarray, every_row: bool) -> bool:
+    """Whether some triangle (i, j, k) with i in `rows` has
+    d(i,k) > d(i,j) + d(j,k) + TRIANGLE_EPS.
+
+    D must be symmetric with a zero diagonal and positive entries elsewhere,
+    so no sum is NaN.  Rows go _TILE_BYTES at a time through one running
+    min-plus buffer.  When `every_row` is set, a tile starting at row s reads
+    only columns k >= s: a triangle (i, j, k) with k < i has the distances of
+    (k, j, i), which row k checks.
+    """
+    n = D.shape[0]
+    step = max(1, _TILE_BYTES // (8 * max(n, 1)))
+    for start in range(0, len(rows), step):
+        tile = rows[start:start + step]
+        cols = D[:, int(tile[0]):] if every_row else D
+        left = D[tile]
+        best = np.full((len(tile), cols.shape[1]), np.inf)
+        tmp = np.empty_like(best)
+        for j in range(n):
+            np.add(left[:, j, None], cols[j], out=tmp)
+            np.minimum(best, tmp, out=best)
+        best += TRIANGLE_EPS
+        if np.any(cols[tile] > best):
+            return True
+    return False
+
+
+def _metric_report(D: np.ndarray) -> MetricValidation:
+    """The violations of D in report order, scanned one middle point at a time."""
+    n = D.shape[0]
     violations: list[dict] = []
     truncated = False
 
@@ -354,8 +415,8 @@ def generate_space(spec: ShapeSpec) -> FiniteMetricSpace:
 
 
 def _pack_lower_triangular(D: np.ndarray) -> list[float]:
-    n = D.shape[0]
-    return [float(D[i, j]) for i in range(1, n) for j in range(i)]
+    # row-major below the diagonal: d(1,0), d(2,0), d(2,1), d(3,0), ...
+    return D[np.tril_indices(D.shape[0], -1)].tolist()
 
 
 def _unpack_lower_triangular(n: int, flat) -> np.ndarray:
@@ -363,11 +424,10 @@ def _unpack_lower_triangular(n: int, flat) -> np.ndarray:
     if len(flat) != n * (n - 1) // 2:
         raise ValueError(f"expected {n * (n - 1) // 2} entries for n={n}, got {len(flat)}")
     D = np.zeros((n, n))
-    pos = 0
-    for i in range(1, n):
-        for j in range(i):
-            D[i, j] = D[j, i] = float(flat[pos])
-            pos += 1
+    lower = np.tril_indices(n, -1)
+    # every entry goes through float(), which raises on a malformed one
+    D[lower] = np.fromiter(map(float, flat), dtype=np.float64, count=len(flat))
+    D.T[lower] = D[lower]
     return D
 
 
@@ -379,18 +439,21 @@ def space_to_dict(space: FiniteMetricSpace) -> dict:
     return out
 
 
-def _validated(space: FiniteMetricSpace) -> FiniteMetricSpace:
-    report = validate_metric(space)
+def _validated(space: FiniteMetricSpace,
+               action: IsometricAction | None) -> FiniteMetricSpace:
+    report = validate_metric(space, action)
     if not report.ok:
         raise SpaceValidationError(report)
     return space
 
 
-def space_from_dict(data: dict) -> FiniteMetricSpace:
+def space_from_dict(data: dict, action: IsometricAction | None = None) -> FiniteMetricSpace:
+    """A validated space from its JSON document; `action` only speeds up the
+    check (see validate_metric)."""
     n = int(data["n"])
     D = _unpack_lower_triangular(n, data["matrix"])
     return _validated(FiniteMetricSpace(D, labels=data.get("labels"),
-                                        provenance=data.get("provenance")))
+                                        provenance=data.get("provenance")), action)
 
 
 def save_space(space: FiniteMetricSpace, path) -> None:
@@ -399,12 +462,12 @@ def save_space(space: FiniteMetricSpace, path) -> None:
         fh.write("\n")
 
 
-def load_space(path) -> FiniteMetricSpace:
+def load_space(path, action: IsometricAction | None = None) -> FiniteMetricSpace:
     with open(path) as fh:
-        return space_from_dict(json.load(fh))
+        return space_from_dict(json.load(fh), action)
 
 
-def space_from_csv(path) -> FiniteMetricSpace:
+def space_from_csv(path, action: IsometricAction | None = None) -> FiniteMetricSpace:
     """Read a lower-triangular CSV: line i holds the i distances d(i,0..i-1)."""
     rows = []
     with open(path) as fh:
@@ -420,4 +483,4 @@ def space_from_csv(path) -> FiniteMetricSpace:
     flat = [v for row in rows for v in row]
     return _validated(FiniteMetricSpace(_unpack_lower_triangular(n, flat),
                                         provenance={"kind": "explicit-matrix",
-                                                    "source": "csv"}))
+                                                    "source": "csv"}), action)

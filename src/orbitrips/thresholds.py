@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import weakref
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +28,8 @@ import numpy as np
 from .actions import (ISOMETRY_EPS, IsometricAction, QuotientSpace,
                       build_quotient)
 from .complexes import (DEFAULT_BUDGET, DEFAULT_DIM_CAP, BudgetExceededError,
-                        ball_masks, cech_complex, vr_complex)
+                        SimplicialComplex, ball_masks, cech_complex,
+                        vr_complex)
 from .lifts import (EQ_EPS, anchored_lifts_within, anchored_min_diameter,
                     anchored_witnessed_lifts)
 from .spaces import FiniteMetricSpace, critical_values
@@ -232,6 +234,19 @@ def _dist_rows(q: QuotientSpace) -> tuple[list, list]:
     return rows
 
 
+_SUBSET_BLOCK = 4096  # quotient simplices turned into tuples at a time
+
+
+def _subsets(qcx: SimplicialComplex) -> Iterator[tuple[int, ...]]:
+    """The simplices of dimension >= 1 of a quotient complex as orbit tuples,
+    in dimension then lex order.  Rows are listed _SUBSET_BLOCK at a time, so
+    a check that fails early lists little of a large dimension."""
+    for dim in range(1, len(qcx.simplices)):
+        rows = qcx.simplices[dim]
+        for start in range(0, len(rows), _SUBSET_BLOCK):
+            yield from map(tuple, rows[start:start + _SUBSET_BLOCK].tolist())
+
+
 def _check_k_max(k_max: int) -> None:
     if k_max < 0:
         raise ValueError(f"k_max must be nonnegative, got {k_max}")
@@ -262,40 +277,39 @@ def diameter_action_check(space: FiniteMetricSpace, action: IsometricAction,
     Dl, Ql = _dist_rows(q)
     members = q.members
     checked = 0
-    for dim in range(1, len(qcx.simplices)):
-        for orbits in map(tuple, qcx.simplices[dim].tolist()):
-            checked += 1
-            qdiam = max(Ql[a][b] for i, a in enumerate(orbits) for b in orbits[i + 1:])
-            within = anchored_lifts_within(Dl, members, orbits, r)
-            if within:
-                min_diam = min(d for d, _ in within)
-                achievers = [t for d, t in within if d == min_diam]
-            else:  # the minimum is >= r; find it and its achievers
-                min_diam, achievers = anchored_min_diameter(Dl, members, orbits)
-            if min_diam > qdiam + EQ_EPS:
-                witness = {"part": "sets", "mode": "no_equality_lift",
-                           "orbits": list(orbits), "qdiam": qdiam,
-                           "min_lift_diam": min_diam,
-                           "min_lifts": [list(t) for t in achievers[:4]]}
-                return ActionCheckResult(kind="diameter", r=float(r), ok=False,
-                                         k_max=k_max, witness=witness,
-                                         subsets_checked=checked)
-            if len(achievers) > 1:
-                witness = {"part": "sets", "mode": "equality_not_unique",
-                           "orbits": list(orbits), "qdiam": qdiam,
-                           "lifts": [list(t) for t in achievers[:4]]}
-                return ActionCheckResult(kind="diameter", r=float(r), ok=False,
-                                         k_max=k_max, witness=witness,
-                                         subsets_checked=checked)
-            extras = [t for _, t in within if t != achievers[0]]
-            if extras:
-                witness = {"part": "sets", "mode": "extra_lift_within_scale",
-                           "orbits": list(orbits), "qdiam": qdiam,
-                           "lift": list(achievers[0]),
-                           "extra_lifts": [list(t) for t in extras[:4]]}
-                return ActionCheckResult(kind="diameter", r=float(r), ok=False,
-                                         k_max=k_max, witness=witness,
-                                         subsets_checked=checked)
+    for orbits in _subsets(qcx):
+        checked += 1
+        qdiam = max(Ql[a][b] for i, a in enumerate(orbits) for b in orbits[i + 1:])
+        within = anchored_lifts_within(Dl, members, orbits, r)
+        if within:
+            min_diam = min(d for d, _ in within)
+            achievers = [t for d, t in within if d == min_diam]
+        else:  # the minimum is >= r; find it and its achievers
+            min_diam, achievers = anchored_min_diameter(Dl, members, orbits)
+        if min_diam > qdiam + EQ_EPS:
+            witness = {"part": "sets", "mode": "no_equality_lift",
+                       "orbits": list(orbits), "qdiam": qdiam,
+                       "min_lift_diam": min_diam,
+                       "min_lifts": [list(t) for t in achievers[:4]]}
+            return ActionCheckResult(kind="diameter", r=float(r), ok=False,
+                                     k_max=k_max, witness=witness,
+                                     subsets_checked=checked)
+        if len(achievers) > 1:
+            witness = {"part": "sets", "mode": "equality_not_unique",
+                       "orbits": list(orbits), "qdiam": qdiam,
+                       "lifts": [list(t) for t in achievers[:4]]}
+            return ActionCheckResult(kind="diameter", r=float(r), ok=False,
+                                     k_max=k_max, witness=witness,
+                                     subsets_checked=checked)
+        extras = [t for _, t in within if t != achievers[0]]
+        if extras:
+            witness = {"part": "sets", "mode": "extra_lift_within_scale",
+                       "orbits": list(orbits), "qdiam": qdiam,
+                       "lift": list(achievers[0]),
+                       "extra_lifts": [list(t) for t in extras[:4]]}
+            return ActionCheckResult(kind="diameter", r=float(r), ok=False,
+                                     k_max=k_max, witness=witness,
+                                     subsets_checked=checked)
     return ActionCheckResult(kind="diameter", r=float(r), ok=True, k_max=k_max,
                              subsets_checked=checked)
 
@@ -329,23 +343,22 @@ def nerve_action_check(space: FiniteMetricSpace, action: IsometricAction,
                        budget=budget)
     members = q.members
     checked = 0
-    for dim in range(1, len(qcx.simplices)):
-        for orbits in map(tuple, qcx.simplices[dim].tolist()):
-            checked += 1
-            lifts = anchored_witnessed_lifts(masks, members, orbits)
-            if len(lifts) == 1:
-                continue
-            if not lifts:
-                witness = {"part": "sets", "mode": "no_witnessed_lift",
-                           "orbits": list(orbits)}
-            else:
-                witness = {"part": "sets", "mode": "lift_not_unique",
-                           "orbits": list(orbits),
-                           "lifts": [list(t) for t, _ in lifts[:4]],
-                           "witnesses": [w for _, w in lifts[:4]]}
-            return ActionCheckResult(kind="nerve", r=float(r), ok=False,
-                                     k_max=k_max, convention=convention,
-                                     witness=witness, subsets_checked=checked)
+    for orbits in _subsets(qcx):
+        checked += 1
+        lifts = anchored_witnessed_lifts(masks, members, orbits)
+        if len(lifts) == 1:
+            continue
+        if not lifts:
+            witness = {"part": "sets", "mode": "no_witnessed_lift",
+                       "orbits": list(orbits)}
+        else:
+            witness = {"part": "sets", "mode": "lift_not_unique",
+                       "orbits": list(orbits),
+                       "lifts": [list(t) for t, _ in lifts[:4]],
+                       "witnesses": [w for _, w in lifts[:4]]}
+        return ActionCheckResult(kind="nerve", r=float(r), ok=False,
+                                 k_max=k_max, convention=convention,
+                                 witness=witness, subsets_checked=checked)
     return ActionCheckResult(kind="nerve", r=float(r), ok=True, k_max=k_max,
                              convention=convention, subsets_checked=checked)
 

@@ -10,7 +10,9 @@ brute-force oracles referee on their own.  homology_pivots is the boundary
 it shares no code with it.  quotient_orbits_oracle (the per-tuple orbit loop
 that array orbit grouping replaced) and verify_isometric_oracle (the scan of
 every group element, without the exact-generator shortcut) referee
-quotient_complex and verify_isometric the same way.  clique_oracle is the
+quotient_complex and verify_isometric the same way, and validate_metric_oracle
+(the scan of every middle point that the min-plus row check replaced)
+referees validate_metric.  clique_oracle is the
 tuple clique walker that the array walk of `complexes` replaced, kept
 unchanged as its referee; `tuples` reads array rows as the vertex tuples the
 oracles list.
@@ -28,7 +30,8 @@ from orbitrips.actions import (ISOMETRY_EPS, IsometricAction, IsometryReport,
                                build_quotient, close_group)
 from orbitrips.complexes import (DEFAULT_BUDGET, BudgetExceededError,
                                  SimplicialComplex)
-from orbitrips.spaces import FiniteMetricSpace, critical_values
+from orbitrips.spaces import (TRIANGLE_EPS, FiniteMetricSpace, MetricValidation,
+                              critical_values)
 from orbitrips.thresholds import (ThresholdReport, diameter_action_check,
                                   nerve_action_check)
 
@@ -354,6 +357,55 @@ def verify_isometric_oracle(space: FiniteMetricSpace,
     ok = worst <= ISOMETRY_EPS
     return IsometryReport(ok=ok, max_deviation=worst, eps=ISOMETRY_EPS,
                           counterexample=None if ok else worst_at)
+
+
+def validate_metric_oracle(space: FiniteMetricSpace) -> MetricValidation:
+    """validate_metric by scanning every middle point of every triangle, with
+    at most 100 violations reported in scan order."""
+    D = space.dist
+    n = space.n
+    violations: list[dict] = []
+    truncated = False
+
+    def _add(kind, indices, value):
+        nonlocal truncated
+        if len(violations) >= 100:
+            truncated = True
+            return False
+        violations.append({"kind": kind, "indices": list(indices), "value": float(value)})
+        return True
+
+    diag = np.flatnonzero(np.diag(D) != 0.0)
+    for i in diag:
+        if not _add("diagonal", (int(i),), D[i, i]):
+            break
+
+    if not truncated:
+        asym = np.argwhere(D != D.T)
+        for i, j in asym:
+            if i < j and not _add("symmetry", (int(i), int(j)), D[i, j] - D[j, i]):
+                break
+
+    if not truncated:
+        off = ~np.eye(n, dtype=bool)
+        bad = np.argwhere((D <= 0.0) & off)
+        for i, j in bad:
+            if i < j and not _add("positivity", (int(i), int(j)), D[i, j]):
+                break
+
+    if not truncated:
+        for j in range(n):
+            slack = D[:, j][:, None] + D[j, :][None, :] + TRIANGLE_EPS
+            bad = np.argwhere(D > slack)
+            for i, k in bad:
+                if not _add("triangle", (int(i), int(j), int(k)),
+                            D[i, k] - slack[i, k] + TRIANGLE_EPS):
+                    break
+            if truncated:
+                break
+
+    return MetricValidation(ok=not violations, n=n, eps_triangle=TRIANGLE_EPS,
+                            violations=violations, truncated=truncated)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,13 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from orbitrips.actions import close_group, torus_grid_shift_generators
 from orbitrips.cli import main, parse_scale
 from orbitrips.persistence import read_barcode_tsv
+from orbitrips.spaces import (FiniteMetricSpace, ShapeSpec, SpaceValidationError,
+                              generate_space, load_space, save_space)
+
+from conftest import validate_metric_oracle
 
 
 def _schema(name: str) -> dict:
@@ -275,6 +280,68 @@ def test_validation_errors_exit_3(tmp_path, circle12, antipodal12):
     # a space document is not an action document
     assert main(["check", "--kind", "diameter", "--space", str(circle12),
                  "--action", str(circle12), "--scale", "0.1"]) == 3
+
+
+def _metric_error(space) -> str:
+    return f"error: {SpaceValidationError(validate_metric_oracle(space))}"
+
+
+def _thresholds_error(capsys, space_path, action_path) -> str:
+    capsys.readouterr()
+    assert main(["thresholds", "--kind", "diameter", "--space", str(space_path),
+                 "--action", str(action_path)]) == 3
+    return capsys.readouterr().err.splitlines()[0]
+
+
+def test_exact_action_space_rejected_through_representatives(tmp_path, capsys):
+    # stretch d(3, 20) over its pair orbit on the torus: the action stays
+    # exactly isometric, 3 and 20 are not representatives, and the violating
+    # triangles are caught at their images in representative rows
+    space = generate_space(ShapeSpec("flat-torus-grid", {"k": 14}))
+    action = close_group(196, torus_grid_shift_generators(14))
+    assert not {3, 20} & set(action.representatives.tolist())
+    D = space.dist.copy()
+    for p in action.element_arrays:
+        D[p[3], p[20]] = D[p[20], p[3]] = 100.0
+    bad = FiniteMetricSpace(D, provenance=space.provenance)
+    save_space(bad, tmp_path / "torus.json")
+    act = tmp_path / "act.json"
+    assert main(["action", "--kind", "torus-z14", "--n", "196", "--out", str(act)]) == 0
+    assert _thresholds_error(capsys, tmp_path / "torus.json", act) == _metric_error(bad)
+
+
+def test_nearly_isometric_action_space_rejected_off_representatives(
+        tmp_path, capsys, circle12, antipodal12):
+    # on the 12-gon mod the antipodal map (representatives 0..5), make the
+    # triangle 7-8-9 fail by 1.8e-9 while moving no distance by more than
+    # ISOMETRY_EPS: its only violating triangles start at 7 and 9, and their
+    # antipodal images pass, so only the full check can catch them
+    D = load_space(circle12).dist.copy()
+    for (a, b), delta in (((7, 9), 6e-10), ((7, 8), -6e-10), ((8, 9), -6e-10)):
+        D[a, b] = D[b, a] = D[a, b] + delta
+    bad = FiniteMetricSpace(D)
+    report = validate_metric_oracle(bad)
+    assert {tuple(v["indices"]) for v in report.violations} == {(7, 8, 9), (9, 8, 7)}
+    save_space(bad, tmp_path / "bad.json")
+    assert main(["action", "--kind", "antipodal", "--space", str(tmp_path / "bad.json"),
+                 "--out", str(tmp_path / "act.json")]) == 3  # invalid metric first
+    assert _thresholds_error(capsys, tmp_path / "bad.json", antipodal12) == _metric_error(bad)
+
+
+def test_metric_error_precedes_action_errors(tmp_path, capsys, circle12):
+    bad = FiniteMetricSpace([[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]])
+    save_space(bad, tmp_path / "bad.json")
+    actions = {"cycle.json": {"n": 3, "generators": [[1, 2, 0]]},  # not isometric
+               "nogens.json": {"n": 3},
+               "wrong_n.json": {"n": 12, "generators": [list(range(12))]},
+               "notjson.json": None}
+    for name, doc in actions.items():
+        (tmp_path / name).write_text("{" if doc is None else json.dumps(doc))
+        assert _thresholds_error(capsys, tmp_path / "bad.json", tmp_path / name) == \
+            _metric_error(bad)
+    # a valid space with a malformed action reports the action
+    assert "action document needs" in _thresholds_error(capsys, circle12,
+                                                        tmp_path / "nogens.json")
 
 
 def test_thresholds_budget_exit_4(tmp_path, circle12, antipodal12):

@@ -3,13 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from orbitrips.spaces import (FiniteMetricSpace, MetricValidation, ShapeSpec,
-                              SpaceValidationError, critical_values,
+from orbitrips.actions import (circle_rotation_generator, close_group,
+                               torus_grid_shift_generators, verify_isometric)
+from orbitrips.spaces import (TRIANGLE_EPS, FiniteMetricSpace, MetricValidation,
+                              ShapeSpec, SpaceValidationError, critical_values,
                               generate_space, load_space, save_space,
                               space_from_csv, space_from_dict, space_to_dict,
                               twelve_circles_action_generators,
                               validate_metric)
+
+from conftest import random_cloud_space, random_rotated_cloud, validate_metric_oracle
 
 ALL_SPECS = [
     ShapeSpec("evenly-spaced-circle", {"n": 7}),
@@ -182,3 +187,140 @@ def test_space_dict_roundtrip_preserves_bits():
     space = generate_space(ShapeSpec("flat-torus-grid", {"k": 4}))
     back = space_from_dict(space_to_dict(space))
     assert np.array_equal(back.dist, space.dist)
+
+
+# ---------------------------------------------------------------------------
+# validate_metric against the scan of every middle point
+
+# (kind, whether its action preserves the matrix exactly)
+BASES = {"random": False, "cloud": False, "circle": True, "torus": True,
+         "rotated": True, "jittered": False}
+PLANTS = ["none", "diagonal", "symmetry", "positivity", "triangle", "many",
+          "orbit", "boundary", "nan"]
+
+
+def _base(kind: str, rng: np.random.Generator):
+    """A distance matrix and an action on its points."""
+    if kind == "random":  # symmetric, positive, a metric or not
+        n = int(rng.integers(3, 14))
+        A = rng.uniform(0.1, 2.0, size=(n, n))
+        D = np.triu(A, 1) + np.triu(A, 1).T
+    elif kind == "cloud":
+        D = random_cloud_space(rng, n=int(rng.integers(3, 14))).dist.copy()
+    elif kind == "circle":
+        m, t = int(rng.integers(2, 6)), int(rng.integers(3, 9))
+        D = generate_space(ShapeSpec("evenly-spaced-circle", {"n": m * t})).dist.copy()
+        return D, close_group(m * t, [circle_rotation_generator(m * t, t)])
+    elif kind == "torus":
+        D = generate_space(ShapeSpec("flat-torus-grid", {"k": 14})).dist.copy()
+        return D, close_group(196, torus_grid_shift_generators(14))
+    else:
+        space, action = random_rotated_cloud(rng, m=int(rng.integers(2, 5)),
+                                             k=int(rng.integers(2, 5)))
+        D = space.dist.copy()
+        if kind == "jittered":  # isometric within ISOMETRY_EPS, not exactly
+            J = np.triu(rng.uniform(-1e-13, 1e-13, size=D.shape), 1)
+            D += J + J.T
+        return D, action
+    n = D.shape[0]  # a cyclic shift of the points, not an isometry
+    return D, close_group(n, [np.roll(np.arange(n), 1).tolist()])
+
+
+def _plant(D: np.ndarray, plant: str, action, rng: np.random.Generator) -> None:
+    n = D.shape[0]
+    i, j = (int(v) for v in rng.choice(n, size=2, replace=False))
+    big = 3.0 * float(D.max()) + 1.0
+    if plant == "diagonal":
+        D[i, i] = 0.25
+    elif plant == "symmetry":
+        D[i, j] += 1e-6
+    elif plant == "positivity":
+        D[i, j] = D[j, i] = float(rng.choice([0.0, -0.0, -0.5]))
+    elif plant == "triangle":
+        D[i, j] = D[j, i] = big
+    elif plant == "many":  # cubed distances: an exact action stays exact, and
+        D **= 3            # from a dozen points on, over 100 triangles fail
+    elif plant == "orbit":  # one pair orbit stretched: an exact action stays exact
+        for p in action.element_arrays:
+            D[p[i], p[j]] = D[p[j], p[i]] = big
+    elif plant == "boundary":  # d(i,k) at the rounded slack of i-j-k, or 1 ulp above
+        k = int(rng.choice([v for v in range(n) if v not in (i, j)]))
+        slack = (D[i, j] + D[j, k]) + TRIANGLE_EPS
+        D[i, k] = D[k, i] = slack if rng.random() < 0.5 else np.nextafter(slack, math.inf)
+    elif plant == "nan":
+        D[i, j] = D[j, i] = math.nan
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10**9), kind=st.sampled_from(sorted(BASES)),
+       plant=st.sampled_from(PLANTS))
+def test_validate_metric_matches_oracle(seed, kind, plant):
+    rng = np.random.default_rng(seed)
+    D, action = _base(kind, rng)
+    _plant(D, plant, action, rng)
+    space = FiniteMetricSpace(D)
+    if BASES[kind] and plant in ("none", "orbit", "many"):
+        assert action.preserves_exactly(space.dist)
+    oracle = repr(validate_metric_oracle(space))  # repr: NaN values compare equal
+    assert repr(validate_metric(space)) == oracle
+    assert repr(validate_metric(space, action)) == oracle
+    if plant == "many" and space.n >= 12:
+        assert validate_metric(space).truncated
+
+
+def test_validate_metric_ignores_an_action_of_another_size():
+    space = FiniteMetricSpace([[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]])
+    action = close_group(4, [[1, 2, 3, 0]])
+    assert validate_metric(space, action) == validate_metric_oracle(space)
+
+
+def test_orbit_reduced_check_catches_triangles_off_the_representatives():
+    # stretch d(x, y) over its pair orbit for two non-representatives x, y of
+    # the torus: every violating triangle found by the scan is then checked
+    # again, through its image, at a representative row
+    space = generate_space(ShapeSpec("flat-torus-grid", {"k": 14}))
+    action = close_group(196, torus_grid_shift_generators(14))
+    reps = set(action.representatives.tolist())
+    D = space.dist.copy()
+    for p in action.element_arrays:
+        D[p[3], p[20]] = D[p[20], p[3]] = 100.0
+    bad = FiniteMetricSpace(D)
+    assert verify_isometric(bad, action).max_deviation == 0.0
+    report = validate_metric(bad, action)
+    assert not report.ok
+    assert report == validate_metric_oracle(bad)
+    assert any(v["indices"][0] not in reps for v in report.violations)
+
+
+@pytest.mark.parametrize("above", [False, True])
+def test_triangle_slack_boundary(above):
+    # d(0,2) and d(6,8) at the rounded slack of 0-1-2 (a pass) or one ulp
+    # above it (a violation), on the 12-gon with its antipodal map kept exact
+    space = generate_space(ShapeSpec("evenly-spaced-circle", {"n": 12}))
+    action = close_group(12, [circle_rotation_generator(12, 6)])
+    D = space.dist.copy()
+    slack = (D[0, 1] + D[1, 2]) + TRIANGLE_EPS
+    value = np.nextafter(slack, math.inf) if above else slack
+    D[0, 2] = D[2, 0] = D[6, 8] = D[8, 6] = value
+    bad = FiniteMetricSpace(D)
+    assert action.preserves_exactly(bad.dist)
+    oracle = validate_metric_oracle(bad)
+    assert oracle.ok is not above
+    assert validate_metric(bad) == oracle
+    assert validate_metric(bad, action) == oracle
+
+
+def test_pack_order_and_float_entries():
+    space = generate_space(ShapeSpec("geodesic-sphere", {"dim": 2, "count": 6}, seed=4))
+    D = space.dist
+    flat = space_to_dict(space)["matrix"]
+    assert flat == [float(D[i, j]) for i in range(1, space.n) for j in range(i)]
+    assert all(type(v) is float for v in flat)
+    # every entry still goes through float(): strings convert, bad entries raise
+    assert space_from_dict({"n": 3, "matrix": ["1", "1", 1]}).dist[2, 0] == 1.0
+    with pytest.raises(ValueError, match="could not convert string to float: 'x'"):
+        space_from_dict({"n": 3, "matrix": [1.0, "x", 1.0]})
+    with pytest.raises(TypeError):
+        space_from_dict({"n": 3, "matrix": [1.0, None, 1.0]})
+    with pytest.raises(ValueError, match="expected 3 entries"):
+        space_from_dict({"n": 3, "matrix": [1.0, 1.0]})
