@@ -1,4 +1,20 @@
-"""Finite isometric group actions and the quotient metric they induce."""
+"""Finite isometric group actions and the quotient metric they induce.
+
+Tolerance policy.  Float matrices built from coordinates are isometric under
+an action only up to rounding, so each tolerance gates one input and none is
+carried past it:
+
+- `spaces.TRIANGLE_EPS` gates loading a space (the triangle inequality).
+- `ISOMETRY_EPS` gates accepting an action, in `build_quotient`.  From then
+  on every action-aware path runs on `QuotientSpace.base`, the pair-orbit
+  minimum D'[x, y] = min over g of D[gx, gy], which every element preserves
+  exactly (g -> gh permutes G); it is D itself when the generators already
+  preserve D.  The quotient matrix is unchanged: its block minima already
+  run over whole orbits.
+- `lifts.EQ_EPS` is the one comparison slack left, in the diameter check: D'
+  removes the rounding between a pair and its images, not 1-ulp ties between
+  different pairs, so an exact comparison there is not yet shown safe.
+"""
 
 from __future__ import annotations
 
@@ -162,9 +178,9 @@ class QuotientSpace:
     orbit's representative reps[a].
     """
 
-    def __init__(self, base: FiniteMetricSpace, action: IsometricAction,
+    def __init__(self, given: FiniteMetricSpace, action: IsometricAction,
                  proj: np.ndarray, members: list[list[int]], qdist: np.ndarray):
-        self.base = base
+        self._given = given
         self.action = action
         self.proj = proj
         self.members = members
@@ -173,10 +189,26 @@ class QuotientSpace:
             qdist,
             labels=None,
             provenance={"kind": "quotient",
-                        "base": base.provenance.get("kind", "explicit"),
+                        "base": given.provenance.get("kind", "explicit"),
                         "group_order": len(action),
                         "orbits": len(members)},
         )
+
+    @cached_property
+    def base(self) -> FiniteMetricSpace:
+        """The given space's pair-orbit minimum D'[x, y] = min over g of
+        D[gx, gy], which every element preserves exactly (g -> gh permutes
+        G).  build_quotient sets it to the given space when the generators
+        already preserve that.  Otherwise it is made on first read, so a
+        quotient whose base is never read holds no copy, and its provenance
+        records max |D - D'|."""
+        D = self._given.dist
+        least = D.copy()
+        for perm in self.action.element_arrays[1:]:
+            np.minimum(least, D[np.ix_(perm, perm)], out=least)
+        shift = float(np.max(D - least))
+        return FiniteMetricSpace(least, labels=self._given.labels, provenance={
+            **self._given.provenance, "orbit_min_deviation": shift})
 
     @cached_property
     def validation(self) -> MetricValidation:
@@ -214,7 +246,10 @@ def build_quotient(space: FiniteMetricSpace, action: IsometricAction) -> Quotien
     for b in range(q):
         qdist[:, b] = rowmin[:, members[b]].min(axis=1)
     np.fill_diagonal(qdist, 0.0)
-    return QuotientSpace(space, action, proj, [m.tolist() for m in members], qdist)
+    quotient = QuotientSpace(space, action, proj, [m.tolist() for m in members], qdist)
+    if iso.max_deviation == 0.0:
+        quotient.base = space
+    return quotient
 
 
 # ---------------------------------------------------------------------------

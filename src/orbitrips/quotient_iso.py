@@ -162,10 +162,11 @@ def iso_check(space: FiniteMetricSpace, action: IsometricAction, r: float,
     witness projects to a quotient one).  The verdict is "isomorphic" exactly
     when no orbit is degenerate and the projection is a bijection per
     dimension; otherwise the first counterexample in (dimension, lex) order of
-    the highest-precedence kind is certified.
+    the highest-precedence kind is certified.  The base complex is built on
+    build_quotient's exactly invariant base space, so it is invariant.
     """
     q = build_quotient(space, action)
-    base = _build(kind, space, r, convention, dim_cap, budget)
+    base = _build(kind, q.base, r, convention, dim_cap, budget)
     quot = _build(kind, q.space, r, convention, dim_cap, budget)
     qc = quotient_complex(base, action, q.proj)
 
@@ -196,7 +197,7 @@ def iso_check(space: FiniteMetricSpace, action: IsometricAction, r: float,
         found = np.ones(len(img), dtype=bool)
         located[dim] = quot.index.rank(img.T, found), found
 
-    Dl = space.rows
+    Dl = q.base.rows
     members = q.members
     for dim in range(dim_cap + 1):
         ranks, found = located[dim]
@@ -211,7 +212,7 @@ def iso_check(space: FiniteMetricSpace, action: IsometricAction, r: float,
             evidence = {"min_lift_diam": min_diam,
                         "min_lifts": [list(t) for t in achievers[:4]]}
         else:
-            masks = ball_masks(space, r, convention)
+            masks = ball_masks(q.base, r, convention)
             lifts = anchored_witnessed_lifts(masks, members, simplex)
             evidence = {"witnessed_lifts": [list(t) for t, _ in lifts[:4]]}
         ce = {"dim": dim, "missing": list(simplex), **evidence}
@@ -241,7 +242,8 @@ def iso_check(space: FiniteMetricSpace, action: IsometricAction, r: float,
 
 def verify_certificate(space: FiniteMetricSpace, action: IsometricAction,
                        cert: IsoCertificate) -> bool:
-    """Replay a certificate's counterexample (or verdict) from definitions."""
+    """Replay a certificate's counterexample (or verdict) from definitions,
+    on the base space of build_quotient, as iso_check does."""
     q = build_quotient(space, action)
     r, kind, convention = cert.r, cert.kind, cert.convention
     if cert.verdict == "isomorphic":
@@ -250,7 +252,7 @@ def verify_certificate(space: FiniteMetricSpace, action: IsometricAction,
         return redo.verdict == "isomorphic"
 
     ce = cert.counterexample or {}
-    base = _build(kind, space, r, convention, cert.dim_cap, DEFAULT_BUDGET)
+    base = _build(kind, q.base, r, convention, cert.dim_cap, DEFAULT_BUDGET)
     if cert.verdict == "degenerate":
         simplex = tuple(ce["simplex"])
         if not base.contains(simplex):
@@ -263,9 +265,9 @@ def verify_certificate(space: FiniteMetricSpace, action: IsometricAction,
         if not quot.contains(missing):
             return False
         if kind == "vr":
-            return not anchored_lifts_within(space.rows, q.members,
+            return not anchored_lifts_within(q.base.rows, q.members,
                                              missing, r, strict=convention == "lt")
-        masks = ball_masks(space, r, convention)
+        masks = ball_masks(q.base, r, convention)
         return not anchored_witnessed_lifts(masks, q.members, missing)
     if cert.verdict == "not-injective":
         simplices = [tuple(s) for s in ce["simplices"][:2]]

@@ -271,7 +271,9 @@ def _torus_grid_space(k: int) -> np.ndarray:
     arc = np.minimum(fwd, k - fwd) * (2.0 * math.pi / k)
     idx = np.arange(k * k)
     ix, iy = idx // k, idx % k
-    D = np.hypot(arc[ix[:, None], ix[None, :]], arc[iy[:, None], iy[None, :]])
+    # hypot in place: one k^2 x k^2 temporary besides D
+    D = arc[ix[:, None], ix[None, :]]
+    np.hypot(D, arc[iy[:, None], iy[None, :]], out=D)
     np.fill_diagonal(D, 0.0)
     return D
 

@@ -14,6 +14,9 @@ Four properties of an isometric action, each parametrized by r:
 The diameter and nerve properties are exactly what make the quotient of the
 Vietoris-Rips (resp. Cech) complex at scale r isomorphic to the complex of the
 quotient metric space, so their checks double as certificates for iso_check.
+
+Every check, scan and replay runs on the exactly invariant base space of
+build_quotient (see the tolerance policy in `actions`).
 """
 
 from __future__ import annotations
@@ -25,8 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .actions import (ISOMETRY_EPS, IsometricAction, QuotientSpace,
-                      build_quotient)
+from .actions import IsometricAction, QuotientSpace, build_quotient
 from .complexes import (DEFAULT_BUDGET, DEFAULT_DIM_CAP, BudgetExceededError,
                         SimplicialComplex, ball_masks, cech_complex,
                         vr_complex)
@@ -147,17 +149,18 @@ def _ball_minimum(space: FiniteMetricSpace, action: IsometricAction):
 
 def _exact_threshold(kind: str, space: FiniteMetricSpace, action: IsometricAction,
                      minimum) -> ThresholdReport:
-    """Report of a threshold that `minimum(space, action)` computes exactly.
+    """Report of a threshold that `minimum(q.base, action)` computes exactly.
 
     The trivial group passes vacuously at every scale; otherwise the property
     fails at the first critical value above the minimum.
     """
+    base = build_quotient(space, action).base
     if len(action.elements) == 1:
         return ThresholdReport(kind=kind, k_max=0, convention="lt",
                                passes_at=math.inf, fails_at=math.inf,
                                vacuous=True)
-    best, witness = minimum(space, action)
-    crit = critical_values(space)
+    best, witness = minimum(base, action)
+    crit = critical_values(base)
     above = crit[crit > best]
     fails_at = float(above[0]) if above.size else math.inf
     return ThresholdReport(kind=kind, k_max=0, convention="lt",
@@ -186,8 +189,7 @@ def ball_threshold(space: FiniteMetricSpace, action: IsometricAction) -> Thresho
     return _exact_threshold("ball", space, action, _ball_minimum)
 
 
-def _doubles_failure(space: FiniteMetricSpace, action: IsometricAction,
-                     quotient: QuotientSpace, r: float, ball: bool,
+def _doubles_failure(quotient: QuotientSpace, r: float, ball: bool,
                      masks: list[int] | None = None) -> dict | None:
     """Doubled-point part of the diameter/nerve checks, at representatives.
 
@@ -197,7 +199,8 @@ def _doubles_failure(space: FiniteMetricSpace, action: IsometricAction,
     carries an arbitrary point to its representative shows checking at
     representatives suffices.
     """
-    D = space.dist
+    D = quotient.base.dist
+    action = quotient.action
     for a, rep in enumerate(quotient.reps):
         for gi in range(1, len(action.elements)):
             img = int(action.element_arrays[gi][rep])
@@ -268,7 +271,7 @@ def diameter_action_check(space: FiniteMetricSpace, action: IsometricAction,
     """
     _check_k_max(k_max)
     q = quotient if quotient is not None else build_quotient(space, action)
-    doubles = _doubles_failure(space, action, q, r, ball=False)
+    doubles = _doubles_failure(q, r, ball=False)
     if doubles is not None:
         return ActionCheckResult(kind="diameter", r=float(r), ok=False,
                                  k_max=k_max, witness=doubles)
@@ -324,16 +327,18 @@ def nerve_action_check(space: FiniteMetricSpace, action: IsometricAction,
     Qualifying subsets are the simplices of the Cech complex of the quotient
     space (balls of radius r sharing a quotient sample point); each must have
     exactly one anchored lift tuple whose base balls share a base sample
-    point.  Under an exactly isometric action a quotient witness always
-    lifts, so the failure is lift_not_unique; no_witnessed_lift occurs when
-    the action is isometric only up to rounding (see threshold_scan).
-    Together with the doubled-point part this matches the quotient of the
-    Cech complex with the Cech complex of the quotient.
+    point.  On the exactly invariant `q.base` a quotient witness always
+    lifts: if orbit c witnesses the subset, each orbit a_i has a member x_i
+    with d(x_i, rep_c) equal to the quotient distance, and the element that
+    anchors (x_1, ...) carries rep_c to a common point at bit-identical
+    distances.  So the one failure mode is lift_not_unique.  Together with
+    the doubled-point part this matches the quotient of the Cech complex
+    with the Cech complex of the quotient.
     """
     _check_k_max(k_max)
     q = quotient if quotient is not None else build_quotient(space, action)
-    masks = ball_masks(space, r, convention)
-    doubles = _doubles_failure(space, action, q, r, ball=True, masks=masks)
+    masks = ball_masks(q.base, r, convention)
+    doubles = _doubles_failure(q, r, ball=True, masks=masks)
     if doubles is not None:
         return ActionCheckResult(kind="nerve", r=float(r), ok=False,
                                  k_max=k_max, convention=convention,
@@ -348,31 +353,15 @@ def nerve_action_check(space: FiniteMetricSpace, action: IsometricAction,
         lifts = anchored_witnessed_lifts(masks, members, orbits)
         if len(lifts) == 1:
             continue
-        if not lifts:
-            witness = {"part": "sets", "mode": "no_witnessed_lift",
-                       "orbits": list(orbits)}
-        else:
-            witness = {"part": "sets", "mode": "lift_not_unique",
-                       "orbits": list(orbits),
-                       "lifts": [list(t) for t, _ in lifts[:4]],
-                       "witnesses": [w for _, w in lifts[:4]]}
+        witness = {"part": "sets", "mode": "lift_not_unique",
+                   "orbits": list(orbits),
+                   "lifts": [list(t) for t, _ in lifts[:4]],
+                   "witnesses": [w for _, w in lifts[:4]]}
         return ActionCheckResult(kind="nerve", r=float(r), ok=False,
                                  k_max=k_max, convention=convention,
                                  witness=witness, subsets_checked=checked)
     return ActionCheckResult(kind="nerve", r=float(r), ok=True, k_max=k_max,
                              convention=convention, subsets_checked=checked)
-
-
-def _tight_indices(grid: list[float], crit: np.ndarray) -> list[int]:
-    """Indices of grid values with a base critical value other than
-    themselves within ISOMETRY_EPS, in ascending order."""
-    g = np.asarray(grid, dtype=float)
-    below = np.searchsorted(crit, g, side="left") - 1   # largest value < g
-    above = np.searchsorted(crit, g, side="right")      # smallest value > g
-    top = len(crit) - 1
-    tight = (((below >= 0) & (g - crit[below.clip(0, top)] <= ISOMETRY_EPS))
-             | ((above <= top) & (crit[above.clip(0, top)] - g <= ISOMETRY_EPS)))
-    return np.flatnonzero(tight).tolist()
 
 
 def threshold_scan(space: FiniteMetricSpace, action: IsometricAction,
@@ -382,32 +371,22 @@ def threshold_scan(space: FiniteMetricSpace, action: IsometricAction,
     """Bracket the largest scale at which a property of the action holds.
 
     distance and ball are computed exactly.  diameter and nerve are searched
-    over the critical values of the base space (every quotient distance is a
-    base distance, so this grid sees every scale at which the qualifying
-    subsets or their lifts can change).  The report is the one an ascending
-    walk that stops at the first failing check would give: fails_at is the
-    first grid value whose check fails, passes_at its predecessor (0.0 when
-    there is none), and the witness comes from the check at fails_at.
+    over the critical values of the base space `q.base` (every quotient
+    distance is a base distance, so this grid sees every scale at which the
+    qualifying subsets or their lifts can change).  The report is the one an
+    ascending walk that stops at the first failing check would give:
+    fails_at is the first grid value whose check fails, passes_at its
+    predecessor (0.0 when there is none), and the witness comes from the
+    check at fails_at.
 
     The search gallops over grid indices 1, 3, 7, ... until a check fails,
-    then bisects down to an adjacent pass/fail pair.  That is exact for
-    diameter, whose check is monotone in r in float arithmetic too: the
-    qualifying quotient simplices, the extra lifts within scale and the
-    doubled points only grow with r, and the no-equality and non-unique tests
-    do not depend on r.
-
-    The nerve check is monotone in r only for an exactly isometric action:
-    doubled points and non-unique lifts only grow with r, but a subset can
-    fail with no_witnessed_lift below a passing scale.  A quotient witness of
-    a subset at quotient scale a lifts to an anchored tuple with a common
-    sample point at base scale s <= a + delta, where delta <= ISOMETRY_EPS is
-    the isometry defect that build_quotient accepted, and both a and s are
-    base distances.  A missing lift at r needs a < r <= s ("lt") or
-    a <= r < s ("leq"), so r has a base critical value other than itself
-    within ISOMETRY_EPS.  After the bisection the nerve search therefore
-    checks every such tight grid value below the bracket in ascending order;
-    the first one that fails becomes fails_at, and its predecessor is checked
-    too.
+    then bisects down to an adjacent pass/fail pair.  That is exact because
+    both checks are monotone in r in float arithmetic too: the qualifying
+    quotient simplices, the extra lifts within scale, the witnessed lifts
+    and the doubled points only grow with r, and the no-equality and
+    non-unique diameter tests do not depend on r.  The nerve check needs the
+    exact action of `q.base` for this: there its only failure mode is a
+    second witnessed lift (see nerve_action_check).
 
     A check that exceeds the simplex budget counts as failing, since complexes
     only grow with r; the BudgetExceededError is re-raised only when it comes
@@ -422,8 +401,7 @@ def threshold_scan(space: FiniteMetricSpace, action: IsometricAction,
     _check_k_max(k_max)
 
     q = build_quotient(space, action)
-    crit = critical_values(space)
-    grid = [float(v) for v in crit]
+    grid = [float(v) for v in critical_values(q.base)]
     results: dict[int, ActionCheckResult | BudgetExceededError] = {}
 
     def passes(i: int) -> bool:
@@ -459,20 +437,6 @@ def threshold_scan(space: FiniteMetricSpace, action: IsometricAction,
         else:
             hi = mid
 
-    tight_checked = 0
-    if kind == "nerve" and lo > 0:
-        for t in _tight_indices(grid[:lo], crit):
-            if t in results:
-                continue
-            tight_checked += 1
-            if not passes(t):
-                lo, hi = t - 1, t
-                if lo >= 0 and not passes(lo):
-                    raise RuntimeError(
-                        f"nerve check fails at {grid[lo]!r}, which is neither "
-                        "tight nor above the searched bracket")
-                break
-
     passes_at = grid[lo] if lo >= 0 else 0.0
     fails_at = math.inf
     witness = None
@@ -490,15 +454,16 @@ def threshold_scan(space: FiniteMetricSpace, action: IsometricAction,
                            scanned=len(results),
                            provenance={"grid": "base-critical-values",
                                        "grid_size": len(grid),
-                                       "search": "gallop",
-                                       "tight_checked": tight_checked})
+                                       "search": "gallop"})
 
 
 def verify_witness(space: FiniteMetricSpace, action: IsometricAction,
                    kind: str, r: float, witness: dict,
                    convention: str = "lt") -> bool:
-    """Replay a failure witness against the definitions, from scratch."""
-    D = space.dist
+    """Replay a failure witness against the definitions, from scratch, on the
+    exactly invariant base space of build_quotient."""
+    q = build_quotient(space, action)
+    D = q.base.dist
     if kind == "distance":
         g, x = witness["g"], witness["x"]
         img = int(action.element_arrays[g][x])
@@ -508,7 +473,6 @@ def verify_witness(space: FiniteMetricSpace, action: IsometricAction,
         img = int(action.element_arrays[g][x])
         return g != 0 and max(float(D[x, y]), float(D[img, y])) < r
 
-    q = build_quotient(space, action)
     if witness.get("part") == "doubles":
         g, x = witness["g"], witness["x"]
         img = int(action.element_arrays[g][x])
@@ -516,7 +480,7 @@ def verify_witness(space: FiniteMetricSpace, action: IsometricAction,
             return False
         if kind == "diameter":
             return float(D[x, img]) < r
-        masks = ball_masks(space, r, convention)
+        masks = ball_masks(q.base, r, convention)
         return bool(masks[x] & masks[img])
 
     orbits = tuple(witness["orbits"])
@@ -537,7 +501,7 @@ def verify_witness(space: FiniteMetricSpace, action: IsometricAction,
             return min_diam <= qdiam + EQ_EPS and len(achievers) == 1 and len(within) > 1
         return False
     if kind == "nerve":
-        masks = ball_masks(space, r, convention)
+        masks = ball_masks(q.base, r, convention)
         qmasks = ball_masks(q.space, r, convention)
         common = qmasks[orbits[0]]
         for a in orbits[1:]:
@@ -545,10 +509,5 @@ def verify_witness(space: FiniteMetricSpace, action: IsometricAction,
         if not common:
             return False  # subset does not qualify
         lifts = anchored_witnessed_lifts(masks, members, orbits)
-        mode = witness["mode"]
-        if mode == "no_witnessed_lift":
-            return len(lifts) == 0
-        if mode == "lift_not_unique":
-            return len(lifts) > 1
-        return False
+        return witness["mode"] == "lift_not_unique" and len(lifts) > 1
     raise ValueError(f"unknown witness kind: {kind!r}")

@@ -416,9 +416,11 @@ def linear_scan(space: FiniteMetricSpace, action: IsometricAction, kind: str,
                 k_max: int, convention: str = "lt",
                 budget: int = DEFAULT_BUDGET) -> ThresholdReport:
     """threshold_scan for diameter/nerve by an ascending walk over the grid
-    that stops at the first failing check; scanned is the number of checks."""
+    (the critical values of the exactly invariant base space that the checks
+    run on) that stops at the first failing check; scanned is the number of
+    checks."""
     q = build_quotient(space, action)
-    grid = [float(v) for v in critical_values(space)]
+    grid = [float(v) for v in critical_values(q.base)]
     passes_at, fails_at, witness, scanned = 0.0, math.inf, None, 0
     for r in grid:
         scanned += 1

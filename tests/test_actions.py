@@ -2,16 +2,20 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from orbitrips.actions import (GroupClosureError, action_from_dict,
+from orbitrips.actions import (ISOMETRY_EPS, GroupClosureError,
+                               action_from_dict,
                                action_to_dict, antipodal_generator,
                                block_shift_generator, build_quotient,
                                circle_rotation_generator, close_group,
                                load_action, paired_swap_generator,
                                save_action, torus_grid_shift_generators,
                                verify_isometric)
-from orbitrips.spaces import (FiniteMetricSpace, ShapeSpec, generate_space,
-                              twelve_circles_action_generators,
+from orbitrips.complexes import ball_masks, cech_complex
+from orbitrips.lifts import anchored_witnessed_lifts
+from orbitrips.spaces import (FiniteMetricSpace, ShapeSpec, critical_values,
+                              generate_space, twelve_circles_action_generators,
                               validate_metric)
 
 from conftest import (_brute_proj, _brute_qdist, random_rotated_cloud,
@@ -118,6 +122,50 @@ def test_quotient_matches_brute_minima(rng):
     members = [sorted(np.flatnonzero(proj == a)) for a in range(q.n_orbits)]
     brute = _brute_qdist(space.dist, members)
     assert np.array_equal(q.space.dist, np.array(brute))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**9),
+       case=st.sampled_from(["circle", "cloud", "jittered"]),
+       convention=st.sampled_from(["lt", "leq"]))
+def test_base_is_the_exactly_invariant_pair_orbit_minimum(seed, case,
+                                                          convention):
+    rng = np.random.default_rng(seed)
+    if case == "circle":  # evenly spaced circle mod Z/m, exact by construction
+        m = int(rng.integers(2, 5))
+        n = m * int(rng.integers(3, 7))
+        space = generate_space(ShapeSpec("evenly-spaced-circle", {"n": n}))
+        action = close_group(n, [circle_rotation_generator(n, n // m)])
+    else:
+        space, action = random_rotated_cloud(rng, m=int(rng.integers(2, 5)),
+                                             k=int(rng.integers(2, 4)))
+        if case == "jittered":  # isometric within ISOMETRY_EPS, not exactly
+            noise = np.triu(rng.uniform(-1e-10, 1e-10, size=space.dist.shape), 1)
+            space = FiniteMetricSpace(space.dist + noise + noise.T)
+    q = build_quotient(space, action)
+    if case == "jittered":
+        least = np.min([space.dist[np.ix_(p, p)] for p in action.element_arrays],
+                       axis=0)
+        assert np.array_equal(q.base.dist, least)
+        for gi in action.generator_indices:
+            p = action.element_arrays[gi]
+            assert np.array_equal(q.base.dist[np.ix_(p, p)], q.base.dist)
+        shift = q.base.provenance["orbit_min_deviation"]
+        assert shift == np.max(np.abs(space.dist - q.base.dist))
+        assert 0.0 < shift <= ISOMETRY_EPS
+    else:
+        assert q.base is space
+    proj = _brute_proj(action)
+    members = [sorted(np.flatnonzero(proj == a)) for a in range(q.n_orbits)]
+    assert np.array_equal(q.space.dist, np.array(_brute_qdist(space.dist, members)))
+    # every quotient Cech simplex has an anchored lift with a common witness
+    grid = critical_values(q.base)
+    for r in rng.choice(grid, size=min(3, len(grid)), replace=False):
+        masks = ball_masks(q.base, float(r), convention)
+        qcx = cech_complex(q.space, float(r), convention=convention, dim_cap=3)
+        for dim in range(1, len(qcx.simplices)):
+            for simplex in qcx.simplices[dim].tolist():
+                assert anchored_witnessed_lifts(masks, q.members, tuple(simplex))
 
 
 def test_quotient_entries_are_base_entries_and_symmetric():

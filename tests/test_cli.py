@@ -282,6 +282,38 @@ def test_validation_errors_exit_3(tmp_path, circle12, antipodal12):
                  "--action", str(circle12), "--scale", "0.1"]) == 3
 
 
+@pytest.mark.parametrize("argv,verdict", [
+    (["--convention", "leq", "--scale", "2.4786273498549503"], "not-injective"),
+    (["--convention", "lt", "--scale", "3.6523616965130428"], "degenerate"),
+])
+def test_six_circles_iso_check_at_rounded_ties(tmp_path, argv, verdict):
+    space, act, out = (tmp_path / name for name in ("six.json", "act.json", "iso.json"))
+    assert main(["generate", "--shape", "six-circles", "--param", "m=12",
+                 "--out", str(space)]) == 0
+    assert main(["action", "--kind", "block-shift", "--blocks", "6",
+                 "--space", str(space), "--out", str(act)]) == 0
+    assert main(["iso-check", "--kind", "vr", "--dim-cap", "3", *argv,
+                 "--space", str(space), "--action", str(act), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    _check(doc, "iso_certificate")
+    assert doc["verdict"] == verdict
+
+
+@pytest.mark.parametrize("argv", [
+    ["thresholds", "--kind", "distance"],
+    ["thresholds", "--kind", "ball"],
+    ["check", "--kind", "distance", "--scale", "0.1"],
+    ["check", "--kind", "ball", "--scale", "0.1"],
+])
+def test_distance_and_ball_refuse_non_isometric_action(tmp_path, capsys, circle12,
+                                                       argv):
+    swap = tmp_path / "swap.json"
+    swap.write_text(json.dumps({"n": 12, "generators": [[1, 0] + list(range(2, 12))]}))
+    capsys.readouterr()
+    assert main([*argv, "--space", str(circle12), "--action", str(swap)]) == 3
+    assert "not isometric" in capsys.readouterr().err
+
+
 def _metric_error(space) -> str:
     return f"error: {SpaceValidationError(validate_metric_oracle(space))}"
 

@@ -178,6 +178,24 @@ def test_six_circles_verdict_ladder():
     assert verify_certificate(space, action, dg)
 
 
+@pytest.mark.parametrize("r,convention,verdict,counterexample", [
+    (2.4786273498549503, "leq", "not-injective",
+     {"dim": 1, "image": [3, 7], "simplices": [[3, 7], [3, 19]]}),
+    (3.6523616965130428, "lt", "degenerate",
+     {"dim": 1, "simplex": [4, 16], "image": [4, 4], "orbit_size": 6}),
+])
+def test_six_circles_certificates_at_rounded_ties(r, convention, verdict,
+                                                  counterexample):
+    # at these critical values the float-built rotation maps some edge to a
+    # pair one ulp longer, so the complex of the given matrix is not
+    # invariant; the pair-orbit minimum that build_quotient makes of it is
+    space = generate_space(ShapeSpec("six-circles", {"m": 12}))
+    action = close_group(72, [block_shift_generator(6, 12)])
+    cert = iso_check(space, action, r, "vr", convention, dim_cap=3)
+    assert (cert.verdict, cert.counterexample) == (verdict, counterexample)
+    assert verify_certificate(space, action, cert)
+
+
 def test_cech_iso_and_not_surjective():
     space = generate_space(ShapeSpec("evenly-spaced-circle",
                                      {"n": 36, "circumference": 3.0}))

@@ -221,8 +221,8 @@ def test_scan_matches_linear_oracle(seed, m, k, kind, convention, k_max,
     space, action = random_rotated_cloud(rng, m=m, k=k)
     if jitter:
         # break the snapped ties by far less than ISOMETRY_EPS: the action
-        # stays acceptable but is no longer exact, so the nerve check need not
-        # be monotone and the tight-point sweep is exercised
+        # stays acceptable but is no longer exact, so the scan and the oracle
+        # run on the pair-orbit minimum that build_quotient makes of it
         noise = np.triu(rng.uniform(-1e-10, 1e-10, size=(space.n, space.n)), 1)
         space = FiniteMetricSpace(space.dist + noise + noise.T)
     rep = threshold_scan(space, action, kind, k_max=k_max,
@@ -247,21 +247,36 @@ def _paired_sphere30():
     return space, close_group(60, [paired_swap_generator(30)])
 
 
-def test_nerve_scan_finds_failure_below_a_passing_scale():
-    # the swap on this float-built sphere is isometric only up to rounding,
-    # so the nerve check fails (no_witnessed_lift) at tight scales below
-    # scales where it passes again; a search that trusts monotonicity skips
-    # those failures and reports a passes_at where the complexes differ
+def _relabelled(space, action, order):
+    """The same space and action with point order[i] renamed i."""
+    inverse = np.argsort(order)
+    gens = [inverse[np.asarray(action.elements[i])[order]]
+            for i in action.generator_indices]
+    return (FiniteMetricSpace(space.dist[np.ix_(order, order)]),
+            close_group(space.n, gens))
+
+
+def test_sphere30_nerve_bracket_is_label_free():
+    # the swap on this float-built sphere is isometric only up to rounding;
+    # on the exactly invariant base every nerve check below the bracket
+    # passes, and the bracket does not move when the points are renamed
     space, action = _paired_sphere30()
     rep = threshold_scan(space, action, "nerve", k_max=2)
+    assert (rep.passes_at, rep.fails_at) == (0.13760794434874604,
+                                             0.1378677762113696)
+    assert rep.witness["mode"] == "lift_not_unique"
+    assert rep.provenance == {"grid": "base-critical-values",
+                              "grid_size": 875, "search": "gallop"}
     assert_same_bracket(rep, linear_scan(space, action, "nerve", k_max=2))
-    assert rep.provenance["search"] == "gallop"
-    q = build_quotient(space, action)
-    assert not nerve_action_check(space, action, rep.fails_at, k_max=2,
-                                  quotient=q).ok
-    grid = [float(v) for v in critical_values(space)]
-    assert any(nerve_action_check(space, action, r, k_max=2, quotient=q).ok
-               for r in grid if r > rep.fails_at)
+    rng = np.random.default_rng(15)
+    for _ in range(3):
+        moved_space, moved_action = _relabelled(space, action,
+                                                rng.permutation(space.n))
+        moved = threshold_scan(moved_space, moved_action, "nerve", k_max=2)
+        assert (moved.passes_at, moved.fails_at, moved.witness["mode"]) == \
+            (rep.passes_at, rep.fails_at, "lift_not_unique")
+        assert verify_witness(moved_space, moved_action, "nerve",
+                              moved.fails_at, moved.witness)
 
 
 def test_scan_budget_overrun_above_the_threshold_is_not_fatal():
