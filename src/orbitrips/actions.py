@@ -19,6 +19,7 @@ carried past it:
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -74,6 +75,7 @@ class IsometricAction:
         self.elements = elements
         self.generator_indices = generator_indices
         self.element_arrays = np.array(elements, dtype=np.intp)
+        self._exact: tuple[weakref.ref, bool] | None = None
 
     def __len__(self):
         return len(self.elements)
@@ -82,7 +84,18 @@ class IsometricAction:
         """Whether every generator maps the matrix to itself bit for bit.
 
         Then so does every element: exact equalities compose,
-        d(ghx, ghy) = d(hx, hy) = d(x, y)."""
+        d(ghx, ghy) = d(hx, hy) = d(x, y).  The answer for a read-only
+        matrix that owns its data, such as a `FiniteMetricSpace`'s, is kept
+        while that matrix lives, so loading a space with an action and then
+        verifying the action compares the matrix once."""
+        if self._exact is not None and self._exact[0]() is dist:
+            return self._exact[1]
+        exact = self._generators_preserve(dist)
+        if not dist.flags.writeable and dist.flags.owndata:
+            self._exact = (weakref.ref(dist), exact)
+        return exact
+
+    def _generators_preserve(self, dist: np.ndarray) -> bool:
         return all(np.array_equal(dist[np.ix_(p, p)], dist)
                    for p in self.element_arrays[self.generator_indices])
 

@@ -34,6 +34,7 @@ _END = np.iinfo(np.int64).max  # closes every sorted key array of a LexIndex
 _NO_KEYS = np.array([_END])  # the keys of a dimension the index does not hold
 _CHUNK_BYTES = 1 << 17  # packed candidate bytes the clique walk scans at a time
 _BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
+_POPCOUNT = _BITS.sum(axis=1, dtype=np.uint8)
 
 
 class BudgetExceededError(RuntimeError):
@@ -99,20 +100,18 @@ class LexIndex:
             self.keys.append(np.append(keys[o], _END))
             self.order.append(o)
 
-    def rank(self, columns, found: np.ndarray | None = None,
-             rank: np.ndarray | None = None, level: int = 0) -> np.ndarray:
+    def rank(self, columns, found: np.ndarray | None = None) -> np.ndarray:
         """Lex ranks of vertex rows, given column by column.
 
         Each column of `columns` appends a vertex to every row, and the rank
-        of the longer prefix is found by searching its key.  `rank` holds
-        the lex ranks of the rows' first `level` vertices among the
-        (level-1)-simplices, for a search that starts part way (None at
-        level 0).  Rows whose prefixes are all simplices get their exact
-        ranks.  Given `found`, rows with a prefix that is not a simplex
-        (a dimension the index does not hold included) are cleared there;
-        their ranks are meaningless but index `keys`.  Vertices must lie in
-        range(n): a larger or negative one can alias another prefix's key.
+        of the longer prefix is found by searching its key.  Rows whose
+        prefixes are all simplices get their exact ranks.  Given `found`,
+        rows with a prefix that is not a simplex (a dimension the index does
+        not hold included) are cleared there; their ranks are meaningless but
+        index `keys`.  Vertices must lie in range(n): a larger or negative
+        one can alias another prefix's key.
         """
+        rank, level = None, 0
         for col in columns:
             keys = col if level == 0 else rank * self.n + col
             sk = self.keys[level] if level < len(self.keys) else _NO_KEYS
@@ -189,7 +188,8 @@ def _and_rows(a, ia, b, ib, step):
 
 
 def _cliques(n: int, adj: np.ndarray, dim_cap: int, budget: int,
-             witness: np.ndarray | None = None, rank: np.ndarray | None = None):
+             witness: np.ndarray | None = None, rank: np.ndarray | None = None,
+             count_top: bool = False):
     """Ordered clique walk over packed adjacency rows, a dimension at a time.
 
     Bit v of row u of `adj` marks an edge (a vertex's own bit is ignored).
@@ -199,32 +199,43 @@ def _cliques(n: int, adj: np.ndarray, dim_cap: int, budget: int,
     (packed ball rows) keeps a child while its vertices' balls share a point
     (Cech); `rank` gives each simplex the maximum of rank[v, u] over its
     vertices.  Returns {dim: (m, dim+1) int32 rows} and {dim: maxima} up to
-    the first empty dimension.  Children are counted against the budget,
-    _CHUNK_BYTES of candidates at a time, before their dimension is stored.
+    the first empty dimension, and the number of simplices walked but not
+    stored.  Children are counted against the budget, _CHUNK_BYTES of
+    candidates at a time, before their dimension is stored.  With
+    `count_top` (and no `witness`) the dim_cap-simplices are only counted, a
+    popcount of each chunk of candidates, and never stored.
     """
     if dim_cap < 0:
         raise ValueError(f"dim_cap must be nonnegative, got {dim_cap}")
     if n > budget:
         raise BudgetExceededError(budget, 0)
+    if count_top and dim_cap == 0:
+        return {}, {}, n
     rows = np.arange(n, dtype=np.int32).reshape(n, 1)
     simplices, count = {0: rows}, n
     maxima = {} if rank is None else {0: np.zeros(n, dtype=rank.dtype)}
     up = adj & np.packbits(rows.T > rows, axis=1, bitorder="little")  # bit v of row u: v > u
     cand, common, step = up, witness, max(1, _CHUNK_BYTES // max(adj.shape[1], 1))
     for dim in range(1, dim_cap + 1):
+        implicit = count_top and dim == dim_cap
         children, stored = [], count
         for lo in range(0, len(rows), step):
             chunk = cand[lo:lo + step]
-            p, byte = np.nonzero(chunk)  # only the nonzero bytes are unpacked
-            at, bit = np.nonzero(_BITS[chunk[p, byte]])
-            p, v = p[at] + lo, byte[at] * 8 + bit
-            if witness is not None:
-                keep = _and_rows(common, p, witness, v, step).any(axis=1)
-                p, v = p[keep], v[keep]
-            count += len(p)
+            if implicit:
+                count += int(_POPCOUNT[chunk].sum())
+            else:
+                p, byte = np.nonzero(chunk)  # only the nonzero bytes are unpacked
+                at, bit = np.nonzero(_BITS[chunk[p, byte]])
+                p, v = p[at] + lo, byte[at] * 8 + bit
+                if witness is not None:
+                    keep = _and_rows(common, p, witness, v, step).any(axis=1)
+                    p, v = p[keep], v[keep]
+                count += len(p)
+                children.append((p, v))
             if count > budget:
                 raise BudgetExceededError(budget, dim)
-            children.append((p, v))
+        if implicit:
+            return simplices, maxima, count - stored
         if count == stored:
             break
         p, v = map(np.concatenate, zip(*children))
@@ -238,7 +249,7 @@ def _cliques(n: int, adj: np.ndarray, dim_cap: int, budget: int,
             cand = _and_rows(cand, p, up, v, step)
             if witness is not None:
                 common = _and_rows(common, p, witness, v, step)
-    return simplices, maxima
+    return simplices, maxima, 0
 
 
 def vr_complex(space: FiniteMetricSpace, r: float, convention: str = "leq",
@@ -246,7 +257,7 @@ def vr_complex(space: FiniteMetricSpace, r: float, convention: str = "leq",
     """Vietoris-Rips complex at scale r: the clique complex of the r-balls,
     edges at d <= r ("leq") or d < r ("lt"), simplices of dimension at most
     dim_cap, at most `budget` of them in all (else BudgetExceededError)."""
-    simplices, _ = _cliques(space.n, _ball_rows(space, r, convention), dim_cap, budget)
+    simplices, _, _ = _cliques(space.n, _ball_rows(space, r, convention), dim_cap, budget)
     return SimplicialComplex(space.n, "vr", convention, float(r), dim_cap, simplices)
 
 
@@ -284,40 +295,64 @@ def cech_complex(space: FiniteMetricSpace, r: float, convention: str = "leq",
     graph = _witness_graph([int.from_bytes(row.tobytes(), "little") for row in balls])
     adj = np.frombuffer(b"".join(g.to_bytes(balls.shape[1], "little") for g in graph),
                         dtype=np.uint8).reshape(balls.shape)
-    simplices, _ = _cliques(space.n, adj, dim_cap, budget, witness=balls)
+    simplices, _, _ = _cliques(space.n, adj, dim_cap, budget, witness=balls)
     return SimplicialComplex(space.n, "cech", convention, float(r), dim_cap, simplices)
 
 
 class VRFiltration:
-    """Simplices up to dim_cap with their VR appearance values.
+    """The VR filtration of a value-rank matrix, up to dim_cap, with its top
+    dimension implicit.
 
-    Per dimension d, `simplices[d]` is an (m, d+1) int32 vertex array and
-    `values[d]` its float64 values, sorted by (value, lex).  `order()`
-    merges them into the entry order (value, dimension, lex), a valid
-    filtration order (no face after its cofaces); `entries` lists it as
-    (value, vertex tuple) pairs, built on each read.
+    `rank` is an (n, n) symmetric matrix of value ranks (its diagonal is set
+    to 0) and `table[k]` the value of rank k.  A simplex's value rank is the
+    largest rank among its edges, and the simplices are the cliques of the
+    graph `rank <= cut`.  `vr_filtration` builds one from exact distance
+    ranks; `betti_at` reads a fixed-scale complex as the one-step filtration
+    whose ranks are 0 within the scale and 1 past it, cut at 0.
+
+    Per dimension d below dim_cap, `simplices[d]` is an (m, d+1) int32 vertex
+    array and `values[d]` its float64 values, sorted by (value, lex).  The
+    dim_cap-simplices are never columns of the reduction, so they are
+    counted against the budget, chunk by chunk, and not stored: `top_count`
+    is their number, and the reduction names them from `rank`, `table` and
+    `cut`.  `entries` walks every dimension again and lists the entry order
+    (value, dimension, lex), a valid filtration order (no face after its
+    cofaces), as (value, vertex tuple) pairs.
     """
 
-    def __init__(self, n: int, dim_cap: int, simplices: dict[int, np.ndarray],
-                 values: dict[int, np.ndarray]):
-        self.n = n
+    def __init__(self, rank: np.ndarray, table: np.ndarray, cut: int, dim_cap: int,
+                 budget: int = DEFAULT_BUDGET):
+        np.fill_diagonal(rank, 0)
+        self.n = len(rank)
         self.dim_cap = dim_cap
-        self.simplices = simplices
-        self.values = values
+        self.rank = rank
+        self.table = table
+        self.cut = cut
+        self.simplices, self.values, self.top_count = self._walk(budget, count_top=True)
+
+    def _walk(self, budget: int, count_top: bool):
+        adj = np.packbits(self.rank <= self.cut, axis=1, bitorder="little")
+        simplices, maxima, top = _cliques(self.n, adj, self.dim_cap, budget,
+                                          rank=self.rank, count_top=count_top)
+        values = {}
+        for d, ranks in maxima.items():
+            o = np.argsort(ranks, kind="stable")
+            simplices[d] = np.take(simplices[d], o, axis=0)
+            values[d] = self.table[ranks[o]]
+        return simplices, values, top
 
     @property
     def total(self) -> int:
-        return sum(len(v) for v in self.values.values())
-
-    def order(self) -> np.ndarray:
-        """Entry order, as positions in the values concatenated by dimension."""
-        return np.argsort(np.concatenate(list(self.values.values())), kind="stable")
+        return sum(len(v) for v in self.values.values()) + self.top_count
 
     @property
     def entries(self) -> list[tuple[float, tuple[int, ...]]]:
-        values = np.concatenate(list(self.values.values())).tolist()
-        rows = [tuple(s) for d in self.simplices for s in self.simplices[d].tolist()]
-        return [(values[k], rows[k]) for k in self.order().tolist()]
+        simplices, values, _ = self._walk(self.total, count_top=False)
+        flat = np.concatenate(list(values.values()))
+        rows = [tuple(s) for d in simplices for s in simplices[d].tolist()]
+        order = np.argsort(flat, kind="stable").tolist()
+        flat = flat.tolist()
+        return [(flat[k], rows[k]) for k in order]
 
 
 def vr_filtration(space: FiniteMetricSpace, dim_cap: int = DEFAULT_DIM_CAP,
@@ -340,15 +375,12 @@ def vr_filtration(space: FiniteMetricSpace, dim_cap: int = DEFAULT_DIM_CAP,
             raise BudgetExceededError(budget, dim_cap)
         max_scale = math.inf
     # the walk takes maxima of exact distance ranks; rank 0 is +0.0, a vertex's
-    # value, and lower distances count as 0.0, as a running max from 0.0 would
+    # value, and lower distances count as 0.0, as a running max from 0.0 would.
+    # The rank type holds one more than the largest rank, which the reduction
+    # uses to mark a vertex that is no candidate.
     values, rank = np.unique(np.append(space.dist.ravel(), 0.0), return_inverse=True)
     values, rank = values[rank[-1]:], (rank[:-1] - rank[-1]).clip(0)
     values[0] = 0.0
-    rank = rank.astype(np.min_scalar_type(len(values) - 1)).reshape(n, n)
-    simplices, maxima = _cliques(n, _ball_rows(space, max_scale, "leq"), dim_cap,
-                                 budget, rank=rank)
-    for d, top in maxima.items():
-        o = np.argsort(top, kind="stable")
-        simplices[d] = np.take(simplices[d], o, axis=0)
-        maxima[d] = values[top[o]]
-    return VRFiltration(n, dim_cap, simplices, maxima)
+    rank = rank.astype(np.min_scalar_type(len(values))).reshape(n, n)
+    cut = int(np.searchsorted(values, max_scale, side="right")) - 1
+    return VRFiltration(rank, values, cut, dim_cap, budget)

@@ -11,10 +11,18 @@ Betti numbers (`betti_at`).  It reduces coboundary matrices, after U. Bauer,
 - dimensions run upward, and clearing goes with them: a simplex that is the
   pivot of a column one dimension down reduces to zero and is skipped, so the
   top-dimension simplices are never columns at all;
-- emergent pairs: the earliest coface of every simplex is computed at once,
-  and a column whose earliest coface is not owned yet is paired without
-  building its coboundary; the few remaining coboundaries are built on demand
-  from sorted simplex keys, with no per-simplex dict.
+- the top dimension is implicit: `VRFiltration` counts its simplices but
+  stores none, and the engine names each top coface by an integer key (value
+  rank, then lex rank) computed from the filtration's rank matrix, so no top
+  simplex is stored, ranked or hashed;
+- emergent pairs: the earliest coface of every simplex is one argmin over
+  the n candidate vertices, and a column whose earliest coface is not owned
+  yet is paired without building its coboundary; the few remaining
+  coboundaries are one n-candidate row each, with no per-simplex dict.
+
+The filtration hash in a barcode's provenance is taken over the inputs that
+determine the filtration (the rank matrix, the value table, n, dim_cap and
+the cut), not over its simplices.
 
 Persistent homology and cohomology pair the same simplices (de Silva, Morozov
 & Vejdemo-Johansson, "Dualities in persistent (co)homology", Inverse Problems
@@ -29,20 +37,18 @@ from __future__ import annotations
 
 import hashlib
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .complexes import (DEFAULT_BUDGET, DEFAULT_DIM_CAP, LexIndex,
-                        SimplicialComplex, VRFiltration, vr_complex)
+                        SimplicialComplex, VRFiltration)
 from .spaces import FiniteMetricSpace
 
 __all__ = [
     "ORACLE_LIMIT",
     "Barcode",
     "BettiVector",
-    "SimplexPairs",
     "reduce_filtration",
     "betti_at",
     "homology_oracle",
@@ -51,49 +57,25 @@ __all__ = [
 ]
 
 ORACLE_LIMIT = 20000
-
-
-class SimplexPairs(Sequence):
-    """The simplex pairs of one homology dimension d, held as arrays.
-
-    Item i reads `((birth, simplex), None)` for an essential class and
-    `((birth, simplex), (death, killer))` otherwise, with the values as
-    floats and the simplices as vertex tuples.  Storage: `births` and
-    `deaths` (NaN where essential) are float arrays, `simplices` an (m, d+1)
-    and `killers` an (m, d+2) vertex array (rows of -1 where essential).
-    """
-
-    def __init__(self, births: np.ndarray, simplices: np.ndarray,
-                 deaths: np.ndarray, killers: np.ndarray):
-        self.births = births
-        self.simplices = simplices
-        self.deaths = deaths
-        self.killers = killers
-
-    def __len__(self) -> int:
-        return len(self.births)
-
-    def __getitem__(self, i: int):
-        killer = self.killers[i].tolist()
-        return ((float(self.births[i]), tuple(self.simplices[i].tolist())),
-                None if killer[0] < 0 else (float(self.deaths[i]), tuple(killer)))
+_CHUNK = 1 << 18  # coface candidates (simplices times n) ranked at a time
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass
 class Barcode:
     """Persistence intervals per homology dimension 0..dim_cap-1.
 
-    `intervals[d]` holds (birth, death) with death = inf for essential classes;
-    zero-length bars are dropped there but the raw simplex pairing is kept in
-    `pairs` for verification: `pairs[d]` lists every positive d-simplex with
-    its value, and the (d+1)-simplex that kills its class (None if none
-    does), as a `SimplexPairs` of arrays.  The pairing is the one the
-    boundary reduction gives; the engine gets it from the coboundary side.
+    `intervals[d]` holds (birth, death) with death = inf for essential
+    classes; zero-length bars are dropped.  A bar is a positive d-simplex and
+    the (d+1)-simplex that kills it (the pairing of the boundary reduction;
+    the engine gets it from the coboundary side), but only the values are
+    kept: the killers of the top bars are the implicit top simplices.
+    `provenance["filtration_hash"]` is the sha256 of the filtration's inputs
+    (see `_filtration_hash`).
     """
 
     dim_cap: int
     intervals: dict[int, list[tuple[float, float]]]
-    pairs: dict[int, SimplexPairs] = field(repr=False, default_factory=dict)
     provenance: dict = field(default_factory=dict)
 
     def bars(self, dim: int) -> list[tuple[float, float]]:
@@ -114,86 +96,108 @@ class Barcode:
 
 
 def _filtration_hash(filtration: VRFiltration) -> str:
-    """sha256 of the filtration's size, then in entry order its float64
-    values and the int64 vertices of its simplices, one after another."""
-    order = filtration.order()
+    """sha256 of the inputs that determine the filtration: n, dim_cap, the
+    cut, then the rank matrix and the value table."""
     h = hashlib.sha256()
-    h.update(f"{filtration.n}:{filtration.dim_cap}:{len(order)}".encode())
-    if len(order):
-        h.update(np.concatenate(list(filtration.values.values()))[order].tobytes())
-        top = max(filtration.simplices)  # rows padded with -1 to the widest
-        rows = np.take(np.concatenate([np.pad(s, ((0, 0), (0, top - d)), constant_values=-1)
-                                       for d, s in filtration.simplices.items()]), order, axis=0)
-        h.update(rows[rows >= 0].astype(np.int64).tobytes())
+    h.update(f"{filtration.n}:{filtration.dim_cap}:{filtration.cut}".encode())
+    h.update(filtration.rank.tobytes())
+    h.update(filtration.table.tobytes())
     return h.hexdigest()
 
 
-def _reduce(n: int, by_dim: dict[int, np.ndarray]) -> dict[int, dict[int, int]]:
-    """Z/2 reduction of the coboundary matrices of a graded complex on
-    range(n), with clearing and emergent pairs (see the module docstring).
+def _coface_span(filtration: VRFiltration) -> int:
+    """The factor of the value rank in a top coface key: the (top-1)-simplex
+    count times n (see `_reduce`)."""
+    top = filtration.dim_cap
+    return len(filtration.simplices.get(top - 1, ())) * filtration.n
 
-    `by_dim[d]` holds the d-simplices as an (m, d+1) int32 vertex array in
-    one order, the same for every use of dimension d.  For d = 0 .. top-1
-    the columns are the d-simplices, last first, and a column's pivot is its
-    earliest coface.  Clearing runs upward: a d-simplex already paired with
-    a (d-1)-simplex reduces to zero and is skipped.  The earliest coface of
-    every d-simplex comes from one vectorised pass over the facets of the
-    (d+1)-simplices, ranked in a `LexIndex` that adopts the arrays.
-    Coboundaries are built only for columns that are not emergent, and for
-    the owners they must add, by searching each candidate coface in the
-    same index; no tuple per simplex is built.
 
-    Returns `pivots[d] = {(d-1)-simplex: d-simplex}` for d >= 1, indices into
-    `by_dim`.  Homology and cohomology pair the same simplices, so these are
+def _reduce(filtration: VRFiltration) -> dict[int, dict[int, int]]:
+    """Z/2 reduction of the coboundary matrices of a filtration, with
+    clearing and emergent pairs (see the module docstring).
+
+    The columns of dimension d = 0 .. top-1, top = dim_cap, are the stored
+    d-simplices, last first; their rows are their cofaces, and a column's
+    pivot is its earliest coface.  Clearing runs upward: a d-simplex already
+    paired with a (d-1)-simplex reduces to zero and is skipped.
+
+    The cofaces of a d-simplex s are s + {x} over the n vertices x.  Such a
+    coface is in the filtration iff its value rank, the larger of the rank
+    of s and max over u in s of rank[u, x], is at most the cut, and among
+    the cofaces of s the (value, lex) order is the order of (value rank, x).
+    So the earliest coface of every simplex is one argmin over an (m, n)
+    rank matrix, taken in chunks, and a coboundary is one (n,) row of it.
+    A coface below the top is named by its index in `simplices[d+1]`, found
+    in a `LexIndex` of the stored dimensions.  A top coface is never stored;
+    it is named by its key, value rank * span + prefix * n + last vertex,
+    where prefix is the lex rank of its first top vertices among the
+    (top-1)-simplices and span = (number of (top-1)-simplices) * n, so keys
+    sort like (value, lex).  Keys are int64 while every key fits, and Python
+    ints past that.  Coboundaries are built only for columns that are not
+    emergent, and for the owners they must add.
+
+    Returns `pivots[d] = {(d-1)-simplex: d-simplex}` for d = 1 .. top, as
+    indices into `simplices`, except that the d-simplices of `pivots[top]`
+    are keys.  Homology and cohomology pair the same simplices, so these are
     the pairs of the standard reduction of the boundary matrices in the same
     orders, and `len(pivots[d])` is the rank of the boundary matrix of
     dimension d.
     """
-    top = max(by_dim, default=0)
+    n, top, cut, rank = filtration.n, filtration.dim_cap, filtration.cut, filtration.rank
     pivots: dict[int, dict[int, int]] = {}
     if top == 0:
         return pivots
-    index = LexIndex(n, by_dim)
-    S, keys, order = index.vertices, index.keys, index.order
-    vertices = S[0][:, 0]
+    index = LexIndex(n, {d: filtration.simplices.get(d, ()) for d in range(top)})
+    span = _coface_span(filtration)
+    wide = (cut + 1) * span - 1 > _INT64_MAX
+    absent = np.iinfo(rank.dtype).max  # above every rank, so past the cut
     for d in range(top):
-        cofaces = S[d + 1]
-        m, mc = len(S[d]), len(cofaces)
-        # earliest coface of each d-simplex; facet k of a coface drops vertex
-        # k, so it shares `prefix`, the rank of the first k vertices.  A key
-        # over n is its simplex's prefix rank, so the prefixes come from the
-        # coface keys downward, one gather per level.
-        lex_rank = np.empty(mc, dtype=np.int64)
-        lex_rank[order[d + 1]] = np.arange(mc)
-        prefix = keys[d + 1][lex_rank] // n
-        del lex_rank
-        earliest = np.full(m, mc, dtype=np.int64)
-        indices = np.arange(mc, dtype=np.int64)
-        for k in range(d + 1, -1, -1):
-            rank = index.rank(cofaces[:, k + 1:].T, rank=prefix, level=k)
-            np.minimum.at(earliest, order[d][rank], indices)
-            prefix = keys[k - 1][prefix] // n if k > 1 else None
-        del rank, indices
+        S = index.vertices[d]
+        m = len(S)
+
+        def coface_ranks(rows: np.ndarray) -> np.ndarray:
+            """The value ranks of rows[i] + {x}, absent where x is in rows[i]."""
+            vals = rank[rows].max(axis=1)
+            # a vertex's own entry is 0, so column u of vals, u in the row,
+            # is the largest rank from u to the rest of the row
+            at = (np.arange(len(rows))[:, None], rows)
+            np.maximum(vals, vals[at].max(axis=1, keepdims=True), out=vals)
+            vals[at] = absent
+            return vals
+
+        def name(rows: np.ndarray, x: np.ndarray, vals: np.ndarray) -> np.ndarray:
+            """The cofaces rows[i] + {x[i]} of value ranks vals: indices into
+            the stored (d+1)-simplices, or keys for the top."""
+            coface = np.empty((len(x), d + 2), dtype=np.int32)
+            coface[:, :-1] = rows
+            coface[:, -1] = x
+            coface.sort(axis=1)
+            if d + 1 < top:
+                return index.order[d + 1][index.rank(coface.T)]
+            lex = index.rank(coface[:, :-1].T) * n + coface[:, -1]
+            return vals.astype(object if wide else np.int64) * span + lex
+
+        earliest = np.full(m, -1, dtype=object if wide and d + 1 == top else np.int64)
+        step = max(1, _CHUNK // max(n, 1))
+        for lo in range(0, m, step):
+            rows = S[lo:lo + step]
+            vals = coface_ranks(rows)
+            x = vals.argmin(axis=1)
+            vals = vals[np.arange(len(rows)), x]
+            has = vals <= cut
+            earliest[lo:lo + step][has] = name(rows[has], x[has], vals[has])
 
         def coboundary(j: int) -> set[int]:
-            simplex = S[d][j]
-            outside = np.ones(n, dtype=bool)
-            outside[simplex] = False
-            cand = vertices[outside[vertices]]
-            rows = np.empty((len(cand), d + 2), dtype=np.int32)
-            rows[:, :-1] = simplex
-            rows[:, -1] = cand
-            rows.sort(axis=1)
-            found = np.ones(len(rows), dtype=bool)
-            rank = index.rank(rows.T, found)
-            return set(order[d + 1][rank[found]].tolist())
+            vals = coface_ranks(S[j:j + 1])[0]
+            x = np.flatnonzero(vals <= cut)
+            return set(name(S[j], x, vals[x]).tolist())
 
         cleared = set(pivots.get(d, {}).values())
         owner: dict[int, int] = {}  # pivot coface -> column
         reduced: dict[int, set[int]] = {}  # pivot -> reduced column
         first = earliest.tolist()
         for j in range(m - 1, -1, -1):
-            if j in cleared or first[j] == mc:
+            if j in cleared or first[j] < 0:
                 continue
             if first[j] not in owner:
                 owner[first[j]] = j  # emergent pair
@@ -216,45 +220,39 @@ def _reduce(n: int, by_dim: dict[int, np.ndarray]) -> dict[int, dict[int, int]]:
 def reduce_filtration(filtration: VRFiltration) -> Barcode:
     """Persistence barcode of a VR filtration over Z/2.
 
-    The simplices of each dimension go to `_reduce` in filtration order.  A
+    `_reduce` pairs the simplices of each dimension in filtration order.  A
     simplex paired with a face one dimension down is negative and creates
     nothing; every other simplex of a dimension below dim_cap is positive and
     gives a bar, killed by the simplex it is paired with one dimension up, or
-    essential when it has none.
+    essential when it has none.  A top killer is a key, and its value rank
+    is the key divided by the span.
     """
-    digest = _filtration_hash(filtration)
-    values, simplices = filtration.values, filtration.simplices
-    pivots = _reduce(filtration.n, simplices)
+    values, top = filtration.values, filtration.dim_cap
+    pivots = _reduce(filtration)
 
     intervals: dict[int, list[tuple[float, float]]] = {}
-    pairs: dict[int, SimplexPairs] = {}
-    for d in range(filtration.dim_cap):
-        rows = simplices.get(d, np.zeros((0, d + 1), dtype=np.int32))
-        positive = np.ones(len(rows), dtype=bool)
+    for d in range(top):
+        births = values.get(d, np.zeros(0))
+        positive = np.ones(len(births), dtype=bool)
         positive[list(pivots.get(d, {}).values())] = False
         killed = pivots.get(d + 1, {})
-        partner = np.full(len(rows), -1, dtype=np.int64)
-        partner[list(killed)] = list(killed.values())
-        index = np.flatnonzero(positive)
-        births = values.get(d, np.zeros(0))[index]
-        partner = partner[index]
-        essential = partner < 0
-        deaths = np.full(len(index), math.nan)
-        deaths[~essential] = values.get(d + 1, np.zeros(0))[partner[~essential]]
-        killers = np.full((len(index), d + 2), -1, dtype=np.int32)
-        if d + 1 in simplices:
-            killers[~essential] = simplices[d + 1][partner[~essential]]
-        pairs[d] = SimplexPairs(births, rows[index], deaths, killers)
-        ends = np.where(essential, math.inf, deaths)
-        bar = essential | (ends != births)
+        ends = np.full(len(births), math.inf)
+        if killed:
+            if d + 1 < top:
+                dead = values[d + 1][list(killed.values())]
+            else:
+                span = _coface_span(filtration)
+                dead = filtration.table[[key // span for key in killed.values()]]
+            ends[list(killed)] = dead
+        births, ends = births[positive], ends[positive]
+        bar = ends != births
         intervals[d] = sorted(zip(births[bar].tolist(), ends[bar].tolist()))
 
     return Barcode(
-        dim_cap=filtration.dim_cap,
+        dim_cap=top,
         intervals=intervals,
-        pairs=pairs,
         provenance={"field": "Z/2", "n_simplices": filtration.total,
-                    "filtration_hash": digest},
+                    "filtration_hash": _filtration_hash(filtration)},
     )
 
 
@@ -269,19 +267,33 @@ class BettiVector:
     provenance: dict = field(default_factory=dict)
 
 
+def _lex_complex(space: FiniteMetricSpace, r: float, convention: str,
+                 dim_cap: int, budget: int) -> VRFiltration:
+    """VR(space, r) as the one-step filtration of ranks 0 (within r) and 1
+    (past it), cut at 0: its simplices come in lex order."""
+    if convention not in ("leq", "lt"):
+        raise ValueError(f"convention must be one of ('leq', 'lt'), got {convention!r}")
+    within = np.less_equal if convention == "leq" else np.less
+    outside = np.logical_not(within(space.dist, r)).view(np.uint8)
+    return VRFiltration(outside, np.array([float(r)]), 0, dim_cap, budget)
+
+
 def betti_at(space: FiniteMetricSpace, r: float, convention: str = "leq",
              dim_cap: int = DEFAULT_DIM_CAP, budget: int = DEFAULT_BUDGET) -> BettiVector:
     """Betti numbers of VR(space, r) over Z/2 from boundary-operator ranks.
 
     b_k = nullity(d_k) - rank(d_{k+1}), where rank(d_k) is the number of
-    pivots `_reduce` finds with the complex's simplices in lex order.  The
-    barcode reduces other matrices (the full filtration, in filtration order)
-    with the same engine; reading it at r must agree (asserted in the test
-    suite, not here), and `homology_oracle` referees both.
+    pivots `_reduce` finds with the complex's simplices in lex order: the
+    complex is the one-step filtration of ranks 0 (within r) and 1 (past
+    it), cut at 0, so its top simplices stay implicit too, and a coface
+    exists where x is within r of every vertex.  The barcode reduces other
+    matrices (the full filtration, in filtration order) with the same
+    engine; reading it at r must agree (asserted in the test suite, not
+    here), and `homology_oracle` referees both.
     """
-    cx = vr_complex(space, r, convention=convention, dim_cap=dim_cap, budget=budget)
-    counts = [len(cx.simplices.get(d, [])) for d in range(dim_cap + 1)]
-    pivots = _reduce(cx.n, cx.simplices)
+    cx = _lex_complex(space, r, convention, dim_cap, budget)
+    counts = [len(cx.simplices.get(d, ())) for d in range(dim_cap)] + [cx.top_count]
+    pivots = _reduce(cx)
     ranks = [len(pivots.get(d, {})) for d in range(dim_cap + 2)]
     values = tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(dim_cap))
 

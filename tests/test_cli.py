@@ -1,11 +1,13 @@
 import json
 import math
 from importlib import resources
+from unittest import mock
 
 import jsonschema
 import pytest
 
-from orbitrips.actions import close_group, torus_grid_shift_generators
+from orbitrips.actions import (IsometricAction, close_group,
+                               torus_grid_shift_generators)
 from orbitrips.cli import main, parse_scale
 from orbitrips.persistence import read_barcode_tsv
 from orbitrips.spaces import (FiniteMetricSpace, ShapeSpec, SpaceValidationError,
@@ -358,6 +360,22 @@ def test_nearly_isometric_action_space_rejected_off_representatives(
     assert main(["action", "--kind", "antipodal", "--space", str(tmp_path / "bad.json"),
                  "--out", str(tmp_path / "act.json")]) == 3  # invalid metric first
     assert _thresholds_error(capsys, tmp_path / "bad.json", antipodal12) == _metric_error(bad)
+
+
+def test_thresholds_compares_the_matrix_under_the_action_once(tmp_path):
+    # the load validates with the action, and every quotient build verifies
+    # it again; both read one answer for the loaded matrix
+    space, act = tmp_path / "torus.json", tmp_path / "act.json"
+    assert main(["generate", "--shape", "torus-grid", "--param", "k=14",
+                 "--out", str(space)]) == 0
+    assert main(["action", "--kind", "torus-z14", "--space", str(space),
+                 "--out", str(act)]) == 0
+    compare = IsometricAction._generators_preserve
+    with mock.patch.object(IsometricAction, "_generators_preserve", autospec=True,
+                           side_effect=compare) as spy:
+        assert main(["thresholds", "--kind", "diameter", "--space", str(space),
+                     "--action", str(act), "--out", str(tmp_path / "t.json")]) == 0
+    assert spy.call_count == 1
 
 
 def test_metric_error_precedes_action_errors(tmp_path, capsys, circle12):

@@ -1,11 +1,14 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbitrips.complexes import SimplicialComplex, vr_complex, vr_filtration
-from orbitrips.persistence import (ORACLE_LIMIT, _reduce, betti_at,
+from orbitrips import persistence
+from orbitrips.complexes import (DEFAULT_BUDGET, SimplicialComplex, vr_complex,
+                                 vr_filtration)
+from orbitrips.persistence import (ORACLE_LIMIT, _lex_complex, _reduce, betti_at,
                                    format_barcode_tsv, homology_oracle,
                                    read_barcode_tsv, reduce_filtration)
 from orbitrips.spaces import (FiniteMetricSpace, ShapeSpec, critical_values,
@@ -69,32 +72,12 @@ def test_barcode_agrees_with_dense_oracle(rng):
             assert bc.betti_alive_at(r, "leq") == homology_oracle(cx)
 
 
-def test_no_zero_length_bars_but_pairs_keep_them(rng):
+def test_no_zero_length_bars(rng):
     space = random_cloud_space(rng, n=10)
     bc = reduce_filtration(vr_filtration(space, dim_cap=3))
     for d in range(bc.dim_cap):
         for birth, death in bc.bars(d):
             assert birth < death
-        for (birth, _), death in bc.pairs[d]:
-            if death is not None:
-                assert birth <= death[0]
-    # every dropped bar corresponds to a same-value pair
-    for d in range(bc.dim_cap):
-        dropped = sum(1 for (b, _), dd in bc.pairs[d]
-                      if dd is not None and dd[0] == b)
-        assert len(bc.pairs[d]) == len(bc.bars(d)) + dropped
-
-
-def test_pairing_is_graded_and_ordered(rng):
-    space = random_cloud_space(rng, n=8)
-    bc = reduce_filtration(vr_filtration(space, dim_cap=3))
-    for d in range(bc.dim_cap):
-        for (birth, verts), death in bc.pairs[d]:
-            assert len(verts) == d + 1
-            if death is not None:
-                dval, dverts = death
-                assert len(dverts) == d + 2  # killers live one dimension up
-                assert dval >= birth
 
 
 def test_essential_classes_count_matches_components(rng):
@@ -141,6 +124,31 @@ def test_barcode_tsv_roundtrip(tmp_path):
     assert "inf" in text
 
 
+def _top_killer(filt, key):
+    """A top coface key as (value, vertex tuple): value rank * span + lex
+    rank of the first dim_cap vertices among the (dim_cap-1)-simplices * n +
+    the last vertex, span = (number of (dim_cap-1)-simplices) * n."""
+    below = sorted(tuples(filt.simplices[filt.dim_cap - 1]))
+    rank, rest = divmod(key, len(below) * filt.n)
+    prefix, last = divmod(rest, filt.n)
+    return float(filt.table[rank]), below[prefix] + (last,)
+
+
+def _vertex_pairs(filt, pivots):
+    """`_reduce`'s pivots as {d: {face tuple: (killer value, killer tuple)}}."""
+    out = {}
+    for d, pairs in pivots.items():
+        if not pairs:
+            continue
+        faces = tuples(filt.simplices[d - 1])
+        if d < filt.dim_cap:
+            cofaces = tuples(filt.simplices[d])
+            out[d] = {faces[i]: (float(filt.values[d][j]), cofaces[j]) for i, j in pairs.items()}
+        else:
+            out[d] = {faces[i]: _top_killer(filt, key) for i, key in pairs.items()}
+    return out
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10**9), n=st.integers(3, 11), dim_cap=st.integers(1, 4),
        shape=st.sampled_from(["cloud", "circle"]),
@@ -149,27 +157,116 @@ def test_barcode_tsv_roundtrip(tmp_path):
 def test_coboundary_pivots_equal_homology_reduction(seed, n, dim_cap, shape, source,
                                                     pick, empty_top):
     # full filtrations, max_scale cuts (cofaces missing) and lex-ordered
-    # complexes; the circle's tied distances exercise the lex tie-breaks
+    # complexes; the circle's tied distances exercise the lex tie-breaks.
+    # With empty_top, dim_cap = n, so the implicit top dimension is empty.
     if shape == "cloud":
         space = random_cloud_space(np.random.default_rng(seed), n)
     else:
         space = generate_space(ShapeSpec("evenly-spaced-circle", {"n": n}))
+    if empty_top:
+        dim_cap = n
     cv = critical_values(space)
     r = float(cv[int(pick * (len(cv) - 1))])
     if source in ("filtration", "cut"):
         filt = vr_filtration(space, dim_cap, max_scale=r if source == "cut" else None)
-        by_dim = dict(filt.simplices)
-        # the arrays list each dimension in entry order
-        entries: dict[int, list] = {}
-        for _, verts in filt.entries:
-            entries.setdefault(len(verts) - 1, []).append(verts)
-        assert {d: tuples(s) for d, s in by_dim.items()} == entries
+        entries = filt.entries
     else:
-        by_dim = dict(vr_complex(space, r, source, dim_cap).simplices)
-    if empty_top:
-        top = max(by_dim) + 1
-        by_dim[top] = np.zeros((0, top + 1), dtype=np.int32)
-    assert _reduce(space.n, by_dim) == homology_pivots({d: tuples(s) for d, s in by_dim.items()})
+        filt = _lex_complex(space, r, source, dim_cap, DEFAULT_BUDGET)
+        entries = [(r, s) for d, rows in sorted(vr_complex(space, r, source, dim_cap).simplices.items())
+                   for s in tuples(rows)]
+    # the full complex, every dimension in entry order, which the stored
+    # dimensions below the top follow
+    full: dict[int, list] = {}
+    value = {}
+    for v, verts in entries:
+        full.setdefault(len(verts) - 1, []).append(verts)
+        value[verts] = v
+    assert {d: tuples(s) for d, s in filt.simplices.items()} == \
+        {d: s for d, s in full.items() if d < dim_cap}
+    assert filt.top_count == len(full.get(dim_cap, []))
+    assert filt.total == len(entries)
+
+    want = {d: {full[d - 1][i]: full[d][j] for i, j in pairs.items()}
+            for d, pairs in homology_pivots(full).items()}
+    got = _vertex_pairs(filt, _reduce(filt))
+    assert {d: pairs for d, pairs in got.items() if pairs} == \
+        {d: {face: (value[k], k) for face, k in pairs.items()}
+         for d, pairs in want.items() if pairs}
+    # killers live one dimension up and never come before their simplex
+    for d, pairs in got.items():
+        for face, (death, killer) in pairs.items():
+            assert len(face) == d and len(killer) == d + 1
+            assert death >= value[face]
+    if source in ("filtration", "cut"):
+        # the barcode is the pairing with its zero-length bars dropped
+        paired = {face: death for pairs in got.values() for face, (death, _) in pairs.items()}
+        killers = {killer for pairs in got.values() for _, killer in pairs.values()}
+        bars = {}
+        for v, verts in entries:
+            d = len(verts) - 1
+            if d < dim_cap and verts not in killers and paired.get(verts) != v:
+                bars.setdefault(d, []).append((v, paired.get(verts, math.inf)))
+        bc = reduce_filtration(filt)
+        assert {d: b for d, b in bc.intervals.items() if b} == \
+            {d: sorted(b) for d, b in bars.items()}
+
+
+def test_top_coface_keys_past_int64_agree(rng):
+    # keys stay int64 while (cut + 1) * span - 1 fits and are Python ints
+    # past that; a bound lowered below the largest key forces Python ints
+    for space in (random_cloud_space(rng, n=9),
+                  generate_space(ShapeSpec("evenly-spaced-circle", {"n": 12}))):
+        for dim_cap in (1, 2, 3):
+            filt = vr_filtration(space, dim_cap)
+            largest = (filt.cut + 1) * len(filt.simplices[dim_cap - 1]) * filt.n - 1
+            with mock.patch.object(persistence, "_INT64_MAX", largest - 1):
+                wide = _reduce(filt)
+                barcode = reduce_filtration(filt)
+            assert wide == _reduce(filt)
+            assert barcode.intervals == reduce_filtration(filt).intervals
+
+
+def test_top_coface_keys_on_2000_points():
+    # a 5-sphere and a solid 7-simplex among 1,980 isolated points: the top
+    # keys name 6-simplices with n = 2000, where base-n keys would need n**7
+    n = 2000
+    cluster = np.random.default_rng(0).uniform(0.0, 0.1, size=(8, 6))
+    pts = np.zeros((n, 6))
+    pts[:12] = _cross_polytope(6)
+    pts[12:20] = cluster + [100.0, 0, 0, 0, 0, 0]
+    pts[20:, 0] = -10.0 * np.arange(n - 20) - 100.0
+    pts = pts[np.random.default_rng(1).permutation(n)]
+    space = FiniteMetricSpace(np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)))
+    filt = vr_filtration(space, dim_cap=6, max_scale=1.5)
+    assert filt.top_count == 8
+    assert (filt.cut + 1) * len(filt.simplices[5]) * n < 2 ** 63 < n ** 7
+    bc = reduce_filtration(filt)
+    expected = (n - 12 - 8 + 2, 0, 0, 0, 0, 1)
+    assert bc.betti_alive_at(1.5) == betti_at(space, 1.5, "leq", 6).values == expected
+    # the cluster's 5-simplices die at 6-simplices, no later than 0.1 * sqrt(6)
+    assert sum(1 for _, death in bc.bars(5) if math.isinf(death)) == 1
+    assert all(death < 0.25 for _, death in bc.bars(5) if not math.isinf(death))
+
+
+@pytest.mark.parametrize("n", [9, 12, 18, 24, 30])
+def test_circle_barcode_is_the_closed_form(n):
+    # Adamaszek & Adams, "The Vietoris-Rips complexes of a circle" (2017): the
+    # n-cycle's VR complex at k steps is a circle for 3k < n and a wedge of
+    # n/3 - 1 two-spheres at 3k = n, so with d_k = d(0, k) H1 is one bar
+    # [d_1, d_{n/3}) and H2 is n/3 - 1 bars [d_{n/3}, d_{n/3+1}), killed by
+    # tetrahedra, the implicit top dimension
+    space = generate_space(ShapeSpec("evenly-spaced-circle", {"n": n}))
+    d = space.dist[0].tolist()
+    k = n // 3
+    bc = reduce_filtration(vr_filtration(space, dim_cap=3))
+    assert bc.bars(1) == [(d[1], d[k])]
+    assert bc.bars(2) == [(d[k], d[k + 1])] * (k - 1)
+    for r in (d[1], d[k], d[k + 1]):
+        for convention in ("leq", "lt"):
+            values = betti_at(space, r, convention, dim_cap=3).values
+            assert values == bc.betti_alive_at(r, convention)
+            assert values == homology_oracle(vr_complex(space, r, convention, dim_cap=3))
+    assert betti_at(space, d[k], "leq", dim_cap=3).values == (1, 0, k - 1)
 
 
 def _cross_polytope(k: int) -> np.ndarray:
