@@ -1,9 +1,9 @@
-"""Vietoris-Rips and Cech complexes of finite metric spaces, plus the VR
-filtration.  Everything is built from two primitives: the r-balls of the
-points as packed bit rows, and one ordered clique walk that extends a whole
-dimension at once, as (m, d+1) int32 vertex arrays in (dimension, lex)
+"""Vietoris-Rips and Cech complexes of finite metric spaces, the VR filtration
+and anchored lifts.  Everything is built from two primitives: the r-balls of
+the points as packed bit rows, and one ordered clique walk that extends a
+whole dimension at once, as (m, d+1) int32 vertex arrays in (dimension, lex)
 order.  `LexIndex` ranks vertex rows among the simplices of a complex;
-membership tests, orbit grouping and the reduction engine all search it."""
+membership tests, orbit grouping, action checks and the reduction search it."""
 
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ __all__ = [
     "LexIndex",
     "SimplicialComplex",
     "VRFiltration",
+    "anchored_lifts",
     "ball_masks",
     "vr_complex",
     "cech_complex",
@@ -189,7 +190,7 @@ def _and_rows(a, ia, b, ib, step):
 
 def _cliques(n: int, adj: np.ndarray, dim_cap: int, budget: int,
              witness: np.ndarray | None = None, rank: np.ndarray | None = None,
-             count_top: bool = False):
+             count_top: bool = False, proj: np.ndarray | None = None):
     """Ordered clique walk over packed adjacency rows, a dimension at a time.
 
     Bit v of row u of `adj` marks an edge (a vertex's own bit is ignored).
@@ -204,18 +205,23 @@ def _cliques(n: int, adj: np.ndarray, dim_cap: int, budget: int,
     candidates at a time, before their dimension is stored.  With
     `count_top` (and no `witness`) the dim_cap-simplices are only counted, a
     popcount of each chunk of candidates, and never stored.
+    With `proj` (see `anchored_lifts`) the walk starts at each orbit's least
+    point and steps only to higher orbits: "above u" means proj[v] > proj[u].
     """
     if dim_cap < 0:
         raise ValueError(f"dim_cap must be nonnegative, got {dim_cap}")
-    if n > budget:
+    key = np.arange(n) if proj is None else proj
+    roots = np.unique(key, return_index=True)[1]  # the least point of each key
+    if len(roots) > budget:
         raise BudgetExceededError(budget, 0)
     if count_top and dim_cap == 0:
         return {}, {}, n
-    rows = np.arange(n, dtype=np.int32).reshape(n, 1)
-    simplices, count = {0: rows}, n
-    maxima = {} if rank is None else {0: np.zeros(n, dtype=rank.dtype)}
-    up = adj & np.packbits(rows.T > rows, axis=1, bitorder="little")  # bit v of row u: v > u
-    cand, common, step = up, witness, max(1, _CHUNK_BYTES // max(adj.shape[1], 1))
+    rows = roots.astype(np.int32).reshape(-1, 1)
+    simplices, count = {0: rows}, len(rows)
+    maxima = {} if rank is None else {0: np.zeros(len(rows), dtype=rank.dtype)}
+    up = adj & np.packbits(key > key[:, None], axis=1, bitorder="little")  # v above u
+    cand, common = up[roots], None if witness is None else witness[roots]
+    step = max(1, _CHUNK_BYTES // max(adj.shape[1], 1))
     for dim in range(1, dim_cap + 1):
         implicit = count_top and dim == dim_cap
         children, stored = [], count
@@ -250,6 +256,21 @@ def _cliques(n: int, adj: np.ndarray, dim_cap: int, budget: int,
             if witness is not None:
                 common = _and_rows(common, p, witness, v, step)
     return simplices, maxima, 0
+
+
+def _walk_rows(space: FiniteMetricSpace, r: float, kind: str,
+               convention: str) -> tuple[np.ndarray, np.ndarray | None]:
+    """The packed adjacency rows of a `kind` complex's clique walk at scale r
+    (for Cech, `_witness_graph`), and for Cech the ball rows as witness rows."""
+    if kind not in ("vr", "cech"):
+        raise ValueError(f"unknown complex kind: {kind!r}")
+    balls = _ball_rows(space, r, convention)  # bit y of row i: y witnesses i's ball
+    if kind == "vr":
+        return balls, None
+    graph = _witness_graph([int.from_bytes(row.tobytes(), "little") for row in balls])
+    adj = np.frombuffer(b"".join(g.to_bytes(balls.shape[1], "little") for g in graph),
+                        dtype=np.uint8).reshape(balls.shape)
+    return adj, balls
 
 
 def vr_complex(space: FiniteMetricSpace, r: float, convention: str = "leq",
@@ -291,12 +312,21 @@ def cech_complex(space: FiniteMetricSpace, r: float, convention: str = "leq",
     built by `_witness_graph`, which assumes the distance matrix is exactly
     symmetric (as `load_space`, `build_quotient` and the generators ensure).
     """
-    balls = _ball_rows(space, r, convention)  # bit y of row i: y witnesses i's ball
-    graph = _witness_graph([int.from_bytes(row.tobytes(), "little") for row in balls])
-    adj = np.frombuffer(b"".join(g.to_bytes(balls.shape[1], "little") for g in graph),
-                        dtype=np.uint8).reshape(balls.shape)
+    adj, balls = _walk_rows(space, r, "cech", convention)
     simplices, _, _ = _cliques(space.n, adj, dim_cap, budget, witness=balls)
     return SimplicialComplex(space.n, "cech", convention, float(r), dim_cap, simplices)
+
+
+def anchored_lifts(space: FiniteMetricSpace, proj: np.ndarray, r: float, kind: str = "vr",
+                   convention: str = "leq", dim_cap: int = DEFAULT_DIM_CAP,
+                   budget: int = DEFAULT_BUDGET) -> dict[int, np.ndarray]:
+    """The anchored lifts at scale r of every orbit subset: the simplices of
+    the `kind` complex that start at an orbit's least point and step only to
+    higher orbits, orbit proj[v] of v being numbered by least point (as in
+    `build_quotient`).  Returns {dim: (m, dim+1) int32 rows} in lex order,
+    budgeted as in `vr_complex`; proj[row] is the row's sorted orbit subset."""
+    adj, witness = _walk_rows(space, r, kind, convention)
+    return _cliques(space.n, adj, dim_cap, budget, witness=witness, proj=np.asarray(proj))[0]
 
 
 class VRFiltration:

@@ -1,5 +1,5 @@
-"""Anchored lift searches shared by the action checks and the isomorphism
-certificates.
+"""Anchored lift searches for replays and evidence (`verify_witness`,
+`verify_certificate`, `iso_check`'s not-surjective evidence).
 
 A subset of orbits {a_1 < ... < a_k} is lifted by fixing the canonical
 representative of a_1 (the anchor) and choosing one member from each other
@@ -8,9 +8,10 @@ element, so uniqueness up to the action is equivalent to uniqueness among
 anchored tuples whenever no nonidentity element moves a point by less than
 the scale (the doubled-point condition checked separately).
 
-One depth-first walk, `_walk`, visits the anchored tuples in lexicographic
-order.  The three searches differ only in the state they thread through it
-(a diameter or a ball mask) and in what they prune.
+One depth-first walk, `_walk`, visits one subset's anchored tuples in
+lexicographic order, sharing no code with `complexes.anchored_lifts`.  The
+three searches differ only in the state they thread through it (a diameter
+or a ball mask) and in what they prune.
 """
 
 from __future__ import annotations

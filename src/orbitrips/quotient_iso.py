@@ -197,7 +197,6 @@ def iso_check(space: FiniteMetricSpace, action: IsometricAction, r: float,
         found = np.ones(len(img), dtype=bool)
         located[dim] = quot.index.rank(img.T, found), found
 
-    Dl = q.base.rows
     members = q.members
     for dim in range(dim_cap + 1):
         ranks, found = located[dim]
@@ -208,8 +207,8 @@ def iso_check(space: FiniteMetricSpace, action: IsometricAction, r: float,
         simplex = tuple(quot.simplices[dim][int(np.argmin(hit))].tolist())
         evidence: dict = {}
         if kind == "vr":
-            min_diam, achievers = anchored_min_diameter(Dl, members, simplex)
-            evidence = {"min_lift_diam": min_diam,
+            min_diam, achievers = anchored_min_diameter(q.base.dist, members, simplex)
+            evidence = {"min_lift_diam": float(min_diam),
                         "min_lifts": [list(t) for t in achievers[:4]]}
         else:
             masks = ball_masks(q.base, r, convention)
@@ -265,7 +264,7 @@ def verify_certificate(space: FiniteMetricSpace, action: IsometricAction,
         if not quot.contains(missing):
             return False
         if kind == "vr":
-            return not anchored_lifts_within(q.base.rows, q.members,
+            return not anchored_lifts_within(q.base.dist, q.members,
                                              missing, r, strict=convention == "lt")
         masks = ball_masks(q.base, r, convention)
         return not anchored_witnessed_lifts(masks, q.members, missing)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import permutations
 from typing import TYPE_CHECKING, Any
 
@@ -64,17 +63,6 @@ class FiniteMetricSpace:
         if self.labels is not None and len(self.labels) != self.n:
             raise ValueError("labels length does not match point count")
         self.provenance = dict(provenance) if provenance else {}
-
-    @cached_property
-    def rows(self) -> list[memoryview]:
-        """The distance matrix as one memoryview per row, built once per space.
-
-        Indexing a row by int gives a Python float, as a nested list would,
-        but the views copy nothing: `dist.tolist()` would hold one float
-        object per entry (over 100 MB for the 1764 points of a 42x42 torus).
-        The lift searches index these rows.
-        """
-        return [memoryview(row) for row in self.dist]
 
     def __repr__(self):
         kind = self.provenance.get("kind", "explicit")

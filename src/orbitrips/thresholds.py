@@ -14,6 +14,8 @@ Four properties of an isometric action, each parametrized by r:
 The diameter and nerve properties are exactly what make the quotient of the
 Vietoris-Rips (resp. Cech) complex at scale r isomorphic to the complex of the
 quotient metric space, so their checks double as certificates for iso_check.
+Both checks count each quotient simplex's lifts among the anchored lifts
+of one clique walk, `complexes.anchored_lifts`.
 
 Every check, scan and replay runs on the exactly invariant base space of
 build_quotient (see the tolerance policy in `actions`).
@@ -21,17 +23,16 @@ build_quotient (see the tolerance policy in `actions`).
 
 from __future__ import annotations
 
+import functools
 import math
-import weakref
-from collections.abc import Iterator
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .actions import IsometricAction, QuotientSpace, build_quotient
 from .complexes import (DEFAULT_BUDGET, DEFAULT_DIM_CAP, BudgetExceededError,
-                        SimplicialComplex, ball_masks, cech_complex,
-                        vr_complex)
+                        anchored_lifts, ball_masks, cech_complex, vr_complex)
 from .lifts import (EQ_EPS, anchored_lifts_within, anchored_min_diameter,
                     anchored_witnessed_lifts)
 from .spaces import FiniteMetricSpace, critical_values
@@ -219,35 +220,63 @@ def _doubles_failure(quotient: QuotientSpace, r: float, ball: bool,
     return None
 
 
-_DIST_ROWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _dist_rows(q: QuotientSpace) -> tuple[list, list]:
-    """Base and quotient distances as rows indexable by int, built once per
-    quotient.
-
-    The lift searches index Python sequences far faster than arrays; a scan
-    passes the same quotient to every check, so the conversion is paid once
-    per scan.  The base rows are the memoryviews of `FiniteMetricSpace.rows`;
-    the much smaller quotient matrix is a nested list.
-    """
-    rows = _DIST_ROWS.get(q)
-    if rows is None:
-        rows = _DIST_ROWS[q] = (q.base.rows, q.space.dist.tolist())
-    return rows
-
-
-_SUBSET_BLOCK = 4096  # quotient simplices turned into tuples at a time
-
-
-def _subsets(qcx: SimplicialComplex) -> Iterator[tuple[int, ...]]:
-    """The simplices of dimension >= 1 of a quotient complex as orbit tuples,
-    in dimension then lex order.  Rows are listed _SUBSET_BLOCK at a time, so
-    a check that fails early lists little of a large dimension."""
+def _first_failure(q: QuotientSpace, kind: str, r: float, convention: str,
+                   k_max: int, budget: int, failure) -> tuple[dict | None, int]:
+    """The first witness, in (dimension, lex) order, that `failure(orbits,
+    lifts)` gives for a simplex of the quotient's `kind` complex without
+    exactly one anchored lift, and the number of simplices checked.  A
+    simplex's lifts are the rows whose orbits have its rank in the complex."""
+    build = vr_complex if kind == "vr" else cech_complex
+    qcx = build(q.space, r, convention=convention, dim_cap=k_max, budget=budget)
+    lifts = anchored_lifts(q.base, q.proj, r, kind, convention, k_max, budget)
+    checked = 0
     for dim in range(1, len(qcx.simplices)):
-        rows = qcx.simplices[dim]
-        for start in range(0, len(rows), _SUBSET_BLOCK):
-            yield from map(tuple, rows[start:start + _SUBSET_BLOCK].tolist())
+        rows = lifts.get(dim, np.zeros((0, dim + 1), dtype=np.int32))
+        found = np.ones(len(rows), dtype=bool)
+        ranks = qcx.index.rank(q.proj[rows].T, found)
+        rows, ranks = rows[found], ranks[found]
+        count = np.bincount(ranks, minlength=len(qcx.simplices[dim]))
+        for s in np.flatnonzero(count != 1).tolist():
+            witness = failure(qcx.simplices[dim][s], rows[ranks == s])
+            if witness is not None:
+                return witness, checked + s + 1
+        checked += len(count)
+    return None, checked
+
+
+def _diameter(D: np.ndarray, points: list[int]) -> float:
+    """The largest entry of D over the pairs of `points`."""
+    return max(float(D[x, y]) for i, x in enumerate(points) for y in points[i + 1:])
+
+
+def _diameter_failure(q: QuotientSpace, orbits: np.ndarray,
+                      lifts: np.ndarray) -> dict | None:
+    """The witness of a quotient subset that fails the diameter property,
+    given its anchored lifts below the scale in lex order, else None."""
+    orbits = orbits.tolist()
+    qdiam = _diameter(q.space.dist, orbits)
+    within = [(_diameter(q.base.dist, t), tuple(t)) for t in lifts.tolist()]
+    if within:
+        min_diam = min(d for d, _ in within)
+        achievers = [t for d, t in within if d == min_diam]
+    else:  # the minimum is >= r; find it and its achievers
+        min_diam, achievers = anchored_min_diameter(q.base.dist, q.members, tuple(orbits))
+        min_diam = float(min_diam)
+
+    def sets(mode: str, **evidence) -> dict:
+        return {"part": "sets", "mode": mode, "orbits": orbits, "qdiam": qdiam,
+                **evidence}
+
+    if min_diam > qdiam + EQ_EPS:
+        return sets("no_equality_lift", min_lift_diam=min_diam,
+                    min_lifts=[list(t) for t in achievers[:4]])
+    if len(achievers) > 1:
+        return sets("equality_not_unique", lifts=[list(t) for t in achievers[:4]])
+    extras = [t for _, t in within if t != achievers[0]]
+    if extras:
+        return sets("extra_lift_within_scale", lift=list(achievers[0]),
+                    extra_lifts=[list(t) for t in extras[:4]])
+    return None
 
 
 def _check_k_max(k_max: int) -> None:
@@ -271,50 +300,16 @@ def diameter_action_check(space: FiniteMetricSpace, action: IsometricAction,
     """
     _check_k_max(k_max)
     q = quotient if quotient is not None else build_quotient(space, action)
-    doubles = _doubles_failure(q, r, ball=False)
-    if doubles is not None:
-        return ActionCheckResult(kind="diameter", r=float(r), ok=False,
-                                 k_max=k_max, witness=doubles)
-
-    qcx = vr_complex(q.space, r, convention="lt", dim_cap=k_max, budget=budget)
-    Dl, Ql = _dist_rows(q)
-    members = q.members
-    checked = 0
-    for orbits in _subsets(qcx):
-        checked += 1
-        qdiam = max(Ql[a][b] for i, a in enumerate(orbits) for b in orbits[i + 1:])
-        within = anchored_lifts_within(Dl, members, orbits, r)
-        if within:
-            min_diam = min(d for d, _ in within)
-            achievers = [t for d, t in within if d == min_diam]
-        else:  # the minimum is >= r; find it and its achievers
-            min_diam, achievers = anchored_min_diameter(Dl, members, orbits)
-        if min_diam > qdiam + EQ_EPS:
-            witness = {"part": "sets", "mode": "no_equality_lift",
-                       "orbits": list(orbits), "qdiam": qdiam,
-                       "min_lift_diam": min_diam,
-                       "min_lifts": [list(t) for t in achievers[:4]]}
-            return ActionCheckResult(kind="diameter", r=float(r), ok=False,
-                                     k_max=k_max, witness=witness,
-                                     subsets_checked=checked)
-        if len(achievers) > 1:
-            witness = {"part": "sets", "mode": "equality_not_unique",
-                       "orbits": list(orbits), "qdiam": qdiam,
-                       "lifts": [list(t) for t in achievers[:4]]}
-            return ActionCheckResult(kind="diameter", r=float(r), ok=False,
-                                     k_max=k_max, witness=witness,
-                                     subsets_checked=checked)
-        extras = [t for _, t in within if t != achievers[0]]
-        if extras:
-            witness = {"part": "sets", "mode": "extra_lift_within_scale",
-                       "orbits": list(orbits), "qdiam": qdiam,
-                       "lift": list(achievers[0]),
-                       "extra_lifts": [list(t) for t in extras[:4]]}
-            return ActionCheckResult(kind="diameter", r=float(r), ok=False,
-                                     k_max=k_max, witness=witness,
-                                     subsets_checked=checked)
-    return ActionCheckResult(kind="diameter", r=float(r), ok=True, k_max=k_max,
-                             subsets_checked=checked)
+    witness, checked = _doubles_failure(q, r, ball=False), 0
+    if witness is None:
+        # once every smaller subset has passed, the one lift of a subset has
+        # the one lifts of its orbit pairs as edges, up to the exact action,
+        # and an orbit pair's one lift realizes its quotient distance; so a
+        # subset with one lift passes, and one with none passes on a tie
+        witness, checked = _first_failure(q, "vr", r, "lt", k_max, budget,
+                                          functools.partial(_diameter_failure, q))
+    return ActionCheckResult(kind="diameter", r=float(r), ok=witness is None,
+                             k_max=k_max, witness=witness, subsets_checked=checked)
 
 
 def nerve_action_check(space: FiniteMetricSpace, action: IsometricAction,
@@ -338,30 +333,19 @@ def nerve_action_check(space: FiniteMetricSpace, action: IsometricAction,
     _check_k_max(k_max)
     q = quotient if quotient is not None else build_quotient(space, action)
     masks = ball_masks(q.base, r, convention)
-    doubles = _doubles_failure(q, r, ball=True, masks=masks)
-    if doubles is not None:
-        return ActionCheckResult(kind="nerve", r=float(r), ok=False,
-                                 k_max=k_max, convention=convention,
-                                 witness=doubles)
 
-    qcx = cech_complex(q.space, r, convention=convention, dim_cap=k_max,
-                       budget=budget)
-    members = q.members
-    checked = 0
-    for orbits in _subsets(qcx):
-        checked += 1
-        lifts = anchored_witnessed_lifts(masks, members, orbits)
-        if len(lifts) == 1:
-            continue
-        witness = {"part": "sets", "mode": "lift_not_unique",
-                   "orbits": list(orbits),
-                   "lifts": [list(t) for t, _ in lifts[:4]],
-                   "witnesses": [w for _, w in lifts[:4]]}
-        return ActionCheckResult(kind="nerve", r=float(r), ok=False,
-                                 k_max=k_max, convention=convention,
-                                 witness=witness, subsets_checked=checked)
-    return ActionCheckResult(kind="nerve", r=float(r), ok=True, k_max=k_max,
-                             convention=convention, subsets_checked=checked)
+    def failure(orbits: np.ndarray, rows: np.ndarray) -> dict:
+        first = rows[:4].tolist()
+        common = [functools.reduce(operator.and_, (masks[x] for x in t)) for t in first]
+        return {"part": "sets", "mode": "lift_not_unique", "orbits": orbits.tolist(),
+                "lifts": first, "witnesses": [(c & -c).bit_length() - 1 for c in common]}
+
+    witness, checked = _doubles_failure(q, r, ball=True, masks=masks), 0
+    if witness is None:
+        witness, checked = _first_failure(q, "cech", r, convention, k_max, budget, failure)
+    return ActionCheckResult(kind="nerve", r=float(r), ok=witness is None, k_max=k_max,
+                             convention=convention, witness=witness,
+                             subsets_checked=checked)
 
 
 def threshold_scan(space: FiniteMetricSpace, action: IsometricAction,
@@ -485,28 +469,25 @@ def verify_witness(space: FiniteMetricSpace, action: IsometricAction,
 
     orbits = tuple(witness["orbits"])
     members = q.members
-    Dl, Ql = _dist_rows(q)
     if kind == "diameter":
-        qdiam = max(Ql[a][b] for i, a in enumerate(orbits) for b in orbits[i + 1:])
+        qdiam = _diameter(q.space.dist, orbits)
         if not qdiam < r:
             return False
-        min_diam, achievers = anchored_min_diameter(Dl, members, orbits)
+        min_diam, achievers = anchored_min_diameter(D, members, orbits)
+        equal = bool(min_diam <= qdiam + EQ_EPS)
         mode = witness["mode"]
         if mode == "no_equality_lift":
-            return min_diam > qdiam + EQ_EPS
+            return not equal
         if mode == "equality_not_unique":
-            return min_diam <= qdiam + EQ_EPS and len(achievers) > 1
+            return equal and len(achievers) > 1
         if mode == "extra_lift_within_scale":
-            within = anchored_lifts_within(Dl, members, orbits, r, strict=True)
-            return min_diam <= qdiam + EQ_EPS and len(achievers) == 1 and len(within) > 1
+            within = anchored_lifts_within(D, members, orbits, r, strict=True)
+            return equal and len(achievers) == 1 and len(within) > 1
         return False
     if kind == "nerve":
         masks = ball_masks(q.base, r, convention)
         qmasks = ball_masks(q.space, r, convention)
-        common = qmasks[orbits[0]]
-        for a in orbits[1:]:
-            common &= qmasks[a]
-        if not common:
+        if not functools.reduce(operator.and_, (qmasks[a] for a in orbits)):
             return False  # subset does not qualify
         lifts = anchored_witnessed_lifts(masks, members, orbits)
         return witness["mode"] == "lift_not_unique" and len(lifts) > 1

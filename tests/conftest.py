@@ -15,7 +15,10 @@ quotient_complex and verify_isometric the same way, and validate_metric_oracle
 referees validate_metric.  clique_oracle is the
 tuple clique walker that the array walk of `complexes` replaced, kept
 unchanged as its referee; `tuples` reads array rows as the vertex tuples the
-oracles list.
+oracles list.  subset_check_oracle is the per-subset loop of the diameter
+and nerve checks that the anchored lift walk replaced: it decides each
+quotient simplex by the recursive searches of `lifts`, and shares only the
+doubled-point part and the quotient complex with the library checks.
 """
 
 from __future__ import annotations
@@ -28,11 +31,15 @@ import pytest
 
 from orbitrips.actions import (ISOMETRY_EPS, IsometricAction, IsometryReport,
                                build_quotient, close_group)
-from orbitrips.complexes import (DEFAULT_BUDGET, BudgetExceededError,
-                                 SimplicialComplex)
+from orbitrips.complexes import (DEFAULT_BUDGET, DEFAULT_DIM_CAP,
+                                 BudgetExceededError, SimplicialComplex,
+                                 ball_masks, cech_complex, vr_complex)
+from orbitrips.lifts import (anchored_lifts_within, anchored_min_diameter,
+                             anchored_witnessed_lifts)
 from orbitrips.spaces import (TRIANGLE_EPS, FiniteMetricSpace, MetricValidation,
                               critical_values)
-from orbitrips.thresholds import (ThresholdReport, diameter_action_check,
+from orbitrips.thresholds import (ActionCheckResult, ThresholdReport,
+                                  _doubles_failure, diameter_action_check,
                                   nerve_action_check)
 
 EQ_EPS = 1e-9
@@ -258,6 +265,79 @@ def _brute_qdist(D: np.ndarray, members: list[list[int]]) -> list[list[float]]:
             if a != b:
                 out[a][b] = min(D[x, y] for x in members[a] for y in members[b])
     return out
+
+
+# ---------------------------------------------------------------------------
+# per-subset action checks referee
+
+
+def _diameter_subset_failure(Dl, Ql, members, orbits, r) -> dict | None:
+    qdiam = max(Ql[a][b] for i, a in enumerate(orbits) for b in orbits[i + 1:])
+    within = anchored_lifts_within(Dl, members, orbits, r)
+    if within:
+        min_diam = min(d for d, _ in within)
+        achievers = [t for d, t in within if d == min_diam]
+    else:  # the minimum is >= r; find it and its achievers
+        min_diam, achievers = anchored_min_diameter(Dl, members, orbits)
+    if min_diam > qdiam + EQ_EPS:
+        return {"part": "sets", "mode": "no_equality_lift",
+                "orbits": list(orbits), "qdiam": qdiam,
+                "min_lift_diam": min_diam,
+                "min_lifts": [list(t) for t in achievers[:4]]}
+    if len(achievers) > 1:
+        return {"part": "sets", "mode": "equality_not_unique",
+                "orbits": list(orbits), "qdiam": qdiam,
+                "lifts": [list(t) for t in achievers[:4]]}
+    extras = [t for _, t in within if t != achievers[0]]
+    if extras:
+        return {"part": "sets", "mode": "extra_lift_within_scale",
+                "orbits": list(orbits), "qdiam": qdiam,
+                "lift": list(achievers[0]),
+                "extra_lifts": [list(t) for t in extras[:4]]}
+    return None
+
+
+def _nerve_subset_failure(masks, members, orbits) -> dict | None:
+    lifts = anchored_witnessed_lifts(masks, members, orbits)
+    if len(lifts) == 1:
+        return None
+    return {"part": "sets", "mode": "lift_not_unique", "orbits": list(orbits),
+            "lifts": [list(t) for t, _ in lifts[:4]],
+            "witnesses": [w for _, w in lifts[:4]]}
+
+
+def subset_check_oracle(space: FiniteMetricSpace, action: IsometricAction,
+                        kind: str, r: float, k_max: int = DEFAULT_DIM_CAP,
+                        convention: str = "lt",
+                        budget: int = DEFAULT_BUDGET) -> ActionCheckResult:
+    """diameter_action_check ("diameter") or nerve_action_check ("nerve") as
+    one loop over the quotient simplices of dimension >= 1, in (dimension,
+    lex) order: each subset is decided by its own recursive lift search, and
+    the first that fails gives the witness and subsets_checked."""
+    q = build_quotient(space, action)
+    if kind == "diameter":
+        convention = "lt"
+    masks = ball_masks(q.base, r, convention)
+    result = dict(kind=kind, r=float(r), k_max=k_max, convention=convention)
+    doubles = _doubles_failure(q, r, ball=kind == "nerve", masks=masks)
+    if doubles is not None:
+        return ActionCheckResult(ok=False, witness=doubles, **result)
+    build = vr_complex if kind == "diameter" else cech_complex
+    qcx = build(q.space, r, convention=convention, dim_cap=k_max, budget=budget)
+    Dl = [memoryview(row) for row in q.base.dist]
+    Ql = q.space.dist.tolist()
+    checked = 0
+    for dim in range(1, len(qcx.simplices)):
+        for orbits in map(tuple, qcx.simplices[dim].tolist()):
+            checked += 1
+            if kind == "diameter":
+                witness = _diameter_subset_failure(Dl, Ql, q.members, orbits, r)
+            else:
+                witness = _nerve_subset_failure(masks, q.members, orbits)
+            if witness is not None:
+                return ActionCheckResult(ok=False, witness=witness,
+                                         subsets_checked=checked, **result)
+    return ActionCheckResult(ok=True, subsets_checked=checked, **result)
 
 
 # ---------------------------------------------------------------------------

@@ -135,7 +135,7 @@ def test_antipodal_circle_not_surjective_at_closed_scale():
     assert ce["min_lift_diam"] == 1 / 3
     assert len(ce["min_lifts"]) == 4
     assert cert.counts_orbits[2] == 6 and cert.counts_quotient[2] == 8
-    assert verify_certificate(space, action, cert)
+    assert verify_certificate(space, action, cert) is True
 
 
 def test_transitive_action_degenerate_once_edges_appear():

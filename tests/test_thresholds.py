@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 from orbitrips.actions import (antipodal_generator, block_shift_generator,
                                build_quotient, circle_rotation_generator,
                                close_group, paired_swap_generator)
-from orbitrips.complexes import BudgetExceededError, vr_complex
+from orbitrips.cli import main
+from orbitrips.complexes import (BudgetExceededError, anchored_lifts,
+                                 cech_complex, vr_complex)
 from orbitrips.spaces import (FiniteMetricSpace, ShapeSpec, critical_values,
                               generate_space)
 from orbitrips.thresholds import (ball_threshold, diameter_action_check,
@@ -16,7 +18,7 @@ from orbitrips.thresholds import (ball_threshold, diameter_action_check,
 
 from conftest import (assert_same_bracket, brute_ball_ok, brute_diameter_ok,
                       brute_distance_ok, brute_nerve_ok, linear_scan,
-                      random_rotated_cloud)
+                      random_rotated_cloud, subset_check_oracle)
 
 
 def _circle12_antipodal():
@@ -72,7 +74,7 @@ def test_diameter_scan_antipodal_circle_pinned():
     assert w["qdiam"] == 1 / 6
     assert w["min_lift_diam"] == 1 / 3
     assert len(w["min_lifts"]) == 4      # all four anchored lifts tie at 1/3
-    assert verify_witness(space, action, "diameter", w["scale"], w)
+    assert verify_witness(space, action, "diameter", w["scale"], w) is True
 
 
 def test_diameter_scan_threefold_circle_pinned():
@@ -97,7 +99,7 @@ def test_nerve_scan_threefold_circle_pinned():
     assert w["orbits"] == [0, 6]
     assert w["lifts"] == [[0, 6], [0, 30]]
     assert w["witnesses"] == [3, 33]
-    assert verify_witness(space, action, "nerve", w["scale"], w)
+    assert verify_witness(space, action, "nerve", w["scale"], w) is True
 
 
 def test_nerve_scan_antipodal_circle48_pinned():
@@ -301,3 +303,77 @@ def test_scan_budget_overrun_below_the_threshold_raises():
         linear_scan(space, action, "diameter", k_max=3, budget=10)
     with pytest.raises(BudgetExceededError):
         threshold_scan(space, action, "diameter", k_max=3, budget=10)
+
+
+def _threefold_circle36():
+    space = generate_space(ShapeSpec("evenly-spaced-circle",
+                                     {"n": 36, "circumference": 3.0}))
+    return space, close_group(36, [circle_rotation_generator(36, 12)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**9), shape=st.sampled_from(["cloud", "circle", "sphere"]),
+       where=st.floats(0.0, 1.0), k_max=st.integers(0, 3),
+       convention=st.sampled_from(["lt", "leq"]))
+def test_checks_match_subset_oracle(seed, shape, where, k_max, convention):
+    # the lift walk against the per-subset searches it replaced: verdict,
+    # witness and subsets_checked, at a critical value of the base the
+    # checks run on
+    rng = np.random.default_rng(seed)
+    if shape == "cloud":
+        space, action = random_rotated_cloud(rng, m=int(rng.integers(2, 5)),
+                                             k=int(rng.integers(2, 4)))
+    elif shape == "circle":
+        m, per = int(rng.integers(2, 5)), int(rng.integers(3, 7))
+        space = generate_space(ShapeSpec("evenly-spaced-circle", {"n": m * per}))
+        action = close_group(m * per, [circle_rotation_generator(m * per, per)])
+    else:
+        count = int(rng.choice([6, 8, 12]))
+        space = generate_space(ShapeSpec(
+            "geodesic-sphere", {"dim": 2, "count": count, "paired": True},
+            seed=int(rng.integers(0, 4))))
+        action = close_group(2 * count, [paired_swap_generator(count)])
+    grid = critical_values(build_quotient(space, action).base)
+    r = float(grid[int(where * (len(grid) - 1))])
+    got = diameter_action_check(space, action, r, k_max=k_max)
+    assert got.to_dict() == subset_check_oracle(space, action, "diameter", r,
+                                                k_max).to_dict()
+    got = nerve_action_check(space, action, r, k_max=k_max, convention=convention)
+    assert got.to_dict() == subset_check_oracle(space, action, "nerve", r, k_max,
+                                                convention).to_dict()
+
+
+def test_passing_checks_fit_the_budget_of_their_quotient_complex():
+    # a passing check has one anchored lift per quotient simplex, so its
+    # lift walk never outgrows the quotient complex
+    space, action = _circle12_antipodal()
+    q = build_quotient(space, action)
+    budget = vr_complex(q.space, 1 / 6, convention="lt", dim_cap=3).total
+    assert diameter_action_check(space, action, 1 / 6, k_max=3, budget=budget).ok
+    space, action = _threefold_circle36()
+    q = build_quotient(space, action)
+    budget = cech_complex(q.space, 0.25, convention="lt", dim_cap=3).total
+    assert nerve_action_check(space, action, 0.25, k_max=3, budget=budget).ok
+
+
+def test_failing_check_whose_lifts_overrun_the_budget_raises(tmp_path):
+    # at 1/3 the quotient Cech complex fits the budget, but orbits {0, 6}
+    # have two witnessed lifts, so the lift walk needs more rows than that
+    space, action = _threefold_circle36()
+    q = build_quotient(space, action)
+    budget = cech_complex(q.space, 1 / 3, convention="lt", dim_cap=3).total
+    lifts = anchored_lifts(q.base, q.proj, 1 / 3, "cech", "lt", dim_cap=3)
+    assert sum(len(rows) for rows in lifts.values()) > budget
+    assert not nerve_action_check(space, action, 1 / 3, k_max=3).ok
+    with pytest.raises(BudgetExceededError):
+        nerve_action_check(space, action, 1 / 3, k_max=3, budget=budget)
+    space_path, action_path = tmp_path / "space.json", tmp_path / "action.json"
+    assert main(["generate", "--shape", "circle", "--param", "n=36",
+                 "--param", "circumference=3.0", "--out", str(space_path)]) == 0
+    assert main(["action", "--kind", "rotation", "--steps", "12",
+                 "--space", str(space_path), "--out", str(action_path)]) == 0
+    argv = ["check", "--kind", "nerve", "--space", str(space_path),
+            "--action", str(action_path), "--scale", "1/3",
+            "--out", str(tmp_path / "check.json")]
+    assert main(argv) == 0
+    assert main(argv + ["--budget", str(budget)]) == 4
