@@ -267,10 +267,7 @@ def _walk_rows(space: FiniteMetricSpace, r: float, kind: str,
     balls = _ball_rows(space, r, convention)  # bit y of row i: y witnesses i's ball
     if kind == "vr":
         return balls, None
-    graph = _witness_graph([int.from_bytes(row.tobytes(), "little") for row in balls])
-    adj = np.frombuffer(b"".join(g.to_bytes(balls.shape[1], "little") for g in graph),
-                        dtype=np.uint8).reshape(balls.shape)
-    return adj, balls
+    return _witness_graph(balls), balls
 
 
 def vr_complex(space: FiniteMetricSpace, r: float, convention: str = "leq",
@@ -282,22 +279,21 @@ def vr_complex(space: FiniteMetricSpace, r: float, convention: str = "leq",
     return SimplicialComplex(space.n, "vr", convention, float(r), dim_cap, simplices)
 
 
-def _witness_graph(balls: list[int]) -> list[int]:
-    """Pairwise-witness graph: bit j of row i is set iff balls i and j share a point.
+def _witness_graph(balls: np.ndarray) -> np.ndarray:
+    """Pairwise-witness graph of packed ball rows: bit j of row i is set iff
+    balls i and j share a point.
 
     Row i is the OR of balls[y] over the witnesses y in balls[i].  That is the
     pairwise test only when y in ball(j) iff j in ball(y), i.e. when the
     distances are exactly symmetric.  Row i also carries its own bit whenever
     its ball is nonempty; the clique walk ignores it.
     """
-    graph = []
-    for mask in balls:
-        row = 0
-        while mask:
-            low = mask & -mask
-            row |= balls[low.bit_length() - 1]
-            mask ^= low
-        graph.append(row)
+    graph, step = np.zeros_like(balls), max(1, _CHUNK_BYTES // max(balls.size, 1))
+    for lo in range(0, len(balls), step):  # _CHUNK_BYTES of gathered rows at a time
+        x, y = np.nonzero(np.unpackbits(balls[lo:lo + step], axis=1, count=len(balls),
+                                        bitorder="little"))
+        rows, starts = np.unique(x, return_index=True)  # reduceat gives an empty ball a row
+        graph[lo + rows] = np.bitwise_or.reduceat(balls[y], starts, axis=0)
     return graph
 
 

@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .actions import IsometricAction, QuotientSpace, build_quotient
-from .complexes import (DEFAULT_BUDGET, DEFAULT_DIM_CAP, BudgetExceededError,
-                        anchored_lifts, ball_masks, cech_complex, vr_complex)
+from .complexes import (DEFAULT_BUDGET, DEFAULT_DIM_CAP, anchored_lifts,
+                        ball_masks, cech_complex, vr_complex)
 from .lifts import (EQ_EPS, anchored_lifts_within, anchored_min_diameter,
                     anchored_witnessed_lifts)
 from .spaces import FiniteMetricSpace, critical_values
@@ -77,12 +77,12 @@ class ActionCheckResult:
 class ThresholdReport:
     """Bracketing of the largest scale at which a property holds.
 
-    The property holds at passes_at and fails at fails_at (both were checked);
-    resolution = fails_at - passes_at is the width of the bracket.  For the
-    distance and ball kinds the threshold is computed exactly rather than
-    scanned, so passes_at is the exact supremum of passing scales.  For the
-    diameter and nerve kinds, scanned is the number of checks performed, not
-    the grid position of fails_at.
+    The property holds at passes_at and fails at fails_at; resolution =
+    fails_at - passes_at is the width of the bracket.  For the distance and
+    ball kinds passes_at is the exact supremum of passing scales.  For the
+    diameter and nerve kinds both ends are adjacent grid values around the
+    exact failure scale (provenance "search": "exact-minimum"), and scanned
+    is the number of checks run: 1, at fails_at, or 0 when fails_at is inf.
     """
 
     kind: str
@@ -148,6 +148,13 @@ def _ball_minimum(space: FiniteMetricSpace, action: IsometricAction):
     return best, witness
 
 
+def _bracket(grid: np.ndarray, t: float, strict: bool = True) -> tuple[float, float]:
+    """The last grid value at which a property failing exactly above t (at and
+    above t, unless strict) holds (0.0 if none), and the first (inf if none)."""
+    i = int(np.searchsorted(grid, t, side="right" if strict else "left"))
+    return float(grid[i - 1]) if i else 0.0, float(grid[i]) if i < len(grid) else math.inf
+
+
 def _exact_threshold(kind: str, space: FiniteMetricSpace, action: IsometricAction,
                      minimum) -> ThresholdReport:
     """Report of a threshold that `minimum(q.base, action)` computes exactly.
@@ -161,9 +168,7 @@ def _exact_threshold(kind: str, space: FiniteMetricSpace, action: IsometricActio
                                passes_at=math.inf, fails_at=math.inf,
                                vacuous=True)
     best, witness = minimum(base, action)
-    crit = critical_values(base)
-    above = crit[crit > best]
-    fails_at = float(above[0]) if above.size else math.inf
+    fails_at = _bracket(critical_values(base), best)[1]
     return ThresholdReport(kind=kind, k_max=0, convention="lt",
                            passes_at=best, fails_at=fails_at, witness=witness,
                            resolution=(fails_at - best) if math.isfinite(fails_at) else None,
@@ -190,72 +195,115 @@ def ball_threshold(space: FiniteMetricSpace, action: IsometricAction) -> Thresho
     return _exact_threshold("ball", space, action, _ball_minimum)
 
 
-def _doubles_failure(quotient: QuotientSpace, r: float, ball: bool,
-                     masks: list[int] | None = None) -> dict | None:
-    """Doubled-point part of the diameter/nerve checks, at representatives.
+def _doubled_points(q: QuotientSpace, ball: bool) -> np.ndarray:
+    """The scale above which each representative and its image under each
+    nonidentity g double, as an (orbits, elements - 1) array: d(rep, g.rep),
+    or with `ball` min over y of max(d(rep, y), d(g.rep, y)), a g at a time."""
+    D, reps = q.base.dist, np.asarray(q.reps, dtype=np.intp)
+    images = q.action.element_arrays[1:, reps]
+    if ball:
+        values = [np.maximum(D[reps], D[img]).min(axis=1) for img in images]
+        return np.array(values).reshape(-1, len(reps)).T
+    return D[reps, images].T
 
-    diameter flavor (ball=False): some nonidentity g moves a representative by
-    less than r.  nerve flavor (ball=True): open balls around a representative
-    and its g-image share a sample point.  Conjugating by the element that
-    carries an arbitrary point to its representative shows checking at
-    representatives suffices.
-    """
-    D = quotient.base.dist
-    action = quotient.action
-    for a, rep in enumerate(quotient.reps):
-        for gi in range(1, len(action.elements)):
-            img = int(action.element_arrays[gi][rep])
-            if not ball:
-                if D[rep, img] < r:
-                    return {"part": "doubles", "orbit": a, "g": gi,
-                            "x": rep, "gx": img, "moved": float(D[rep, img])}
-            else:
-                common = masks[rep] & masks[img]
-                if common:
-                    y = (common & -common).bit_length() - 1
-                    return {"part": "doubles", "orbit": a, "g": gi,
-                            "x": rep, "gx": img, "y": y,
-                            "value": float(max(D[rep, y], D[img, y])),
-                            "fixed_point": img == rep}
-    return None
+
+def _doubles_failure(q: QuotientSpace, r: float, ball: bool,
+                     convention: str = "lt") -> dict | None:
+    """Doubled-point part of the diameter/nerve checks: the first orbit, then
+    g, that doubles at r, with the lowest common sample point y for balls.
+    Checking at representatives suffices, by conjugation."""
+    within = np.less_equal if convention == "leq" else np.less
+    values = _doubled_points(q, ball)
+    hits = np.argwhere(within(values, r))
+    if not len(hits):
+        return None
+    a, g = hits[0].tolist()
+    x, gx, D = q.reps[a], int(q.action.element_arrays[g + 1, q.reps[a]]), q.base.dist
+    witness = {"part": "doubles", "orbit": a, "g": g + 1, "x": x, "gx": gx}
+    if not ball:
+        return {**witness, "moved": float(values[a, g])}
+    y = int(np.argmax(within(np.maximum(D[x], D[gx]), r)))
+    return {**witness, "y": y, "value": float(max(D[x, y], D[gx, y])), "fixed_point": gx == x}
+
+
+def _lifts_by_simplex(q: QuotientSpace, kind: str, r: float, convention: str,
+                      dim_cap: int, budget: float, start: int = 1):
+    """Per dimension from `start`: the quotient's `kind` simplices at r, the
+    anchored lifts at r, their ranks among those simplices, and lift counts."""
+    build = vr_complex if kind == "vr" else cech_complex
+    qcx = build(q.space, r, convention=convention, dim_cap=dim_cap, budget=budget)
+    lifts = anchored_lifts(q.base, q.proj, r, kind, convention, dim_cap, budget)
+    for dim in range(start, len(qcx.simplices)):
+        rows = lifts.get(dim, np.zeros((0, dim + 1), dtype=np.int32))
+        found = np.ones(len(rows), dtype=bool)
+        ranks = qcx.index.rank(q.proj[rows].T, found)[found]
+        yield (qcx.simplices[dim], rows[found], ranks,
+               np.bincount(ranks, minlength=len(qcx.simplices[dim])))
 
 
 def _first_failure(q: QuotientSpace, kind: str, r: float, convention: str,
                    k_max: int, budget: int, failure) -> tuple[dict | None, int]:
     """The first witness, in (dimension, lex) order, that `failure(orbits,
     lifts)` gives for a simplex of the quotient's `kind` complex without
-    exactly one anchored lift, and the number of simplices checked.  A
-    simplex's lifts are the rows whose orbits have its rank in the complex."""
-    build = vr_complex if kind == "vr" else cech_complex
-    qcx = build(q.space, r, convention=convention, dim_cap=k_max, budget=budget)
-    lifts = anchored_lifts(q.base, q.proj, r, kind, convention, k_max, budget)
+    exactly one anchored lift, and the number of simplices checked."""
     checked = 0
-    for dim in range(1, len(qcx.simplices)):
-        rows = lifts.get(dim, np.zeros((0, dim + 1), dtype=np.int32))
-        found = np.ones(len(rows), dtype=bool)
-        ranks = qcx.index.rank(q.proj[rows].T, found)
-        rows, ranks = rows[found], ranks[found]
-        count = np.bincount(ranks, minlength=len(qcx.simplices[dim]))
+    for simplices, rows, ranks, count in _lifts_by_simplex(q, kind, r, convention, k_max, budget):
         for s in np.flatnonzero(count != 1).tolist():
-            witness = failure(qcx.simplices[dim][s], rows[ranks == s])
+            witness = failure(simplices[s], rows[ranks == s])
             if witness is not None:
                 return witness, checked + s + 1
         checked += len(count)
     return None, checked
 
 
-def _diameter(D: np.ndarray, points: list[int]) -> float:
-    """The largest entry of D over the pairs of `points`."""
-    return max(float(D[x, y]) for i, x in enumerate(points) for y in points[i + 1:])
+def _diameters(D: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The largest entry of D over the pairs of each vertex row."""
+    i, j = np.triu_indices(rows.shape[1], 1)
+    return D[rows[:, i], rows[:, j]].max(axis=1)
+
+
+def _failure_scale(q: QuotientSpace, kind: str, k_max: int, budget: int) -> float:
+    """The scale T above which (at and above which, nerve under "leq") the
+    check fails: the least doubled-point value or f(S) of a quotient subset.
+    Diameter: f(S) = qdiam(S) when the least lift lies more than EQ_EPS above
+    it or two tie for least, else the second-least lift diameter.  Nerve: the
+    second-least lift radius.  An f(S) below the running T shows in the lifts
+    below T: the edges', walked at the doubled-point scale without a budget
+    (at most q (n + 1) rows), then one budgeted walk per dim_cap 2..k_max."""
+    D, t = q.base.dist, float(_doubled_points(q, kind == "nerve").min(initial=math.inf))
+    for dim in range(1, k_max + 1 if math.isfinite(t) else 1):  # inf: one lift per subset
+        for simplices, rows, ranks, count in _lifts_by_simplex(
+                q, "vr" if kind == "diameter" else "cech", t, "lt", dim,
+                budget if dim > 1 else math.inf, start=dim):
+            if kind == "nerve":  # radii of the lifts of subsets with two, 2^18 // n at a time
+                keep, count = count[ranks] > 1, np.where(count > 1, count, 0)
+                rows, ranks, step = rows[keep], ranks[keep], max(1, (1 << 18) // len(D))
+                values = np.concatenate([np.zeros(0)] + [D[rows[lo:lo + step]].max(1).min(1)
+                                                         for lo in range(0, len(rows), step)])
+            else:
+                values = _diameters(D, rows)
+            values, first = values[np.lexsort((values, ranks))], np.cumsum(count) - count
+            least, f = np.full((2, len(count)), np.inf)  # the least and second-least
+            least[count > 0] = values[first[count > 0]]
+            f[count > 1] = values[first[count > 1] + 1]
+            if kind == "diameter":
+                qdiam = _diameters(q.space.dist, simplices)
+                fails = (least > qdiam + EQ_EPS) | (f == least)
+                # with no lift below t, the least surely exceeds qdiam + EQ_EPS only if t does
+                for s in np.flatnonzero(np.isinf(least) & (qdiam + EQ_EPS >= t)).tolist():
+                    low, ties = anchored_min_diameter(D, q.members, tuple(simplices[s].tolist()))
+                    fails[s] = low > qdiam[s] + EQ_EPS or len(ties) > 1
+                f = np.where(fails, qdiam, f)
+            t = min(t, float(f.min(initial=math.inf)))
+    return t
 
 
 def _diameter_failure(q: QuotientSpace, orbits: np.ndarray,
                       lifts: np.ndarray) -> dict | None:
     """The witness of a quotient subset that fails the diameter property,
     given its anchored lifts below the scale in lex order, else None."""
-    orbits = orbits.tolist()
-    qdiam = _diameter(q.space.dist, orbits)
-    within = [(_diameter(q.base.dist, t), tuple(t)) for t in lifts.tolist()]
+    qdiam, orbits = float(_diameters(q.space.dist, orbits[None])[0]), orbits.tolist()
+    within = list(zip(_diameters(q.base.dist, lifts).tolist(), map(tuple, lifts.tolist())))
     if within:
         min_diam = min(d for d, _ in within)
         achievers = [t for d, t in within if d == min_diam]
@@ -340,7 +388,7 @@ def nerve_action_check(space: FiniteMetricSpace, action: IsometricAction,
         return {"part": "sets", "mode": "lift_not_unique", "orbits": orbits.tolist(),
                 "lifts": first, "witnesses": [(c & -c).bit_length() - 1 for c in common]}
 
-    witness, checked = _doubles_failure(q, r, ball=True, masks=masks), 0
+    witness, checked = _doubles_failure(q, r, ball=True, convention=convention), 0
     if witness is None:
         witness, checked = _first_failure(q, "cech", r, convention, k_max, budget, failure)
     return ActionCheckResult(kind="nerve", r=float(r), ok=witness is None, k_max=k_max,
@@ -354,27 +402,17 @@ def threshold_scan(space: FiniteMetricSpace, action: IsometricAction,
                    budget: int = DEFAULT_BUDGET) -> ThresholdReport:
     """Bracket the largest scale at which a property of the action holds.
 
-    distance and ball are computed exactly.  diameter and nerve are searched
-    over the critical values of the base space `q.base` (every quotient
-    distance is a base distance, so this grid sees every scale at which the
-    qualifying subsets or their lifts can change).  The report is the one an
-    ascending walk that stops at the first failing check would give:
-    fails_at is the first grid value whose check fails, passes_at its
-    predecessor (0.0 when there is none), and the witness comes from the
-    check at fails_at.
-
-    The search gallops over grid indices 1, 3, 7, ... until a check fails,
-    then bisects down to an adjacent pass/fail pair.  That is exact because
-    both checks are monotone in r in float arithmetic too: the qualifying
-    quotient simplices, the extra lifts within scale, the witnessed lifts
-    and the doubled points only grow with r, and the no-equality and
-    non-unique diameter tests do not depend on r.  The nerve check needs the
-    exact action of `q.base` for this: there its only failure mode is a
-    second witnessed lift (see nerve_action_check).
-
-    A check that exceeds the simplex budget counts as failing, since complexes
-    only grow with r; the BudgetExceededError is re-raised only when it comes
-    from the check at the first failing grid value.
+    distance and ball are computed exactly.  diameter and nerve are
+    bracketed on the critical values of the base space `q.base` (every
+    quotient distance is a base distance, so this grid sees every scale at
+    which the qualifying subsets or their lifts can change) as an ascending
+    walk that stops at the first failing check would: fails_at is the first
+    grid value whose check fails, passes_at its predecessor (0.0 if none).
+    Both checks are monotone in r, the nerve check on the exact action of
+    `q.base` (see nerve_action_check), so each fails exactly above the scale
+    `_failure_scale` finds, without a search.  The one check, at fails_at,
+    gives the witness.  The budget bounds that check and every walk of
+    `_failure_scale` but the edges' (at most q (n + 1) rows).
     """
     if kind == "distance":
         return distance_threshold(space, action)
@@ -383,62 +421,28 @@ def threshold_scan(space: FiniteMetricSpace, action: IsometricAction,
     if kind not in ("diameter", "nerve"):
         raise ValueError(f"unknown threshold kind: {kind!r}")
     _check_k_max(k_max)
+    if kind == "nerve" and convention not in ("lt", "leq"):
+        raise ValueError(f"convention must be one of ('leq', 'lt'), got {convention!r}")
 
     q = build_quotient(space, action)
-    grid = [float(v) for v in critical_values(q.base)]
-    results: dict[int, ActionCheckResult | BudgetExceededError] = {}
-
-    def passes(i: int) -> bool:
-        if i not in results:
-            try:
-                if kind == "diameter":
-                    results[i] = diameter_action_check(
-                        space, action, grid[i], k_max=k_max, quotient=q,
-                        budget=budget)
-                else:
-                    results[i] = nerve_action_check(
-                        space, action, grid[i], k_max=k_max,
-                        convention=convention, quotient=q, budget=budget)
-            except BudgetExceededError as exc:
-                results[i] = exc
-        res = results[i]
-        return isinstance(res, ActionCheckResult) and res.ok
-
-    # invariant: index lo passes (-1 stands for scale 0.0), index hi fails
-    # (len(grid) stands for "no failure")
-    lo, hi = -1, len(grid)
-    probe = 1
-    while hi == len(grid) and lo < hi - 1:
-        probe = min(probe, hi - 1)
-        if passes(probe):
-            lo, probe = probe, 2 * probe + 1
-        else:
-            hi = probe
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if passes(mid):
-            lo = mid
-        else:
-            hi = mid
-
-    passes_at = grid[lo] if lo >= 0 else 0.0
-    fails_at = math.inf
+    grid = critical_values(q.base)
+    passes_at, fails_at = _bracket(grid, _failure_scale(q, kind, k_max, budget),
+                                   strict=kind == "diameter" or convention == "lt")
     witness = None
-    if hi < len(grid):
-        res = results[hi]
-        if isinstance(res, BudgetExceededError):
-            raise res
-        fails_at = grid[hi]
-        witness = dict(res.witness or {})
-        witness["scale"] = fails_at
-    resolution = (fails_at - passes_at) if math.isfinite(fails_at) else None
+    if math.isfinite(fails_at):
+        check = diameter_action_check if kind == "diameter" else \
+            functools.partial(nerve_action_check, convention=convention)
+        res = check(space, action, fails_at, k_max=k_max, quotient=q, budget=budget)
+        if res.ok:
+            raise AssertionError(f"{kind} check passes at {fails_at!r}, above its failure scale")
+        witness = {**res.witness, "scale": fails_at}
     return ThresholdReport(kind=kind, k_max=k_max, convention=convention,
-                           passes_at=passes_at, fails_at=fails_at,
-                           witness=witness, resolution=resolution,
-                           scanned=len(results),
+                           passes_at=passes_at, fails_at=fails_at, witness=witness,
+                           resolution=(fails_at - passes_at) if math.isfinite(fails_at) else None,
+                           scanned=int(math.isfinite(fails_at)),
                            provenance={"grid": "base-critical-values",
                                        "grid_size": len(grid),
-                                       "search": "gallop"})
+                                       "search": "exact-minimum"})
 
 
 def verify_witness(space: FiniteMetricSpace, action: IsometricAction,
@@ -470,7 +474,7 @@ def verify_witness(space: FiniteMetricSpace, action: IsometricAction,
     orbits = tuple(witness["orbits"])
     members = q.members
     if kind == "diameter":
-        qdiam = _diameter(q.space.dist, orbits)
+        qdiam = float(_diameters(q.space.dist, np.array([orbits]))[0])
         if not qdiam < r:
             return False
         min_diam, achievers = anchored_min_diameter(D, members, orbits)

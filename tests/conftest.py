@@ -18,7 +18,9 @@ unchanged as its referee; `tuples` reads array rows as the vertex tuples the
 oracles list.  subset_check_oracle is the per-subset loop of the diameter
 and nerve checks that the anchored lift walk replaced: it decides each
 quotient simplex by the recursive searches of `lifts`, and shares only the
-doubled-point part and the quotient complex with the library checks.
+quotient complex with the library checks; doubles_failure_oracle, the
+double loop that the doubled-point array replaced, gives its doubled-point
+part.
 """
 
 from __future__ import annotations
@@ -39,8 +41,7 @@ from orbitrips.lifts import (anchored_lifts_within, anchored_min_diameter,
 from orbitrips.spaces import (TRIANGLE_EPS, FiniteMetricSpace, MetricValidation,
                               critical_values)
 from orbitrips.thresholds import (ActionCheckResult, ThresholdReport,
-                                  _doubles_failure, diameter_action_check,
-                                  nerve_action_check)
+                                  diameter_action_check, nerve_action_check)
 
 EQ_EPS = 1e-9
 
@@ -306,6 +307,30 @@ def _nerve_subset_failure(masks, members, orbits) -> dict | None:
             "witnesses": [w for _, w in lifts[:4]]}
 
 
+def doubles_failure_oracle(q, r: float, ball: bool, masks: list[int]) -> dict | None:
+    """The doubled-point part of the checks as the double loop over orbits,
+    then nonidentity elements, with int ball masks, that the (orbit, g)
+    array of `thresholds` replaced."""
+    D = q.base.dist
+    action = q.action
+    for a, rep in enumerate(q.reps):
+        for gi in range(1, len(action.elements)):
+            img = int(action.element_arrays[gi][rep])
+            if not ball:
+                if D[rep, img] < r:
+                    return {"part": "doubles", "orbit": a, "g": gi,
+                            "x": rep, "gx": img, "moved": float(D[rep, img])}
+            else:
+                common = masks[rep] & masks[img]
+                if common:
+                    y = (common & -common).bit_length() - 1
+                    return {"part": "doubles", "orbit": a, "g": gi,
+                            "x": rep, "gx": img, "y": y,
+                            "value": float(max(D[rep, y], D[img, y])),
+                            "fixed_point": img == rep}
+    return None
+
+
 def subset_check_oracle(space: FiniteMetricSpace, action: IsometricAction,
                         kind: str, r: float, k_max: int = DEFAULT_DIM_CAP,
                         convention: str = "lt",
@@ -319,7 +344,7 @@ def subset_check_oracle(space: FiniteMetricSpace, action: IsometricAction,
         convention = "lt"
     masks = ball_masks(q.base, r, convention)
     result = dict(kind=kind, r=float(r), k_max=k_max, convention=convention)
-    doubles = _doubles_failure(q, r, ball=kind == "nerve", masks=masks)
+    doubles = doubles_failure_oracle(q, r, kind == "nerve", masks)
     if doubles is not None:
         return ActionCheckResult(ok=False, witness=doubles, **result)
     build = vr_complex if kind == "diameter" else cech_complex

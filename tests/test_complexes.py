@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from orbitrips import complexes
 from orbitrips.actions import antipodal_generator, close_group
-from orbitrips.complexes import (BudgetExceededError, _witness_graph, ball_masks,
-                                 cech_complex, vr_complex, vr_filtration)
+from orbitrips.complexes import (BudgetExceededError, _ball_rows, _witness_graph,
+                                 ball_masks, cech_complex, vr_complex, vr_filtration)
 from orbitrips.persistence import betti_at
 from orbitrips.spaces import (FiniteMetricSpace, ShapeSpec, critical_values,
                               generate_space)
@@ -45,6 +45,12 @@ def test_cech_matches_brute_on_random_spaces(rng, convention):
             _assert_same(cx, brute_cech(space.dist, float(r), convention, 3))
 
 
+def _graph_masks(space, r, convention) -> list[int]:
+    """The packed rows of the pairwise-witness graph at r, read as int masks."""
+    return [int.from_bytes(row.tobytes(), "little")
+            for row in _witness_graph(_ball_rows(space, r, convention))]
+
+
 @pytest.mark.parametrize("convention", ["leq", "lt"])
 def test_witness_graph_equals_pairwise_double_loop(rng, convention):
     for _ in range(8):
@@ -58,7 +64,9 @@ def test_witness_graph_equals_pairwise_double_loop(rng, convention):
                     if balls[i] & balls[j]:
                         pairs[i] |= 1 << j
                         pairs[j] |= 1 << i
-            graph = _witness_graph(balls)
+            graph = _graph_masks(space, r, convention)
+            with mock.patch.object(complexes, "_CHUNK_BYTES", 1):  # a row at a time
+                assert _graph_masks(space, r, convention) == graph
             # off the diagonal the rows agree; a row's own bit is set iff its ball is nonempty
             assert [row & ~(1 << i) for i, row in enumerate(graph)] == pairs
             assert [bool(row >> i & 1) for i, row in enumerate(graph)] == [b != 0 for b in balls]
@@ -301,7 +309,7 @@ def _oracle_cech(space, r, convention, dim_cap, budget):
         w = state & balls[v]
         return w if w else None
 
-    return clique_oracle(space.n, _witness_graph(balls), dim_cap, budget,
+    return clique_oracle(space.n, _graph_masks(space, r, convention), dim_cap, budget,
                          child_state=child_state, root_state=balls.__getitem__)[0]
 
 

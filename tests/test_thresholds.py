@@ -6,12 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from orbitrips.actions import (antipodal_generator, block_shift_generator,
                                build_quotient, circle_rotation_generator,
-                               close_group, paired_swap_generator)
+                               close_group, paired_swap_generator,
+                               torus_grid_shift_generators)
 from orbitrips.cli import main
 from orbitrips.complexes import (BudgetExceededError, anchored_lifts,
                                  cech_complex, vr_complex)
 from orbitrips.spaces import (FiniteMetricSpace, ShapeSpec, critical_values,
-                              generate_space)
+                              generate_space, twelve_circles_action_generators)
 from orbitrips.thresholds import (ball_threshold, diameter_action_check,
                                   distance_threshold, nerve_action_check,
                                   threshold_scan, verify_witness)
@@ -67,7 +68,7 @@ def test_diameter_scan_antipodal_circle_pinned():
     rep = threshold_scan(space, action, "diameter", k_max=3)
     assert rep.passes_at == 1 / 6
     assert rep.fails_at == 0.25
-    assert rep.scanned == 3
+    assert rep.scanned == 1
     w = rep.witness
     assert w["mode"] == "no_equality_lift"
     assert w["orbits"] == [0, 2, 4]
@@ -139,6 +140,8 @@ def test_unknown_convention_rejected_by_nerve_check_and_replay():
     with pytest.raises(ValueError):
         verify_witness(space, action, "nerve", 0.3, res.witness,
                        convention="bogus")
+    with pytest.raises(ValueError):  # a scan that runs no check, nothing failing
+        threshold_scan(space, close_group(12, []), "nerve", convention="le")
 
 
 def test_unknown_kind_rejected():
@@ -234,6 +237,61 @@ def test_scan_matches_linear_oracle(seed, m, k, kind, convention, k_max,
     assert_same_bracket(rep, oracle)
 
 
+SHIPPED_SHAPES = {
+    "circle12": (ShapeSpec("evenly-spaced-circle", {"n": 12}),
+                 lambda n: [antipodal_generator(n)]),
+    "circle48": (ShapeSpec("evenly-spaced-circle", {"n": 48}),
+                 lambda n: [antipodal_generator(n)]),
+    "sphere12": (ShapeSpec("geodesic-sphere", {"dim": 2, "count": 12, "paired": True}),
+                 lambda n: [paired_swap_generator(n // 2)]),
+    "six-circles12": (ShapeSpec("six-circles", {"m": 12}),
+                      lambda n: [block_shift_generator(6, n // 6)]),
+    "twelve-circles4": (ShapeSpec("twelve-circles", {"m": 4}),
+                        lambda n: twelve_circles_action_generators(n // 12)),
+    "torus14": (ShapeSpec("flat-torus-grid", {"k": 14}),
+                lambda n: torus_grid_shift_generators(14)),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SHIPPED_SHAPES))
+def test_scan_matches_linear_oracle_on_shipped_shapes(shape):
+    # the shapes the CLI generates, at k_max 0 (the doubled-point scale
+    # alone) and 3, in both kinds and both conventions
+    spec, generators = SHIPPED_SHAPES[shape]
+    space = generate_space(spec)
+    action = close_group(space.n, generators(space.n))
+    for kind in ("diameter", "nerve"):
+        for convention in ("lt", "leq"):
+            for k_max in (0, 3):
+                rep = threshold_scan(space, action, kind, k_max=k_max,
+                                     convention=convention)
+                assert_same_bracket(rep, linear_scan(space, action, kind, k_max=k_max,
+                                                     convention=convention))
+    # at k_max 0 only the doubled points count: the distance and ball brackets
+    for kind, exact in (("diameter", distance_threshold(space, action)),
+                        ("nerve", ball_threshold(space, action))):
+        rep = threshold_scan(space, action, kind, k_max=0)
+        assert (rep.passes_at, rep.fails_at) == (exact.passes_at, exact.fails_at)
+
+
+def test_diameter_scan_finds_the_least_lift_of_a_subset_just_below_the_bound():
+    # orbits A = {0, 3}, B = {1, 4}, C = {2, 5} under the swap; every distance
+    # lies in [1, 2], so this is a metric.  The doubled point (0, 3) sets the
+    # bound 1 + 2e-10 of the triangle walk, where ABC (qdiam 1.0) has no lift
+    # below it; its least lift (0, 1, 2), 5e-10 above qdiam, is unique, so
+    # ABC never fails and the doubled point alone gives the bracket
+    up, near, far = 1.0 + 2e-10, 1.0 + 5e-10, 2.0
+    D = np.full((6, 6), far)
+    np.fill_diagonal(D, 0.0)
+    for x, y, d in [(0, 3, up), (0, 1, 1.0), (0, 2, 1.0), (1, 2, near), (1, 5, 1.0)]:
+        D[x, y] = D[y, x] = D[(x + 3) % 6, (y + 3) % 6] = D[(y + 3) % 6, (x + 3) % 6] = d
+    space, action = FiniteMetricSpace(D), close_group(6, [[3, 4, 5, 0, 1, 2]])
+    rep = threshold_scan(space, action, "diameter", k_max=2)
+    assert (rep.passes_at, rep.fails_at) == (up, near)
+    assert rep.witness["part"] == "doubles"
+    assert_same_bracket(rep, linear_scan(space, action, "diameter", k_max=2))
+
+
 def test_nerve_scan_of_one_point_space_on_empty_grid():
     # no critical values at all, so the grid is empty and nothing is checked
     space, action = FiniteMetricSpace([[0.0]]), close_group(1, [])
@@ -268,7 +326,7 @@ def test_sphere30_nerve_bracket_is_label_free():
                                              0.1378677762113696)
     assert rep.witness["mode"] == "lift_not_unique"
     assert rep.provenance == {"grid": "base-critical-values",
-                              "grid_size": 875, "search": "gallop"}
+                              "grid_size": 875, "search": "exact-minimum"}
     assert_same_bracket(rep, linear_scan(space, action, "nerve", k_max=2))
     rng = np.random.default_rng(15)
     for _ in range(3):
@@ -289,7 +347,7 @@ def test_scan_budget_overrun_above_the_threshold_is_not_fatal():
     budget = vr_complex(q.space, 0.25, convention="lt", dim_cap=3).total
     oracle = linear_scan(space, action, "diameter", k_max=3, budget=budget)
     assert oracle.fails_at == 0.25
-    # a galloping probe beyond fails_at would overrun this budget
+    # a check beyond fails_at would overrun this budget
     assert grid.index(0.25) == 2
     with pytest.raises(BudgetExceededError):
         vr_complex(q.space, grid[3], convention="lt", dim_cap=3, budget=budget)
