@@ -393,108 +393,140 @@ def cmd_report(args) -> int:
 # parser
 
 
-def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
-    if "space" in names:
-        p.add_argument("--space", required=True, help="space JSON (or lower-triangular CSV)")
-    if "action" in names:
-        p.add_argument("--action", required=True, help="action JSON ({n, generators})")
-    if "scale" in names:
-        p.add_argument("--scale", required=True,
-                       help="scale r (accepts pi expressions like 2pi/21)")
-    if "convention" in names:
-        p.add_argument("--convention", choices=("lt", "leq"), default="lt",
-                       help="strict (<) or closed (<=) scale comparison")
-    if "dim-cap" in names:
-        p.add_argument("--dim-cap", type=int, default=DEFAULT_DIM_CAP,
-                       help="largest simplex dimension kept")
-    if "k-max" in names:
-        p.add_argument("--k-max", type=int, default=DEFAULT_DIM_CAP,
-                       help="check orbit subsets of size 2..k_max+1")
-    if "budget" in names:
-        p.add_argument("--budget", type=int, default=None,
-                       help="simplex budget (default ORBITRIPS_BUDGET or 10^7)")
-    p.add_argument("--out", default=None, help="output path (default: stdout)")
+# every argument of every subcommand: name -> (flag, add_argument keywords)
+_ARGUMENTS = {
+    "shape": ("--shape", dict(required=True,
+                              help="circle | sphere | torus-grid | six-circles | "
+                                   "twelve-circles (or a full kind name)")),
+    "param": ("--param", dict(action="append", default=[], metavar="KEY=VALUE",
+                              help="shape parameter, repeatable (e.g. n=12, count=150, "
+                                   "paired=true)")),
+    "seed": ("--seed", dict(type=int, default=None)),
+    "action-kind": ("--kind", dict(required=True,
+                                   choices=("rotation", "antipodal", "paired-swap",
+                                            "block-shift", "torus-z14", "twelve-circles"))),
+    "action-space": ("--space", dict(default=None, help="space to verify the action against")),
+    "n": ("--n", dict(type=int, default=None, help="point count (if no --space)")),
+    "steps": ("--steps", dict(type=int, default=None, help="rotation step count")),
+    "blocks": ("--blocks", dict(type=int, default=None, help="block count for block-shift")),
+    "property-kind": ("--kind", dict(required=True,
+                                     choices=("distance", "ball", "diameter", "nerve"))),
+    "complex-kind": ("--kind", dict(choices=("vr", "cech"), default="vr")),
+    "full": ("--full", dict(action="store_true", help="include the simplex lists")),
+    "max-scale": ("--max-scale", dict(default=None,
+                                      help="keep only simplices of diameter <= this scale; "
+                                           "they alone are enumerated and count against "
+                                           "the budget")),
+    "space": ("--space", dict(required=True, help="space JSON (or lower-triangular CSV)")),
+    "action": ("--action", dict(required=True, help="action JSON ({n, generators})")),
+    "scale": ("--scale", dict(required=True,
+                              help="scale r (accepts pi expressions like 2pi/21)")),
+    "convention": ("--convention", dict(choices=("lt", "leq"), default="lt",
+                                        help="strict (<) or closed (<=) scale comparison")),
+    "dim-cap": ("--dim-cap", dict(type=int, default=DEFAULT_DIM_CAP,
+                                  help="largest simplex dimension kept")),
+    "k-max": ("--k-max", dict(type=int, default=DEFAULT_DIM_CAP,
+                              help="check orbit subsets of size 2..k_max+1")),
+    "budget": ("--budget", dict(type=int, default=None,
+                                help="simplex budget (default ORBITRIPS_BUDGET or 10^7)")),
+    "out": ("--out", dict(default=None, help="output path (default: stdout)")),
+    "bare-out": ("--out", dict(default=None)),
+}
+
+# name -> (help, command, its arguments in order); the full parser and the
+# one-subcommand parser are both built from this table
+_SUBCOMMANDS = {
+    "generate": ("generate a built-in sample space", cmd_generate,
+                 ("shape", "param", "seed", "out")),
+    "action": ("build a canonical action and save its generators", cmd_action,
+               ("action-kind", "action-space", "n", "steps", "blocks", "bare-out")),
+    "quotient": ("quotient metric space of an action", cmd_quotient,
+                 ("space", "action", "out")),
+    "check": ("check one action property at one scale", cmd_check,
+              ("property-kind", "space", "action", "scale", "convention", "k-max",
+               "budget", "out")),
+    "thresholds": ("bracket the largest passing scale of a property", cmd_thresholds,
+                   ("property-kind", "space", "action", "convention", "k-max", "budget",
+                    "out")),
+    "complex": ("build a VR or Cech complex at one scale", cmd_complex,
+                ("complex-kind", "full", "space", "scale", "convention", "dim-cap",
+                 "budget", "out")),
+    "iso-check": ("compare complex-of-quotient with quotient-of-complex", cmd_iso_check,
+                  ("complex-kind", "space", "action", "scale", "convention", "dim-cap",
+                   "budget", "out")),
+    "persistence": ("VR persistence barcode as TSV", cmd_persistence,
+                    ("max-scale", "space", "dim-cap", "budget", "out")),
+    "betti": ("Betti numbers of the VR complex at one scale", cmd_betti,
+              ("space", "scale", "convention", "dim-cap", "budget", "out")),
+    "report": ("run a small demonstration suite", cmd_report, ("bare-out",)),
+}
+
+
+def _define(p: argparse.ArgumentParser, name: str) -> None:
+    _, command, arguments = _SUBCOMMANDS[name]
+    for key in arguments:
+        flag, options = _ARGUMENTS[key]
+        p.add_argument(flag, **options)
+    p.set_defaults(func=command)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser: every subcommand of `_SUBCOMMANDS` under one parent.
+    It is the reference parse and the only parser that prints help, usage,
+    the version or an error."""
     parser = argparse.ArgumentParser(
         prog="orbitrips",
         description="Vietoris-Rips and Cech complexes of quotients of finite "
                     "metric spaces by isometric group actions")
     parser.add_argument("--version", action="version", version=f"orbitrips {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("generate", help="generate a built-in sample space")
-    p.add_argument("--shape", required=True,
-                   help="circle | sphere | torus-grid | six-circles | twelve-circles "
-                        "(or a full kind name)")
-    p.add_argument("--param", action="append", default=[], metavar="KEY=VALUE",
-                   help="shape parameter, repeatable (e.g. n=12, count=150, paired=true)")
-    p.add_argument("--seed", type=int, default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("action", help="build a canonical action and save its generators")
-    p.add_argument("--kind", required=True,
-                   choices=("rotation", "antipodal", "paired-swap", "block-shift",
-                            "torus-z14", "twelve-circles"))
-    p.add_argument("--space", default=None, help="space to verify the action against")
-    p.add_argument("--n", type=int, default=None, help="point count (if no --space)")
-    p.add_argument("--steps", type=int, default=None, help="rotation step count")
-    p.add_argument("--blocks", type=int, default=None, help="block count for block-shift")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_action)
-
-    p = sub.add_parser("quotient", help="quotient metric space of an action")
-    _add_common(p, "space", "action")
-    p.set_defaults(func=cmd_quotient)
-
-    p = sub.add_parser("check", help="check one action property at one scale")
-    p.add_argument("--kind", required=True,
-                   choices=("distance", "ball", "diameter", "nerve"))
-    _add_common(p, "space", "action", "scale", "convention", "k-max", "budget")
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("thresholds", help="bracket the largest passing scale of a property")
-    p.add_argument("--kind", required=True,
-                   choices=("distance", "ball", "diameter", "nerve"))
-    _add_common(p, "space", "action", "convention", "k-max", "budget")
-    p.set_defaults(func=cmd_thresholds)
-
-    p = sub.add_parser("complex", help="build a VR or Cech complex at one scale")
-    p.add_argument("--kind", choices=("vr", "cech"), default="vr")
-    p.add_argument("--full", action="store_true", help="include the simplex lists")
-    _add_common(p, "space", "scale", "convention", "dim-cap", "budget")
-    p.set_defaults(func=cmd_complex)
-
-    p = sub.add_parser("iso-check",
-                       help="compare complex-of-quotient with quotient-of-complex")
-    p.add_argument("--kind", choices=("vr", "cech"), default="vr")
-    _add_common(p, "space", "action", "scale", "convention", "dim-cap", "budget")
-    p.set_defaults(func=cmd_iso_check)
-
-    p = sub.add_parser("persistence", help="VR persistence barcode as TSV")
-    p.add_argument("--max-scale", default=None,
-                   help="keep only simplices of diameter <= this scale; they "
-                        "alone are enumerated and count against the budget")
-    _add_common(p, "space", "dim-cap", "budget")
-    p.set_defaults(func=cmd_persistence)
-
-    p = sub.add_parser("betti", help="Betti numbers of the VR complex at one scale")
-    _add_common(p, "space", "scale", "convention", "dim-cap", "budget")
-    p.set_defaults(func=cmd_betti)
-
-    p = sub.add_parser("report", help="run a small demonstration suite")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_report)
-
+    for name, (text, _, _) in _SUBCOMMANDS.items():
+        _define(sub.add_parser(name, help=text), name)
     return parser
 
 
+class _Declined(Exception):
+    """A standalone subcommand parser met an argv it leaves to the full parser."""
+
+
+class _SubcommandParser(argparse.ArgumentParser):
+    """Raises `_Declined` where argparse would print an error and exit."""
+
+    def error(self, message):
+        raise _Declined(message)
+
+
+def _parse_subcommand(argv: list[str]) -> argparse.Namespace | None:
+    """Parse argv with the parser of the subcommand that argv[0] names alone,
+    built for this call: its own few arguments, not every subcommand's.
+    Returns None, having printed nothing, when argv names no subcommand or
+    holds an error, a leftover argument (-h and --help among them, as the
+    standalone parser has no help) or a "--", whose handling behind a parent
+    parser has varied between Python versions.  An accepted argv gives the
+    namespace that `build_parser().parse_args(argv)` gives."""
+    if not argv or argv[0] not in _SUBCOMMANDS or "--" in argv:
+        return None
+    parser = _SubcommandParser(prog=f"orbitrips {argv[0]}", add_help=False)
+    _define(parser, argv[0])
+    try:
+        args, rest = parser.parse_known_args(argv[1:])
+    except _Declined:
+        return None
+    if rest:
+        return None
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
+    """Run one subcommand and return its exit code.  argv is parsed by the
+    named subcommand's parser alone (`_parse_subcommand`); an argv it
+    declines goes to the full parser, so every help, usage, version and
+    error message and exit code is the full parser's."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_subcommand(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     args._argv = argv
     t0 = time.perf_counter()
     try:

@@ -262,16 +262,21 @@ def _diameters(D: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return D[rows[:, i], rows[:, j]].max(axis=1)
 
 
-def _failure_scale(q: QuotientSpace, kind: str, k_max: int, budget: int) -> float:
+def _failure_scale(q: QuotientSpace, kind: str, k_max: int, budget: int,
+                   grid: np.ndarray, strict: bool) -> float:
     """The scale T above which (at and above which, nerve under "leq") the
     check fails: the least doubled-point value or f(S) of a quotient subset.
     Diameter: f(S) = qdiam(S) when the least lift lies more than EQ_EPS above
     it or two tie for least, else the second-least lift diameter.  Nerve: the
     second-least lift radius.  An f(S) below the running T shows in the lifts
     below T: the edges', walked at the doubled-point scale without a budget
-    (at most q (n + 1) rows), then one budgeted walk per dim_cap 2..k_max."""
+    (at most q (n + 1) rows), then one budgeted walk per dim_cap 2..k_max.
+    The walks stop once `_bracket(grid, T, strict)` passes nowhere on the
+    grid: no lower T can move that bracket."""
     D, t = q.base.dist, float(_doubled_points(q, kind == "nerve").min(initial=math.inf))
     for dim in range(1, k_max + 1 if math.isfinite(t) else 1):  # inf: one lift per subset
+        if _bracket(grid, t, strict)[0] == 0.0:  # grid values are positive
+            break
         for simplices, rows, ranks, count in _lifts_by_simplex(
                 q, "vr" if kind == "diameter" else "cech", t, "lt", dim,
                 budget if dim > 1 else math.inf, start=dim):
@@ -426,8 +431,9 @@ def threshold_scan(space: FiniteMetricSpace, action: IsometricAction,
 
     q = build_quotient(space, action)
     grid = critical_values(q.base)
-    passes_at, fails_at = _bracket(grid, _failure_scale(q, kind, k_max, budget),
-                                   strict=kind == "diameter" or convention == "lt")
+    strict = kind == "diameter" or convention == "lt"
+    passes_at, fails_at = _bracket(grid, _failure_scale(q, kind, k_max, budget, grid, strict),
+                                   strict)
     witness = None
     if math.isfinite(fails_at):
         check = diameter_action_check if kind == "diameter" else \

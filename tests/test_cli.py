@@ -6,6 +6,7 @@ from unittest import mock
 import jsonschema
 import pytest
 
+from orbitrips import cli
 from orbitrips.actions import (IsometricAction, close_group,
                                torus_grid_shift_generators)
 from orbitrips.cli import main, parse_scale
@@ -434,3 +435,72 @@ def test_negative_dim_cap_and_k_max_exit_3(tmp_path, circle12, antipodal12, argv
         assert main(argv + inputs + [flag, bad]) == 3
         assert not (tmp_path / "out").exists()
     assert main(argv + inputs + [flag, "0"]) == 0
+
+
+# argv -> whether the subcommand's own parser accepts it; SPACE and ACTION
+# stand for the circle12 and antipodal12 files
+PARSE_CORPUS = [
+    (["generate", "--shape", "circle", "--param", "n=12", "--seed", "3"], True),
+    (["generate", "--shape", "circle", "--param", "n=8", "--param", "n=12"], True),
+    (["generate", "--sha", "circle", "--para", "n=8", "--out", "o.json"], True),
+    (["action", "--kind", "rotation", "--n", "12", "--steps", "4"], True),
+    (["action", "--kind", "block-shift", "--blocks", "6", "--space", "SPACE"], True),
+    (["quotient", "--space", "SPACE", "--action", "ACTION", "--out", "q.json"], True),
+    (["check", "--kind", "nerve", "--scale", "1/6", "--space", "SPACE",
+      "--action", "ACTION", "--conv", "leq", "--k-max", "2", "--budget", "100"], True),
+    (["thresholds", "--kind", "diameter", "--space", "SPACE", "--action", "ACTION"], True),
+    (["thresholds", "--kind=nerve", "--space=SPACE", "--action=ACTION", "--k-m", "2"], True),
+    (["complex", "--space", "SPACE", "--scale", "0.3", "--full", "--kind", "cech",
+      "--dim", "2"], True),
+    (["iso-check", "--space", "SPACE", "--action", "ACTION", "--scale", "0.16",
+      "--convention", "leq", "--dim-cap", "2"], True),
+    (["persistence", "--space", "SPACE", "--dim-cap", "2", "--max", "0.4"], True),
+    (["betti", "--space", "SPACE", "--scale", "1/6", "--scale", "0.2"], True),
+    (["betti", "--space", "SPACE", "--scale=-h"], True),
+    (["report", "--out", "r.txt"], True),
+    (["report"], True),
+    ([], False),
+    (["-h"], False),
+    (["--version"], False),
+    (["bogus", "--space", "SPACE"], False),
+    (["--", "betti", "--space", "SPACE", "--scale", "1"], False),
+    (["thresholds", "--kind", "diameter", "--space", "SPACE"], False),
+    (["check", "--kind", "bogus", "--space", "SPACE", "--action", "ACTION",
+      "--scale", "1"], False),
+    (["complex", "--space", "SPACE", "--scale", "0.3", "--dim-cap", "two"], False),
+    (["thresholds", "--k", "diameter", "--space", "SPACE", "--action", "ACTION"], False),
+    (["generate", "--shape", "circle", "--param"], False),
+    (["betti", "--space", "SPACE", "--scale", "-h"], False),
+    (["betti", "--space", "SPACE", "--scale", "1", "--bogus"], False),
+    (["betti", "--space", "SPACE", "--scale", "1", "--version"], False),
+    (["betti", "--space", "SPACE", "--scale", "1", "extra"], False),
+    (["betti", "-h"], False),
+    (["betti", "--he"], False),
+    (["betti", "--space", "SPACE", "--help"], False),
+    (["report", "-h"], False),
+    (["betti", "--", "--space", "SPACE", "--scale", "1"], False),
+    (["betti", "--space", "SPACE", "--scale", "1", "--"], False),
+]
+
+
+def _exit_and_output(parse, argv, capsys):
+    with pytest.raises(SystemExit) as ei:
+        parse(argv)
+    return ei.value.code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv,accepted", PARSE_CORPUS)
+def test_subcommand_parser_agrees_with_the_full_parser(argv, accepted, capsys,
+                                                       circle12, antipodal12):
+    argv = [a.replace("SPACE", str(circle12)).replace("ACTION", str(antipodal12))
+            for a in argv]
+    capsys.readouterr()  # the fixtures' messages
+    args = cli._parse_subcommand(argv)
+    assert capsys.readouterr() == ("", "")  # it never prints
+    assert (args is not None) == accepted
+    if accepted:
+        assert args == cli.build_parser().parse_args(argv)
+    else:
+        # main leaves a declined argv to the full parser, messages and all
+        assert _exit_and_output(main, argv, capsys) == \
+            _exit_and_output(cli.build_parser().parse_args, argv, capsys)

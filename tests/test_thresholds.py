@@ -363,6 +363,22 @@ def test_scan_budget_overrun_below_the_threshold_raises():
         threshold_scan(space, action, "diameter", k_max=3, budget=10)
 
 
+def test_scan_whose_doubled_points_fix_the_bracket_walks_no_lifts():
+    # under leq the torus's doubled-point scale is the first grid value, so
+    # fails_at is that value whatever the walks would find: at budget 10 the
+    # scan runs none of them and reports what the default budget does
+    spec, generators = SHIPPED_SHAPES["torus14"]
+    space = generate_space(spec)
+    action = close_group(space.n, generators(space.n))
+    for k_max in (2, 3):
+        rep = threshold_scan(space, action, "nerve", k_max=k_max, convention="leq")
+        assert rep.fails_at == float(critical_values(space)[0])
+        assert rep.witness["part"] == "doubles"
+        small = threshold_scan(space, action, "nerve", k_max=k_max, convention="leq",
+                               budget=10)
+        assert small.to_dict() == rep.to_dict()
+
+
 def _threefold_circle36():
     space = generate_space(ShapeSpec("evenly-spaced-circle",
                                      {"n": 36, "circumference": 3.0}))
