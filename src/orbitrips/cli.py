@@ -433,8 +433,8 @@ _ARGUMENTS = {
     "bare-out": ("--out", dict(default=None)),
 }
 
-# name -> (help, command, its arguments in order); the full parser and the
-# one-subcommand parser are both built from this table
+# name -> (help, command, its arguments in order); `build_parser` attaches
+# all of them or only the one a command names
 _SUBCOMMANDS = {
     "generate": ("generate a built-in sample space", cmd_generate,
                  ("shape", "param", "seed", "out")),
@@ -470,63 +470,39 @@ def _define(p: argparse.ArgumentParser, name: str) -> None:
     p.set_defaults(func=command)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The full parser: every subcommand of `_SUBCOMMANDS` under one parent.
-    It is the reference parse and the only parser that prints help, usage,
-    the version or an error."""
+def build_parser(names=_SUBCOMMANDS) -> argparse.ArgumentParser:
+    """The parent parser with the subparsers of the subcommands `names`
+    attached, by default all of `_SUBCOMMANDS`.  Under the same parent, one
+    subparser parses, and prints help, usage and errors, exactly as it does
+    in the full parser.  With fewer subcommands attached, the metavar keeps
+    every name in the parent's usage line; the full parser has none, as a
+    metavar would also rename the subcommand argument in its errors."""
     parser = argparse.ArgumentParser(
         prog="orbitrips",
         description="Vietoris-Rips and Cech complexes of quotients of finite "
                     "metric spaces by isometric group actions")
     parser.add_argument("--version", action="version", version=f"orbitrips {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (text, _, _) in _SUBCOMMANDS.items():
-        _define(sub.add_parser(name, help=text), name)
+    metavar = None if len(names) == len(_SUBCOMMANDS) else "{" + ",".join(_SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        _define(sub.add_parser(name, help=_SUBCOMMANDS[name][0]), name)
     return parser
 
 
-class _Declined(Exception):
-    """A standalone subcommand parser met an argv it leaves to the full parser."""
-
-
-class _SubcommandParser(argparse.ArgumentParser):
-    """Raises `_Declined` where argparse would print an error and exit."""
-
-    def error(self, message):
-        raise _Declined(message)
-
-
-def _parse_subcommand(argv: list[str]) -> argparse.Namespace | None:
-    """Parse argv with the parser of the subcommand that argv[0] names alone,
-    built for this call: its own few arguments, not every subcommand's.
-    Returns None, having printed nothing, when argv names no subcommand or
-    holds an error, a leftover argument (-h and --help among them, as the
-    standalone parser has no help) or a "--", whose handling behind a parent
-    parser has varied between Python versions.  An accepted argv gives the
-    namespace that `build_parser().parse_args(argv)` gives."""
-    if not argv or argv[0] not in _SUBCOMMANDS or "--" in argv:
-        return None
-    parser = _SubcommandParser(prog=f"orbitrips {argv[0]}", add_help=False)
-    _define(parser, argv[0])
-    try:
-        args, rest = parser.parse_known_args(argv[1:])
-    except _Declined:
-        return None
-    if rest:
-        return None
-    args.command = argv[0]
-    return args
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse argv as the full parser does, building only the subparser of the
+    subcommand argv[0] names, if it names one."""
+    names = argv[:1] if argv and argv[0] in _SUBCOMMANDS else _SUBCOMMANDS
+    return build_parser(names).parse_args(argv)
 
 
 def main(argv=None) -> int:
-    """Run one subcommand and return its exit code.  argv is parsed by the
-    named subcommand's parser alone (`_parse_subcommand`); an argv it
-    declines goes to the full parser, so every help, usage, version and
-    error message and exit code is the full parser's."""
+    """Run one subcommand and return its exit code.  `parse_args` builds
+    only the named subcommand's parser, under the usual parent parser, so
+    every help, usage, version and error message and exit code is the full
+    parser's."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    args = _parse_subcommand(argv)
-    if args is None:
-        args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     args._argv = argv
     t0 = time.perf_counter()
     try:
