@@ -11,9 +11,10 @@ carried past it:
   exactly (g -> gh permutes G); it is D itself when the generators already
   preserve D.  The quotient matrix is unchanged: its block minima already
   run over whole orbits.
-- `lifts.EQ_EPS` is the one comparison slack left, in the diameter check: D'
-  removes the rounding between a pair and its images, not 1-ulp ties between
-  different pairs, so an exact comparison there is not yet shown safe.
+
+Every comparison after these two gates is exact.  On D' the one lift of a
+subset that passes the diameter check realizes its quotient diameter bit for
+bit, so a slack there would only admit a subset with no lift below the scale.
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ from .persistence import betti_at, format_barcode_tsv, reduce_filtration
 from .quotient_iso import iso_check
 from .spaces import (ShapeSpec, SpaceValidationError, generate_space,
                      load_space, space_from_csv, space_to_dict,
-                     twelve_circles_action_generators, validate_metric)
+                     twelve_circles_action_generators, validated)
 from .thresholds import (ActionCheckResult, ball_threshold,
                          diameter_action_check, distance_threshold,
                          nerve_action_check, threshold_scan)
@@ -106,10 +106,10 @@ def _emit_json(doc: dict, out: str | None) -> None:
     _emit_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", out)
 
 
-def _load_space_arg(path: str, action=None):
+def _load_space_arg(path: str, action=None, validate: bool = True):
     if path.endswith(".csv"):
-        return space_from_csv(path, action)
-    return load_space(path, action)
+        return space_from_csv(path, action, validate)
+    return load_space(path, action, validate)
 
 
 def _load_space_and_action(args):
@@ -164,10 +164,7 @@ def _parse_params(pairs: list[str]) -> dict:
 def cmd_generate(args) -> int:
     kind = _SHAPE_ALIASES.get(args.shape, args.shape)
     spec = ShapeSpec(kind, _parse_params(args.param), seed=args.seed)
-    space = generate_space(spec)
-    report = validate_metric(space)
-    if not report.ok:
-        raise SpaceValidationError(report)
+    space = validated(generate_space(spec))
     doc = space_to_dict(space)
     doc["manifest"] = _manifest(args, [])
     _emit_json(doc, args.out)
@@ -175,46 +172,56 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _action_generators(args, n: int) -> list:
+    kind = args.kind
+    if kind == "rotation":
+        if args.steps is None:
+            raise ValueError("rotation action needs --steps")
+        return [circle_rotation_generator(n, args.steps)]
+    if kind == "antipodal":
+        return [antipodal_generator(n)]
+    if kind == "paired-swap":
+        if n % 2:
+            raise ValueError("paired-swap needs an even point count")
+        return [paired_swap_generator(n // 2)]
+    if kind == "block-shift":
+        if args.blocks is None:
+            raise ValueError("block-shift needs --blocks")
+        if n % args.blocks:
+            raise ValueError(f"{args.blocks} blocks do not divide {n} points")
+        return [block_shift_generator(args.blocks, n // args.blocks)]
+    if kind == "torus-z14":
+        k = math.isqrt(n)
+        if k * k != n:
+            raise ValueError("torus-z14 needs a square point count")
+        return torus_grid_shift_generators(k)
+    if kind == "twelve-circles":
+        if n % 12:
+            raise ValueError("twelve-circles action needs 12 | n")
+        return twelve_circles_action_generators(n // 12)
+    raise ValueError(f"unknown action kind {kind!r}")
+
+
 def cmd_action(args) -> int:
+    """Build the action of --kind, then validate --space with it (as
+    `_load_space_and_action` does); a bad metric is reported before bad kind
+    arguments, so when they fail the space is validated in full first."""
     if args.space:
-        space = _load_space_arg(args.space)
+        space = _load_space_arg(args.space, validate=False)
         n = space.n
     elif args.n:
         space, n = None, args.n
     else:
         raise ValueError("action: need --space or --n")
 
-    kind = args.kind
-    if kind == "rotation":
-        if args.steps is None:
-            raise ValueError("rotation action needs --steps")
-        gens = [circle_rotation_generator(n, args.steps)]
-    elif kind == "antipodal":
-        gens = [antipodal_generator(n)]
-    elif kind == "paired-swap":
-        if n % 2:
-            raise ValueError("paired-swap needs an even point count")
-        gens = [paired_swap_generator(n // 2)]
-    elif kind == "block-shift":
-        if args.blocks is None:
-            raise ValueError("block-shift needs --blocks")
-        if n % args.blocks:
-            raise ValueError(f"{args.blocks} blocks do not divide {n} points")
-        gens = [block_shift_generator(args.blocks, n // args.blocks)]
-    elif kind == "torus-z14":
-        k = math.isqrt(n)
-        if k * k != n:
-            raise ValueError("torus-z14 needs a square point count")
-        gens = torus_grid_shift_generators(k)
-    elif kind == "twelve-circles":
-        if n % 12:
-            raise ValueError("twelve-circles action needs 12 | n")
-        gens = twelve_circles_action_generators(n // 12)
-    else:
-        raise ValueError(f"unknown action kind {kind!r}")
-
-    action = close_group(n, gens)
+    try:
+        action = close_group(n, _action_generators(args, n))
+    except (ValueError, GroupClosureError):
+        if space is not None:
+            validated(space)
+        raise
     if space is not None:
+        validated(space, action)
         iso = verify_isometric(space, action)
         if not iso.ok:
             raise ValueError(f"action is not isometric: {iso.counterexample}")
@@ -222,7 +229,7 @@ def cmd_action(args) -> int:
            "group_order": len(action.elements),
            "manifest": _manifest(args, [args.space] if args.space else [])}
     _emit_json(doc, args.out)
-    print(f"{kind}: group order {len(action.elements)}", file=sys.stderr)
+    print(f"{args.kind}: group order {len(action.elements)}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -3,7 +3,7 @@ and anchored lifts.  Everything is built from two primitives: the r-balls of
 the points as packed bit rows, and one ordered clique walk that extends a
 whole dimension at once, as (m, d+1) int32 vertex arrays in (dimension, lex)
 order.  `LexIndex` ranks vertex rows among the simplices of a complex;
-membership tests, orbit grouping, action checks and the reduction search it."""
+orbit grouping, action checks and the reduction search it."""
 
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ __all__ = [
     "SimplicialComplex",
     "VRFiltration",
     "anchored_lifts",
-    "ball_masks",
+    "ball_rows",
     "vr_complex",
     "cech_complex",
     "vr_filtration",
@@ -47,22 +47,17 @@ class BudgetExceededError(RuntimeError):
         super().__init__(f"simplex budget {budget} exceeded at dimension {dim_reached}")
 
 
-def _ball_rows(space: FiniteMetricSpace, r: float, convention: str) -> np.ndarray:
-    """The r-balls as an (n, ceil(n/8)) uint8 array of little-endian bit rows."""
+def ball_rows(space: FiniteMetricSpace, r: float, convention: str) -> np.ndarray:
+    """The r-balls as an (n, ceil(n/8)) uint8 array of little-endian bit rows:
+    bit y of row x is set iff d(x, y) <= r ("leq") or d(x, y) < r ("lt").  A
+    point's own bit is set iff 0 passes the comparison, so every row is empty
+    for r < 0, and for r = 0 under "lt"."""
     if convention not in _CONVENTIONS:
         raise ValueError(f"convention must be one of {_CONVENTIONS}, got {convention!r}")
     within = np.less_equal if convention == "leq" else np.less
     inside = within(space.dist, r)
     np.fill_diagonal(inside, within(0, r))
     return np.packbits(inside, axis=1, bitorder="little")
-
-
-def ball_masks(space: FiniteMetricSpace, r: float,
-               convention: str = "leq") -> list[int]:
-    """Row bitmasks of the r-balls: bit y of mask x is set iff d(x, y) <= r
-    ("leq") or d(x, y) < r ("lt").  A point's own bit is set iff 0 passes the
-    comparison, so every row is empty for r < 0, and for r = 0 under "lt"."""
-    return [int.from_bytes(row.tobytes(), "little") for row in _ball_rows(space, r, convention)]
 
 
 class LexIndex:
@@ -154,14 +149,6 @@ class SimplicialComplex:
     @property
     def total(self) -> int:
         return sum(len(s) for s in self.simplices.values())
-
-    def contains(self, simplex: tuple[int, ...]) -> bool:
-        """Whether the vertex tuple is a simplex (sorted, as listed) here."""
-        if not simplex or not all(0 <= v < self.n for v in simplex):
-            return False
-        found = np.ones(1, dtype=bool)
-        self.index.rank(np.array([simplex], dtype=np.int64).T, found)
-        return bool(found[0])
 
     def to_dict(self) -> dict:
         return {
@@ -264,7 +251,7 @@ def _walk_rows(space: FiniteMetricSpace, r: float, kind: str,
     (for Cech, `_witness_graph`), and for Cech the ball rows as witness rows."""
     if kind not in ("vr", "cech"):
         raise ValueError(f"unknown complex kind: {kind!r}")
-    balls = _ball_rows(space, r, convention)  # bit y of row i: y witnesses i's ball
+    balls = ball_rows(space, r, convention)  # bit y of row i: y witnesses i's ball
     if kind == "vr":
         return balls, None
     return _witness_graph(balls), balls
@@ -275,7 +262,7 @@ def vr_complex(space: FiniteMetricSpace, r: float, convention: str = "leq",
     """Vietoris-Rips complex at scale r: the clique complex of the r-balls,
     edges at d <= r ("leq") or d < r ("lt"), simplices of dimension at most
     dim_cap, at most `budget` of them in all (else BudgetExceededError)."""
-    simplices, _, _ = _cliques(space.n, _ball_rows(space, r, convention), dim_cap, budget)
+    simplices, _, _ = _cliques(space.n, ball_rows(space, r, convention), dim_cap, budget)
     return SimplicialComplex(space.n, "vr", convention, float(r), dim_cap, simplices)
 
 

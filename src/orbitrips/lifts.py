@@ -11,7 +11,7 @@ the scale (the doubled-point condition checked separately).
 One depth-first walk, `_walk`, visits one subset's anchored tuples in
 lexicographic order, sharing no code with `complexes.anchored_lifts`.  The
 three searches differ only in the state they thread through it (a diameter
-or a ball mask) and in what they prune.
+or a packed ball row) and in what they prune.  Every comparison is exact.
 """
 
 from __future__ import annotations
@@ -19,14 +19,13 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
+import numpy as np
+
 __all__ = [
-    "EQ_EPS",
     "anchored_lifts_within",
     "anchored_min_diameter",
     "anchored_witnessed_lifts",
 ]
-
-EQ_EPS = 1e-9
 
 
 def _walk(members_by_orbit, orbits, extend, leaf, state) -> None:
@@ -114,24 +113,27 @@ def anchored_min_diameter(
 
 
 def anchored_witnessed_lifts(
-    ball_masks: list[int],
+    balls: np.ndarray,
     members_by_orbit: list[list[int]],
     orbits: tuple[int, ...],
 ) -> list[tuple[tuple[int, ...], int]]:
     """Anchored lift tuples whose balls share a sample point, with one witness.
 
-    `ball_masks[x]` is the bit set of sample points inside the ball around x.
-    Returns (points, witness) pairs in lexicographic order of the point tuples;
-    the witness is the lowest-index common sample point.
+    `balls` holds the balls as packed bit rows (`complexes.ball_rows`): bit y
+    of row x is set iff sample point y lies in the ball around x.  Returns
+    (points, witness) pairs in lexicographic order of the point tuples; the
+    witness is the lowest-index common sample point.
     """
     out: list[tuple[tuple[int, ...], int]] = []
 
-    def extend(mask: int, chosen: tuple[int, ...], y: int) -> int | None:
-        return (mask & ball_masks[y]) or None
+    def extend(row: np.ndarray, chosen: tuple[int, ...], y: int) -> np.ndarray | None:
+        row = row & balls[y]
+        return row if row.any() else None
 
-    start = ball_masks[members_by_orbit[orbits[0]][0]]
-    if start:
-        _walk(members_by_orbit, orbits, extend,
-              lambda points, mask: out.append((points, (mask & -mask).bit_length() - 1)),
-              start)
+    def leaf(points: tuple[int, ...], row: np.ndarray) -> None:
+        out.append((points, int(np.unpackbits(row, bitorder="little").argmax())))
+
+    start = balls[members_by_orbit[orbits[0]][0]]
+    if start.any():
+        _walk(members_by_orbit, orbits, extend, leaf, start)
     return out

@@ -24,7 +24,7 @@ import numpy as np
 
 from .actions import IsometricAction, build_quotient
 from .complexes import (DEFAULT_BUDGET, DEFAULT_DIM_CAP, SimplicialComplex,
-                        ball_masks, cech_complex, vr_complex)
+                        ball_rows, cech_complex, vr_complex)
 from .lifts import (anchored_lifts_within, anchored_min_diameter,
                     anchored_witnessed_lifts)
 from .spaces import FiniteMetricSpace
@@ -211,8 +211,7 @@ def iso_check(space: FiniteMetricSpace, action: IsometricAction, r: float,
             evidence = {"min_lift_diam": float(min_diam),
                         "min_lifts": [list(t) for t in achievers[:4]]}
         else:
-            masks = ball_masks(q.base, r, convention)
-            lifts = anchored_witnessed_lifts(masks, members, simplex)
+            lifts = anchored_witnessed_lifts(ball_rows(q.base, r, convention), members, simplex)
             evidence = {"witnessed_lifts": [list(t) for t, _ in lifts[:4]]}
         ce = {"dim": dim, "missing": list(simplex), **evidence}
         return IsoCertificate(verdict="not-surjective",
@@ -239,42 +238,58 @@ def iso_check(space: FiniteMetricSpace, action: IsometricAction, r: float,
     return IsoCertificate(verdict="isomorphic", counterexample=None, **common)
 
 
+def _spans(space: FiniteMetricSpace, kind: str, r: float, convention: str,
+           dim_cap: int, simplex: tuple[int, ...]) -> bool:
+    """Whether the vertex tuple, sorted and of at most dim_cap + 1 points,
+    spans a simplex of the `kind` complex at r, by definition: for VR every
+    pair is within r, for Cech the vertices' balls share a sample point."""
+    if kind not in ("vr", "cech"):
+        raise ValueError(f"unknown complex kind: {kind!r}")
+    balls, v = ball_rows(space, r, convention), list(simplex)
+    if not 0 < len(v) <= dim_cap + 1 or v != sorted(set(v)) or v[0] < 0 or v[-1] >= space.n:
+        return False
+    if kind == "cech":
+        return bool(np.bitwise_and.reduce(balls[v]).any())
+    inside = np.unpackbits(balls[v], axis=1, count=space.n, bitorder="little")[:, v]
+    return bool(inside[np.triu_indices(len(v), 1)].all())
+
+
 def verify_certificate(space: FiniteMetricSpace, action: IsometricAction,
                        cert: IsoCertificate) -> bool:
     """Replay a certificate's counterexample (or verdict) from definitions,
-    on the base space of build_quotient, as iso_check does."""
+    on the base space of build_quotient, as iso_check does.  A
+    counterexample's simplices are checked against the definitions of the
+    complexes, with no clique walk and no budget."""
     q = build_quotient(space, action)
-    r, kind, convention = cert.r, cert.kind, cert.convention
+    r, kind, convention, dim_cap = cert.r, cert.kind, cert.convention, cert.dim_cap
     if cert.verdict == "isomorphic":
         redo = iso_check(space, action, r, kind=kind, convention=convention,
-                         dim_cap=cert.dim_cap)
+                         dim_cap=dim_cap)
         return redo.verdict == "isomorphic"
 
     ce = cert.counterexample or {}
-    base = _build(kind, q.base, r, convention, cert.dim_cap, DEFAULT_BUDGET)
     if cert.verdict == "degenerate":
         simplex = tuple(ce["simplex"])
-        if not base.contains(simplex):
+        if not _spans(q.base, kind, r, convention, dim_cap, simplex):
             return False
         img = [int(q.proj[v]) for v in simplex]
         return len(set(img)) < len(img)
     if cert.verdict == "not-surjective":
         missing = tuple(ce["missing"])
-        quot = _build(kind, q.space, r, convention, cert.dim_cap, DEFAULT_BUDGET)
-        if not quot.contains(missing):
+        if not _spans(q.space, kind, r, convention, dim_cap, missing):
             return False
         if kind == "vr":
             return not anchored_lifts_within(q.base.dist, q.members,
                                              missing, r, strict=convention == "lt")
-        masks = ball_masks(q.base, r, convention)
-        return not anchored_witnessed_lifts(masks, q.members, missing)
+        return not anchored_witnessed_lifts(ball_rows(q.base, r, convention), q.members,
+                                            missing)
     if cert.verdict == "not-injective":
         simplices = [tuple(s) for s in ce["simplices"][:2]]
         if len(simplices) < 2 or simplices[0] == simplices[1]:
             return False
         imgs = []
         for s in simplices:
-            if not base.contains(s):
+            if not _spans(q.base, kind, r, convention, dim_cap, s):
                 return False
             imgs.append(tuple(sorted(int(q.proj[v]) for v in s)))
         if imgs[0] != imgs[1] or len(set(imgs[0])) < len(imgs[0]):

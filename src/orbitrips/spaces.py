@@ -20,6 +20,7 @@ __all__ = [
     "MetricValidation",
     "SpaceValidationError",
     "validate_metric",
+    "validated",
     "critical_values",
     "generate_space",
     "space_to_dict",
@@ -429,21 +430,24 @@ def space_to_dict(space: FiniteMetricSpace) -> dict:
     return out
 
 
-def _validated(space: FiniteMetricSpace,
-               action: IsometricAction | None) -> FiniteMetricSpace:
+def validated(space: FiniteMetricSpace,
+              action: IsometricAction | None = None) -> FiniteMetricSpace:
+    """`space`, if `validate_metric` passes it, else SpaceValidationError;
+    `action` only speeds up the check."""
     report = validate_metric(space, action)
     if not report.ok:
         raise SpaceValidationError(report)
     return space
 
 
-def space_from_dict(data: dict, action: IsometricAction | None = None) -> FiniteMetricSpace:
-    """A validated space from its JSON document; `action` only speeds up the
-    check (see validate_metric)."""
+def space_from_dict(data: dict, action: IsometricAction | None = None,
+                    validate: bool = True) -> FiniteMetricSpace:
+    """A space from its JSON document, `validated` with `action` unless
+    `validate` is false."""
     n = int(data["n"])
     D = _unpack_lower_triangular(n, data["matrix"])
-    return _validated(FiniteMetricSpace(D, labels=data.get("labels"),
-                                        provenance=data.get("provenance")), action)
+    space = FiniteMetricSpace(D, labels=data.get("labels"), provenance=data.get("provenance"))
+    return validated(space, action) if validate else space
 
 
 def save_space(space: FiniteMetricSpace, path) -> None:
@@ -452,12 +456,14 @@ def save_space(space: FiniteMetricSpace, path) -> None:
         fh.write("\n")
 
 
-def load_space(path, action: IsometricAction | None = None) -> FiniteMetricSpace:
+def load_space(path, action: IsometricAction | None = None,
+               validate: bool = True) -> FiniteMetricSpace:
     with open(path) as fh:
-        return space_from_dict(json.load(fh), action)
+        return space_from_dict(json.load(fh), action, validate)
 
 
-def space_from_csv(path, action: IsometricAction | None = None) -> FiniteMetricSpace:
+def space_from_csv(path, action: IsometricAction | None = None,
+                   validate: bool = True) -> FiniteMetricSpace:
     """Read a lower-triangular CSV: line i holds the i distances d(i,0..i-1)."""
     rows = []
     with open(path) as fh:
@@ -471,6 +477,6 @@ def space_from_csv(path, action: IsometricAction | None = None) -> FiniteMetricS
         if len(row) != i:
             raise ValueError(f"csv row {i} should hold {i} entries, got {len(row)}")
     flat = [v for row in rows for v in row]
-    return _validated(FiniteMetricSpace(_unpack_lower_triangular(n, flat),
-                                        provenance={"kind": "explicit-matrix",
-                                                    "source": "csv"}), action)
+    space = FiniteMetricSpace(_unpack_lower_triangular(n, flat),
+                              provenance={"kind": "explicit-matrix", "source": "csv"})
+    return validated(space, action) if validate else space

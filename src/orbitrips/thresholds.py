@@ -11,29 +11,32 @@ Four properties of an isometric action, each parametrized by r:
 - nerve: subsets of quotient balls of radius r with a common sample point lift
   uniquely up to the action to base balls with a common sample point.
 
-The diameter and nerve properties are exactly what make the quotient of the
-Vietoris-Rips (resp. Cech) complex at scale r isomorphic to the complex of the
-quotient metric space, so their checks double as certificates for iso_check.
-Both checks count each quotient simplex's lifts among the anchored lifts
-of one clique walk, `complexes.anchored_lifts`.
+For a free action the diameter and nerve properties are exactly what make
+the quotient of the Vietoris-Rips (resp. Cech) complex at scale r isomorphic
+to the complex of the quotient metric space, so their checks double as
+certificates for iso_check.  An action with a fixed point fails their
+doubled-point part at every positive scale, even where the complexes match:
+circle(16) mod i -> -i fails the diameter check at 0.0625 and 0.125 on the
+fixed point 0, and iso_check is isomorphic at both.  Both checks count each
+quotient simplex's lifts among the anchored lifts of one clique walk,
+`complexes.anchored_lifts`.
 
 Every check, scan and replay runs on the exactly invariant base space of
-build_quotient (see the tolerance policy in `actions`).
+build_quotient (see the tolerance policy in `actions`), and compares exactly.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .actions import IsometricAction, QuotientSpace, build_quotient
 from .complexes import (DEFAULT_BUDGET, DEFAULT_DIM_CAP, anchored_lifts,
-                        ball_masks, cech_complex, vr_complex)
-from .lifts import (EQ_EPS, anchored_lifts_within, anchored_min_diameter,
+                        ball_rows, cech_complex, vr_complex)
+from .lifts import (anchored_lifts_within, anchored_min_diameter,
                     anchored_witnessed_lifts)
 from .spaces import FiniteMetricSpace, critical_values
 
@@ -115,39 +118,6 @@ class ThresholdReport:
         }
 
 
-def _moved_minimum(space: FiniteMetricSpace, action: IsometricAction):
-    """Smallest d(x, g.x) over nonidentity g, with an argmin witness."""
-    D = space.dist
-    best = math.inf
-    witness = None
-    for gi in range(1, len(action.elements)):
-        perm = action.element_arrays[gi]
-        moved = D[np.arange(space.n), perm]
-        x = int(np.argmin(moved))
-        if moved[x] < best:
-            best = float(moved[x])
-            witness = {"g": gi, "x": x, "gx": int(perm[x]), "moved": float(moved[x])}
-    return best, witness
-
-
-def _ball_minimum(space: FiniteMetricSpace, action: IsometricAction):
-    """Smallest max(d(x, y), d(g.x, y)) over nonidentity g, with an argmin witness."""
-    D = space.dist
-    best = math.inf
-    witness = None
-    for gi in range(1, len(action.elements)):
-        perm = action.element_arrays[gi]
-        # worst[x, y] = max(d(x, y), d(g.x, y))
-        worst = np.maximum(D, D[perm, :])
-        flat = int(np.argmin(worst))
-        x, y = divmod(flat, space.n)
-        if worst[x, y] < best:
-            best = float(worst[x, y])
-            witness = {"g": gi, "x": int(x), "gx": int(perm[x]), "y": int(y),
-                       "value": float(worst[x, y])}
-    return best, witness
-
-
 def _bracket(grid: np.ndarray, t: float, strict: bool = True) -> tuple[float, float]:
     """The last grid value at which a property failing exactly above t (at and
     above t, unless strict) holds (0.0 if none), and the first (inf if none)."""
@@ -155,9 +125,24 @@ def _bracket(grid: np.ndarray, t: float, strict: bool = True) -> tuple[float, fl
     return float(grid[i - 1]) if i else 0.0, float(grid[i]) if i < len(grid) else math.inf
 
 
-def _exact_threshold(kind: str, space: FiniteMetricSpace, action: IsometricAction,
-                     minimum) -> ThresholdReport:
-    """Report of a threshold that `minimum(q.base, action)` computes exactly.
+def _doubled_points(D: np.ndarray, action: IsometricAction, ball: bool,
+                    points=slice(None)) -> np.ndarray:
+    """The scale above which each of `points` (an index array, or every point)
+    and its image under each nonidentity g double, as an (elements - 1,
+    points) array: d(x, g.x), or with `ball` min over y of max(d(x, y),
+    d(g.x, y)), a g at a time."""
+    rows, images = D[points], action.element_arrays[1:, points]
+    if ball:
+        values = [np.maximum(rows, D[img]).min(axis=1) for img in images]
+        return np.array(values).reshape(len(images), len(rows))
+    return np.take_along_axis(rows, images.T, axis=1).T
+
+
+def _exact_threshold(kind: str, space: FiniteMetricSpace,
+                     action: IsometricAction) -> ThresholdReport:
+    """Report of the distance or ball threshold: the least doubled-point value
+    over all points of the exactly invariant base, witnessed by the first
+    (g, x, then y) that attains it.
 
     The trivial group passes vacuously at every scale; otherwise the property
     fails at the first critical value above the minimum.
@@ -167,7 +152,14 @@ def _exact_threshold(kind: str, space: FiniteMetricSpace, action: IsometricActio
         return ThresholdReport(kind=kind, k_max=0, convention="lt",
                                passes_at=math.inf, fails_at=math.inf,
                                vacuous=True)
-    best, witness = minimum(base, action)
+    values = _doubled_points(base.dist, action, kind == "ball")
+    g, x = divmod(int(np.argmin(values)), base.n)
+    best, gx = float(values[g, x]), int(action.element_arrays[g + 1, x])
+    witness = {"g": g + 1, "x": x, "gx": gx}
+    if kind == "ball":
+        witness.update(y=int(np.argmin(np.maximum(base.dist[x], base.dist[gx]))), value=best)
+    else:
+        witness["moved"] = best
     fails_at = _bracket(critical_values(base), best)[1]
     return ThresholdReport(kind=kind, k_max=0, convention="lt",
                            passes_at=best, fails_at=fails_at, witness=witness,
@@ -181,7 +173,7 @@ def distance_threshold(space: FiniteMetricSpace, action: IsometricAction) -> Thr
     The property "every nonidentity element moves every point by at least r"
     holds exactly for r <= passes_at.
     """
-    return _exact_threshold("distance", space, action, _moved_minimum)
+    return _exact_threshold("distance", space, action)
 
 
 def ball_threshold(space: FiniteMetricSpace, action: IsometricAction) -> ThresholdReport:
@@ -192,19 +184,7 @@ def ball_threshold(space: FiniteMetricSpace, action: IsometricAction) -> Thresho
     sample point iff that minimum is < r, so the property holds exactly for
     r <= passes_at.
     """
-    return _exact_threshold("ball", space, action, _ball_minimum)
-
-
-def _doubled_points(q: QuotientSpace, ball: bool) -> np.ndarray:
-    """The scale above which each representative and its image under each
-    nonidentity g double, as an (orbits, elements - 1) array: d(rep, g.rep),
-    or with `ball` min over y of max(d(rep, y), d(g.rep, y)), a g at a time."""
-    D, reps = q.base.dist, np.asarray(q.reps, dtype=np.intp)
-    images = q.action.element_arrays[1:, reps]
-    if ball:
-        values = [np.maximum(D[reps], D[img]).min(axis=1) for img in images]
-        return np.array(values).reshape(-1, len(reps)).T
-    return D[reps, images].T
+    return _exact_threshold("ball", space, action)
 
 
 def _doubles_failure(q: QuotientSpace, r: float, ball: bool,
@@ -213,7 +193,7 @@ def _doubles_failure(q: QuotientSpace, r: float, ball: bool,
     g, that doubles at r, with the lowest common sample point y for balls.
     Checking at representatives suffices, by conjugation."""
     within = np.less_equal if convention == "leq" else np.less
-    values = _doubled_points(q, ball)
+    values = _doubled_points(q.base.dist, q.action, ball, q.reps).T
     hits = np.argwhere(within(values, r))
     if not len(hits):
         return None
@@ -266,14 +246,16 @@ def _failure_scale(q: QuotientSpace, kind: str, k_max: int, budget: int,
                    grid: np.ndarray, strict: bool) -> float:
     """The scale T above which (at and above which, nerve under "leq") the
     check fails: the least doubled-point value or f(S) of a quotient subset.
-    Diameter: f(S) = qdiam(S) when the least lift lies more than EQ_EPS above
-    it or two tie for least, else the second-least lift diameter.  Nerve: the
-    second-least lift radius.  An f(S) below the running T shows in the lifts
-    below T: the edges', walked at the doubled-point scale without a budget
-    (at most q (n + 1) rows), then one budgeted walk per dim_cap 2..k_max.
+    Diameter: f(S) = qdiam(S) when the least lift lies above it (a subset
+    with no lift below T has none at or below qdiam(S) < T) or two tie for
+    least, else the second-least lift diameter.  Nerve: the second-least lift
+    radius.  An f(S) below the running T shows in the lifts below T: the
+    edges', walked at the doubled-point scale without a budget (at most
+    q (n + 1) rows), then one budgeted walk per dim_cap 2..k_max.
     The walks stop once `_bracket(grid, T, strict)` passes nowhere on the
     grid: no lower T can move that bracket."""
-    D, t = q.base.dist, float(_doubled_points(q, kind == "nerve").min(initial=math.inf))
+    D = q.base.dist
+    t = float(_doubled_points(D, q.action, kind == "nerve", q.reps).min(initial=math.inf))
     for dim in range(1, k_max + 1 if math.isfinite(t) else 1):  # inf: one lift per subset
         if _bracket(grid, t, strict)[0] == 0.0:  # grid values are positive
             break
@@ -293,12 +275,7 @@ def _failure_scale(q: QuotientSpace, kind: str, k_max: int, budget: int,
             f[count > 1] = values[first[count > 1] + 1]
             if kind == "diameter":
                 qdiam = _diameters(q.space.dist, simplices)
-                fails = (least > qdiam + EQ_EPS) | (f == least)
-                # with no lift below t, the least surely exceeds qdiam + EQ_EPS only if t does
-                for s in np.flatnonzero(np.isinf(least) & (qdiam + EQ_EPS >= t)).tolist():
-                    low, ties = anchored_min_diameter(D, q.members, tuple(simplices[s].tolist()))
-                    fails[s] = low > qdiam[s] + EQ_EPS or len(ties) > 1
-                f = np.where(fails, qdiam, f)
+                f = np.where((least > qdiam) | (f == least), qdiam, f)
             t = min(t, float(f.min(initial=math.inf)))
     return t
 
@@ -320,7 +297,7 @@ def _diameter_failure(q: QuotientSpace, orbits: np.ndarray,
         return {"part": "sets", "mode": mode, "orbits": orbits, "qdiam": qdiam,
                 **evidence}
 
-    if min_diam > qdiam + EQ_EPS:
+    if min_diam > qdiam:
         return sets("no_equality_lift", min_lift_diam=min_diam,
                     min_lifts=[list(t) for t in achievers[:4]])
     if len(achievers) > 1:
@@ -348,8 +325,9 @@ def diameter_action_check(space: FiniteMetricSpace, action: IsometricAction,
     quotient diameter.  Failure modes: no_equality_lift (even the smallest
     lift is strictly larger), equality_not_unique (two anchored lifts achieve
     it), extra_lift_within_scale (a second, larger lift still below r).
-    Together with the doubled-point part this is exactly the condition under
-    which the quotient of VR(space, r) matches VR(quotient space, r).
+    For a free action, together with the doubled-point part, this is exactly
+    the condition under which the quotient of VR(space, r) matches VR(quotient
+    space, r); a fixed point fails it at every r > 0.
     """
     _check_k_max(k_max)
     q = quotient if quotient is not None else build_quotient(space, action)
@@ -358,7 +336,8 @@ def diameter_action_check(space: FiniteMetricSpace, action: IsometricAction,
         # once every smaller subset has passed, the one lift of a subset has
         # the one lifts of its orbit pairs as edges, up to the exact action,
         # and an orbit pair's one lift realizes its quotient distance; so a
-        # subset with one lift passes, and one with none passes on a tie
+        # subset with one lift passes, and one with none fails: its least
+        # lift is at least r, above its quotient diameter
         witness, checked = _first_failure(q, "vr", r, "lt", k_max, budget,
                                           functools.partial(_diameter_failure, q))
     return ActionCheckResult(kind="diameter", r=float(r), ok=witness is None,
@@ -379,19 +358,20 @@ def nerve_action_check(space: FiniteMetricSpace, action: IsometricAction,
     lifts: if orbit c witnesses the subset, each orbit a_i has a member x_i
     with d(x_i, rep_c) equal to the quotient distance, and the element that
     anchors (x_1, ...) carries rep_c to a common point at bit-identical
-    distances.  So the one failure mode is lift_not_unique.  Together with
-    the doubled-point part this matches the quotient of the Cech complex
-    with the Cech complex of the quotient.
+    distances.  So the one failure mode is lift_not_unique.  For a free
+    action, together with the doubled-point part, this is exactly the
+    condition under which the quotient of the Cech complex matches the Cech
+    complex of the quotient; a fixed point fails it at every r > 0.
     """
     _check_k_max(k_max)
     q = quotient if quotient is not None else build_quotient(space, action)
-    masks = ball_masks(q.base, r, convention)
+    balls = ball_rows(q.base, r, convention)  # rejects an unknown convention up front
 
     def failure(orbits: np.ndarray, rows: np.ndarray) -> dict:
-        first = rows[:4].tolist()
-        common = [functools.reduce(operator.and_, (masks[x] for x in t)) for t in first]
+        common = np.bitwise_and.reduce(balls[rows[:4]], axis=1)
+        witnesses = np.unpackbits(common, axis=1, bitorder="little").argmax(axis=1)
         return {"part": "sets", "mode": "lift_not_unique", "orbits": orbits.tolist(),
-                "lifts": first, "witnesses": [(c & -c).bit_length() - 1 for c in common]}
+                "lifts": rows[:4].tolist(), "witnesses": witnesses.tolist()}
 
     witness, checked = _doubles_failure(q, r, ball=True, convention=convention), 0
     if witness is None:
@@ -474,8 +454,8 @@ def verify_witness(space: FiniteMetricSpace, action: IsometricAction,
             return False
         if kind == "diameter":
             return float(D[x, img]) < r
-        masks = ball_masks(q.base, r, convention)
-        return bool(masks[x] & masks[img])
+        balls = ball_rows(q.base, r, convention)
+        return bool((balls[x] & balls[img]).any())
 
     orbits = tuple(witness["orbits"])
     members = q.members
@@ -484,7 +464,7 @@ def verify_witness(space: FiniteMetricSpace, action: IsometricAction,
         if not qdiam < r:
             return False
         min_diam, achievers = anchored_min_diameter(D, members, orbits)
-        equal = bool(min_diam <= qdiam + EQ_EPS)
+        equal = bool(min_diam <= qdiam)
         mode = witness["mode"]
         if mode == "no_equality_lift":
             return not equal
@@ -495,10 +475,8 @@ def verify_witness(space: FiniteMetricSpace, action: IsometricAction,
             return equal and len(achievers) == 1 and len(within) > 1
         return False
     if kind == "nerve":
-        masks = ball_masks(q.base, r, convention)
-        qmasks = ball_masks(q.space, r, convention)
-        if not functools.reduce(operator.and_, (qmasks[a] for a in orbits)):
+        if not np.bitwise_and.reduce(ball_rows(q.space, r, convention)[list(orbits)]).any():
             return False  # subset does not qualify
-        lifts = anchored_witnessed_lifts(masks, members, orbits)
+        lifts = anchored_witnessed_lifts(ball_rows(q.base, r, convention), members, orbits)
         return witness["mode"] == "lift_not_unique" and len(lifts) > 1
     raise ValueError(f"unknown witness kind: {kind!r}")

@@ -35,15 +35,13 @@ from orbitrips.actions import (ISOMETRY_EPS, IsometricAction, IsometryReport,
                                build_quotient, close_group)
 from orbitrips.complexes import (DEFAULT_BUDGET, DEFAULT_DIM_CAP,
                                  BudgetExceededError, SimplicialComplex,
-                                 ball_masks, cech_complex, vr_complex)
+                                 ball_rows, cech_complex, vr_complex)
 from orbitrips.lifts import (anchored_lifts_within, anchored_min_diameter,
                              anchored_witnessed_lifts)
 from orbitrips.spaces import (TRIANGLE_EPS, FiniteMetricSpace, MetricValidation,
                               critical_values)
 from orbitrips.thresholds import (ActionCheckResult, ThresholdReport,
                                   diameter_action_check, nerve_action_check)
-
-EQ_EPS = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +81,13 @@ def brute_cech(D: np.ndarray, r: float, convention: str, dim_cap: int) -> dict[i
                 simps.append(verts)
         out[size - 1] = simps
     return out
+
+
+def int_masks(space: FiniteMetricSpace, r: float, convention: str) -> list[int]:
+    """The r-balls as int bit masks, straight from the distances: bit y of
+    mask x is set iff d(x, y) is within r (a point's own bit included)."""
+    inside = _cmp(space.dist, r, convention)
+    return [sum(1 << int(y) for y in np.flatnonzero(row)) for row in inside]
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +214,10 @@ def brute_diameter_ok(space: FiniteMetricSpace, action: IsometricAction,
             return False
         if _tuple_classes(within, action) != 1:
             return False
-        if min(diams) > qdiam + EQ_EPS:
+        if min(diams) > qdiam:
             return False
         # the in-scale class must be the achieving one
-        if min(d for d, t in all_tuples if t in set(within)) > qdiam + EQ_EPS:
+        if min(d for d, t in all_tuples if t in set(within)) > qdiam:
             return False
     return True
 
@@ -280,7 +285,7 @@ def _diameter_subset_failure(Dl, Ql, members, orbits, r) -> dict | None:
         achievers = [t for d, t in within if d == min_diam]
     else:  # the minimum is >= r; find it and its achievers
         min_diam, achievers = anchored_min_diameter(Dl, members, orbits)
-    if min_diam > qdiam + EQ_EPS:
+    if min_diam > qdiam:
         return {"part": "sets", "mode": "no_equality_lift",
                 "orbits": list(orbits), "qdiam": qdiam,
                 "min_lift_diam": min_diam,
@@ -298,8 +303,8 @@ def _diameter_subset_failure(Dl, Ql, members, orbits, r) -> dict | None:
     return None
 
 
-def _nerve_subset_failure(masks, members, orbits) -> dict | None:
-    lifts = anchored_witnessed_lifts(masks, members, orbits)
+def _nerve_subset_failure(balls, members, orbits) -> dict | None:
+    lifts = anchored_witnessed_lifts(balls, members, orbits)
     if len(lifts) == 1:
         return None
     return {"part": "sets", "mode": "lift_not_unique", "orbits": list(orbits),
@@ -342,15 +347,15 @@ def subset_check_oracle(space: FiniteMetricSpace, action: IsometricAction,
     q = build_quotient(space, action)
     if kind == "diameter":
         convention = "lt"
-    masks = ball_masks(q.base, r, convention)
     result = dict(kind=kind, r=float(r), k_max=k_max, convention=convention)
-    doubles = doubles_failure_oracle(q, r, kind == "nerve", masks)
+    doubles = doubles_failure_oracle(q, r, kind == "nerve", int_masks(q.base, r, convention))
     if doubles is not None:
         return ActionCheckResult(ok=False, witness=doubles, **result)
     build = vr_complex if kind == "diameter" else cech_complex
     qcx = build(q.space, r, convention=convention, dim_cap=k_max, budget=budget)
     Dl = [memoryview(row) for row in q.base.dist]
     Ql = q.space.dist.tolist()
+    balls = ball_rows(q.base, r, convention)
     checked = 0
     for dim in range(1, len(qcx.simplices)):
         for orbits in map(tuple, qcx.simplices[dim].tolist()):
@@ -358,7 +363,7 @@ def subset_check_oracle(space: FiniteMetricSpace, action: IsometricAction,
             if kind == "diameter":
                 witness = _diameter_subset_failure(Dl, Ql, q.members, orbits, r)
             else:
-                witness = _nerve_subset_failure(masks, q.members, orbits)
+                witness = _nerve_subset_failure(balls, q.members, orbits)
             if witness is not None:
                 return ActionCheckResult(ok=False, witness=witness,
                                          subsets_checked=checked, **result)

@@ -12,7 +12,7 @@ from orbitrips.actions import (ISOMETRY_EPS, GroupClosureError,
                                load_action, paired_swap_generator,
                                save_action, torus_grid_shift_generators,
                                verify_isometric)
-from orbitrips.complexes import ball_masks, cech_complex
+from orbitrips.complexes import ball_rows, cech_complex
 from orbitrips.lifts import anchored_witnessed_lifts
 from orbitrips.spaces import (FiniteMetricSpace, ShapeSpec, critical_values,
                               generate_space, twelve_circles_action_generators,
@@ -161,11 +161,11 @@ def test_base_is_the_exactly_invariant_pair_orbit_minimum(seed, case,
     # every quotient Cech simplex has an anchored lift with a common witness
     grid = critical_values(q.base)
     for r in rng.choice(grid, size=min(3, len(grid)), replace=False):
-        masks = ball_masks(q.base, float(r), convention)
+        balls = ball_rows(q.base, float(r), convention)
         qcx = cech_complex(q.space, float(r), convention=convention, dim_cap=3)
         for dim in range(1, len(qcx.simplices)):
             for simplex in qcx.simplices[dim].tolist():
-                assert anchored_witnessed_lifts(masks, q.members, tuple(simplex))
+                assert anchored_witnessed_lifts(balls, q.members, tuple(simplex))
 
 
 def test_quotient_entries_are_base_entries_and_symmetric():

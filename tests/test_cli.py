@@ -6,7 +6,7 @@ from unittest import mock
 import jsonschema
 import pytest
 
-from orbitrips import cli
+from orbitrips import cli, spaces
 from orbitrips.actions import (IsometricAction, close_group,
                                torus_grid_shift_generators)
 from orbitrips.cli import main, parse_scale
@@ -393,6 +393,48 @@ def test_metric_error_precedes_action_errors(tmp_path, capsys, circle12):
     # a valid space with a malformed action reports the action
     assert "action document needs" in _thresholds_error(capsys, circle12,
                                                         tmp_path / "nogens.json")
+
+
+def test_action_space_is_validated_at_orbit_representatives(tmp_path):
+    # the action of --kind is built before the space is validated, so the
+    # triangle check of the torus runs on the 14 representative rows alone
+    space, act = tmp_path / "torus.json", tmp_path / "act.json"
+    assert main(["generate", "--shape", "torus-grid", "--param", "k=14",
+                 "--out", str(space)]) == 0
+    with mock.patch.object(spaces, "_triangle_rows_fail", autospec=True,
+                           side_effect=spaces._triangle_rows_fail) as spy:
+        assert main(["action", "--kind", "torus-z14", "--space", str(space),
+                     "--out", str(act)]) == 0
+    assert spy.call_count == 1
+    assert len(spy.call_args.args[1]) == 14
+    assert spy.call_args.kwargs == {"every_row": False}
+
+
+@pytest.mark.parametrize("suffix", [".json", ".csv"])
+def test_action_reports_a_bad_metric_before_bad_kind_arguments(tmp_path, capsys,
+                                                              suffix):
+    def write(space):
+        path = tmp_path / f"space{suffix}"
+        if suffix == ".csv":
+            path.write_text("".join(",".join(map(str, space.dist[i, :i])) + "\n"
+                                    for i in range(1, space.n)))
+        else:
+            save_space(space, path)
+        return path
+
+    bad = FiniteMetricSpace([[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]])
+    path = write(bad)
+    for argv in (["--kind", "rotation"], ["--kind", "paired-swap"],
+                 ["--kind", "block-shift", "--blocks", "2"], ["--kind", "torus-z14"],
+                 ["--kind", "rotation", "--steps", "1"]):  # the last is well formed
+        capsys.readouterr()
+        assert main(["action", *argv, "--space", str(path)]) == 3
+        assert capsys.readouterr().err.splitlines()[0] == _metric_error(bad), argv
+    # a valid space with bad kind arguments reports the arguments
+    path = write(FiniteMetricSpace([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]))
+    capsys.readouterr()
+    assert main(["action", "--kind", "paired-swap", "--space", str(path)]) == 3
+    assert "paired-swap needs an even point count" in capsys.readouterr().err
 
 
 def test_thresholds_budget_exit_4(tmp_path, circle12, antipodal12):

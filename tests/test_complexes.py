@@ -8,15 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from orbitrips import complexes
 from orbitrips.actions import antipodal_generator, close_group
-from orbitrips.complexes import (BudgetExceededError, _ball_rows, _witness_graph,
-                                 ball_masks, cech_complex, vr_complex, vr_filtration)
+from orbitrips.complexes import (BudgetExceededError, _witness_graph, ball_rows,
+                                 cech_complex, vr_complex, vr_filtration)
 from orbitrips.persistence import betti_at
 from orbitrips.spaces import (FiniteMetricSpace, ShapeSpec, critical_values,
                               generate_space)
 from orbitrips.thresholds import diameter_action_check, nerve_action_check
 
-from conftest import (brute_cech, brute_vr, clique_oracle, random_cloud_space,
-                      tuples)
+from conftest import (brute_cech, brute_vr, clique_oracle, int_masks,
+                      random_cloud_space, tuples)
 
 
 def _assert_same(cx, brute):
@@ -48,7 +48,7 @@ def test_cech_matches_brute_on_random_spaces(rng, convention):
 def _graph_masks(space, r, convention) -> list[int]:
     """The packed rows of the pairwise-witness graph at r, read as int masks."""
     return [int.from_bytes(row.tobytes(), "little")
-            for row in _witness_graph(_ball_rows(space, r, convention))]
+            for row in _witness_graph(ball_rows(space, r, convention))]
 
 
 @pytest.mark.parametrize("convention", ["leq", "lt"])
@@ -57,7 +57,7 @@ def test_witness_graph_equals_pairwise_double_loop(rng, convention):
         space = random_cloud_space(rng, n=int(rng.integers(2, 14)))
         n = space.n
         for r in [float(v) for v in critical_values(space)] + [0.0]:
-            balls = ball_masks(space, r, convention)
+            balls = int_masks(space, r, convention)
             pairs = [0] * n
             for i in range(n):
                 for j in range(i + 1, n):
@@ -93,8 +93,9 @@ def test_downward_closure_and_lex_order(rng):
             for s in simps:
                 assert list(s) == sorted(s)
                 if d > 0:
+                    faces = set(tuples(cx.simplices[d - 1]))
                     for face in itertools.combinations(s, d):
-                        assert cx.contains(face)
+                        assert face in faces
 
 
 def test_lt_subset_of_leq_and_monotone_in_r(rng):
@@ -131,24 +132,27 @@ def test_cech_circle6_just_past_first_critical():
     space = generate_space(ShapeSpec("evenly-spaced-circle", {"n": 6}))
     cx = cech_complex(space, 1 / 6 + 1e-9, "lt", dim_cap=3)
     assert cx.counts == {0: 6, 1: 12, 2: 6}
-    assert cx.contains((0, 1, 2))       # witnessed by 1
-    assert not cx.contains((0, 2, 4))   # pairwise-intersecting balls, empty triple
+    triangles = tuples(cx.simplices[2])
+    assert (0, 1, 2) in triangles       # witnessed by 1
+    assert (0, 2, 4) not in triangles   # pairwise-intersecting balls, empty triple
 
 
-def test_contains_answers_only_listed_simplices():
+def test_lex_index_finds_only_listed_simplices():
     # circle(12) at 0.2: edges join points one or two steps apart, and
     # triangles span two steps; no tetrahedra
     space = generate_space(ShapeSpec("evenly-spaced-circle", {"n": 12}))
     cx = vr_complex(space, 0.2, "leq", dim_cap=3)
-    listed = [s for d in cx.simplices for s in tuples(cx.simplices[d])]
-    assert all(cx.contains(s) for s in listed)
-    assert cx.contains((1, 2)) and cx.contains((0, 1, 2))
-    assert not cx.contains((2, 1))            # unsorted
-    assert not cx.contains((0, 3))            # not an edge
-    assert not cx.contains((0, 14))           # its key would read as (1, 2)
-    assert not cx.contains((-1, 0))
-    assert not cx.contains(())
-    assert not cx.contains((0, 1, 2, 3))      # above the top dimension
+
+    def found(rows):
+        hit = np.ones(len(rows), dtype=bool)
+        ranks = cx.index.rank(np.array(rows).T, hit)
+        return hit, ranks
+
+    for d, rows in cx.simplices.items():
+        hit, ranks = found(rows)
+        assert hit.all() and np.array_equal(ranks, np.arange(len(rows)))
+    assert found([(2, 1), (0, 3)])[0].tolist() == [False, False]  # unsorted; not an edge
+    assert not found([(0, 1, 2, 3)])[0][0]                         # above the top dimension
 
 
 def test_cech_sees_farther_than_vr_at_same_scale():
@@ -183,31 +187,31 @@ def test_bad_convention_rejected(rng):
         cech_complex(space, 1.0, "<=")
 
 
-def _mask_rows(masks, n):
-    return np.array([[bool(m >> y & 1) for y in range(n)] for m in masks])
+def _unpacked(rows, n):
+    return np.unpackbits(rows, axis=1, count=n, bitorder="little").astype(bool)
 
 
-def test_ball_masks_match_distance_comparisons(rng):
+def test_ball_rows_match_distance_comparisons(rng):
     for _ in range(6):
         space = random_cloud_space(rng, n=int(rng.integers(2, 12)))
         D, n = space.dist, space.n
         off = ~np.eye(n, dtype=bool)
         for r in [float(v) for v in critical_values(space)] + [float(D.max()) * 2]:
             for convention, inside in (("leq", D <= r), ("lt", D < r)):
-                rows = _mask_rows(ball_masks(space, r, convention), n)
+                rows = _unpacked(ball_rows(space, r, convention), n)
                 assert np.array_equal(rows[off], inside[off])
                 own = r > 0 or convention == "leq"
                 assert np.array_equal(rows.diagonal(), np.full(n, own))
 
 
-def test_ball_masks_at_zero_and_below(rng):
+def test_ball_rows_at_zero_and_below(rng):
     space = random_cloud_space(rng, n=7)
-    assert ball_masks(space, 0.0, "leq") == [1 << x for x in range(7)]
-    assert ball_masks(space, 0.0, "lt") == [0] * 7
+    assert np.array_equal(_unpacked(ball_rows(space, 0.0, "leq"), 7), np.eye(7, dtype=bool))
+    assert not ball_rows(space, 0.0, "lt").any()
     for convention in ("leq", "lt"):
-        assert ball_masks(space, -0.5, convention) == [0] * 7
+        assert not ball_rows(space, -0.5, convention).any()
     with pytest.raises(ValueError):
-        ball_masks(space, 1.0, "le")
+        ball_rows(space, 1.0, "le")
 
 
 def test_filtration_values_are_diameters(rng):
@@ -299,11 +303,11 @@ def test_negative_dim_cap_and_k_max_rejected():
 
 
 def _oracle_vr(space, r, convention, dim_cap, budget):
-    return clique_oracle(space.n, ball_masks(space, r, convention), dim_cap, budget)[0]
+    return clique_oracle(space.n, int_masks(space, r, convention), dim_cap, budget)[0]
 
 
 def _oracle_cech(space, r, convention, dim_cap, budget):
-    balls = ball_masks(space, r, convention)
+    balls = int_masks(space, r, convention)
 
     def child_state(state, simplex, v):
         w = state & balls[v]
@@ -332,7 +336,7 @@ def _oracle_filtration(space, dim_cap, budget, max_scale):
                 value = duv
         return value
 
-    simplices, values = clique_oracle(n, ball_masks(space, max_scale, "leq"), dim_cap,
+    simplices, values = clique_oracle(n, int_masks(space, max_scale, "leq"), dim_cap,
                                       budget, child_state=child_state,
                                       root_state=lambda v: 0.0)
     entries = [e for d in simplices for e in zip(values[d], simplices[d])]

@@ -59,6 +59,13 @@ def _definition_masks(D, r, strict):
             for x in range(n)]
 
 
+def _packed(masks, n):
+    """Int ball masks as the packed bit rows the witnessed search reads."""
+    bits = [[masks[x] >> y & 1 for y in range(n)] for x in range(len(masks))]
+    return np.packbits(np.array(bits, dtype=np.uint8).reshape(-1, n), axis=1,
+                       bitorder="little")
+
+
 def _brute_witnessed(masks, members, orbits):
     out = []
     for t in _anchored(members, orbits):
@@ -79,7 +86,7 @@ def _check_all(space, action, subsets, scales):
                 assert anchored_lifts_within(D, members, orbits, r, strict=strict) \
                     == _brute_within(D, members, orbits, r, strict), (orbits, r, strict)
                 masks = _definition_masks(D, r, strict)
-                assert anchored_witnessed_lifts(masks, members, orbits) \
+                assert anchored_witnessed_lifts(_packed(masks, len(D)), members, orbits) \
                     == _brute_witnessed(masks, members, orbits), (orbits, r, strict)
 
 
@@ -129,8 +136,8 @@ def test_witness_is_lowest_common_bit():
     # the witness is the lowest index in the AND of the tuple's balls
     members = [[0, 1], [2, 3]]
     masks = [0b1111000, 0b0000110, 0b1110000, 0b0000011]
-    assert anchored_witnessed_lifts(masks, members, (0, 1)) == [((0, 2), 4)]
-    assert anchored_witnessed_lifts([0] + masks[1:], members, (0, 1)) == []
+    assert anchored_witnessed_lifts(_packed(masks, 7), members, (0, 1)) == [((0, 2), 4)]
+    assert anchored_witnessed_lifts(_packed([0] + masks[1:], 7), members, (0, 1)) == []
 
 
 def _walked_lifts(space, members, r, kind, convention, dim_cap):

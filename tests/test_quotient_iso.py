@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +8,7 @@ from orbitrips.actions import (antipodal_generator, block_shift_generator,
                                build_quotient, circle_rotation_generator,
                                close_group)
 from orbitrips.complexes import SimplicialComplex, cech_complex, vr_complex
+from orbitrips import quotient_iso
 from orbitrips.quotient_iso import (iso_check, quotient_complex,
                                     verify_certificate)
 from orbitrips.spaces import ShapeSpec, critical_values, generate_space
@@ -194,6 +197,37 @@ def test_six_circles_certificates_at_rounded_ties(r, convention, verdict,
     cert = iso_check(space, action, r, "vr", convention, dim_cap=3)
     assert (cert.verdict, cert.counterexample) == (verdict, counterexample)
     assert verify_certificate(space, action, cert)
+
+
+def test_certificate_replay_builds_no_complex(monkeypatch):
+    # membership is decided from the definitions, so the replay of a
+    # 4,944-simplex counterexample does not touch the simplex budget
+    space = generate_space(ShapeSpec("six-circles", {"m": 12}))
+    action = close_group(72, [block_shift_generator(6, 12)])
+    cert = iso_check(space, action, 2.4786273498549503, "vr", "leq", dim_cap=3)
+    assert cert.verdict == "not-injective"
+    assert sum(cert.counts_base.values()) == 4944
+    monkeypatch.setattr(quotient_iso, "DEFAULT_BUDGET", 1000)
+    assert verify_certificate(space, action, cert)
+
+
+def test_tampered_counterexamples_do_not_replay():
+    space, action = _circle12_antipodal()
+    cert = iso_check(space, action, 1 / 6, "vr", "leq")
+    assert cert.verdict == "not-surjective" and verify_certificate(space, action, cert)
+    for missing in ([2, 0, 4], [0, 0, 2], [0, 2, 14], [-1, 0, 2], [], [0, 1, 2, 3, 4],
+                    [0, 3]):  # unsorted, repeated, out of range, empty, too long, no simplex
+        bad = dataclasses.replace(cert, counterexample={**cert.counterexample,
+                                                        "missing": missing})
+        assert not verify_certificate(space, action, bad), missing
+    for kind in ("vr", "cech"):
+        cert = iso_check(space, action, 0.6, kind, "lt")
+        assert cert.verdict == "degenerate" and verify_certificate(space, action, cert)
+        simplex = cert.counterexample["simplex"]
+        for moved in (simplex[::-1], [simplex[0], 12]):
+            bad = dataclasses.replace(cert, counterexample={**cert.counterexample,
+                                                            "simplex": moved})
+            assert not verify_certificate(space, action, bad), (kind, moved)
 
 
 def test_cech_iso_and_not_surjective():

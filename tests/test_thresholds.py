@@ -11,6 +11,7 @@ from orbitrips.actions import (antipodal_generator, block_shift_generator,
 from orbitrips.cli import main
 from orbitrips.complexes import (BudgetExceededError, anchored_lifts,
                                  cech_complex, vr_complex)
+from orbitrips.quotient_iso import iso_check
 from orbitrips.spaces import (FiniteMetricSpace, ShapeSpec, critical_values,
                               generate_space, twelve_circles_action_generators)
 from orbitrips.thresholds import (ball_threshold, diameter_action_check,
@@ -278,8 +279,8 @@ def test_diameter_scan_finds_the_least_lift_of_a_subset_just_below_the_bound():
     # orbits A = {0, 3}, B = {1, 4}, C = {2, 5} under the swap; every distance
     # lies in [1, 2], so this is a metric.  The doubled point (0, 3) sets the
     # bound 1 + 2e-10 of the triangle walk, where ABC (qdiam 1.0) has no lift
-    # below it; its least lift (0, 1, 2), 5e-10 above qdiam, is unique, so
-    # ABC never fails and the doubled point alone gives the bracket
+    # below it; its least lift (0, 1, 2) lies 5e-10 above qdiam, so ABC fails
+    # above 1.0, where its triangle is missing from the quotient complex
     up, near, far = 1.0 + 2e-10, 1.0 + 5e-10, 2.0
     D = np.full((6, 6), far)
     np.fill_diagonal(D, 0.0)
@@ -287,9 +288,87 @@ def test_diameter_scan_finds_the_least_lift_of_a_subset_just_below_the_bound():
         D[x, y] = D[y, x] = D[(x + 3) % 6, (y + 3) % 6] = D[(y + 3) % 6, (x + 3) % 6] = d
     space, action = FiniteMetricSpace(D), close_group(6, [[3, 4, 5, 0, 1, 2]])
     rep = threshold_scan(space, action, "diameter", k_max=2)
-    assert (rep.passes_at, rep.fails_at) == (up, near)
-    assert rep.witness["part"] == "doubles"
+    assert (rep.passes_at, rep.fails_at) == (1.0, up)
+    assert (rep.witness["mode"], rep.witness["orbits"]) == ("no_equality_lift", [0, 1, 2])
+    assert (rep.witness["qdiam"], rep.witness["min_lift_diam"]) == (1.0, near)
+    assert verify_witness(space, action, "diameter", rep.fails_at, rep.witness)
     assert_same_bracket(rep, linear_scan(space, action, "diameter", k_max=2))
+    assert iso_check(space, action, rep.passes_at, "vr", "lt", dim_cap=2).verdict == "isomorphic"
+    assert iso_check(space, action, rep.fails_at, "vr", "lt", dim_cap=2).verdict == \
+        "not-surjective"
+
+
+def _planar(radii, angles, m):
+    """Planar points at (radius, angle), with cos, sin and the distances
+    computed in floats, and the shift by n/m places: a free action,
+    isometric only up to rounding, when it turns the points by 1/m."""
+    P = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
+    diff = P[:, None, :] - P[None, :, :]
+    D = np.sqrt((diff * diff).sum(axis=-1))
+    np.fill_diagonal(D, 0.0)
+    n = len(P)
+    return FiniteMetricSpace(D), close_group(n, [[(i + n // m) % n for i in range(n)]])
+
+
+def _turned(radii, angles, m):
+    """`_planar` of m copies of the points, turned by 2 pi j / m."""
+    return _planar(np.tile(radii, m),
+                   np.concatenate([angles + 2 * np.pi * j / m for j in range(m)]), m)
+
+
+def _float_circle(n, m):
+    """The n-gon of the unit circle mod the rotation by a 1/m turn."""
+    return _planar(np.ones(n), 2 * np.pi * np.arange(n) / n, m)
+
+
+def test_float_circle_diameter_bracket_is_exact():
+    # the float-built 12-gon mod a third of a turn: the triangle of orbits
+    # [0, 1, 2] has quotient diameter 0.9999999999999996 and least lift
+    # 0.9999999999999999, so it fails above the former; a 1e-9 slack used to
+    # pass it up to 0.9999999999999999, where iso_check is not surjective
+    space, action = _float_circle(12, 3)
+    rep = threshold_scan(space, action, "diameter", k_max=2)
+    assert (rep.passes_at, rep.fails_at) == (0.9999999999999996, 0.9999999999999997)
+    w = rep.witness
+    assert (w["mode"], w["orbits"], w["qdiam"], w["min_lift_diam"]) == \
+        ("no_equality_lift", [0, 1, 2], 0.9999999999999996, 0.9999999999999999)
+    assert verify_witness(space, action, "diameter", rep.fails_at, w)
+    assert_same_bracket(rep, linear_scan(space, action, "diameter", k_max=2))
+    assert iso_check(space, action, rep.passes_at, "vr", "lt", dim_cap=2).verdict == "isomorphic"
+    cert = iso_check(space, action, rep.fails_at, "vr", "lt", dim_cap=2)
+    assert (cert.verdict, cert.counterexample["missing"]) == ("not-surjective", [0, 1, 2])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**9),
+       shape=st.sampled_from(["circle", "perturbed", "two-circles", "cloud"]),
+       m=st.integers(2, 4), k_max=st.integers(2, 3),
+       convention=st.sampled_from(["lt", "leq"]))
+def test_checks_pass_iff_quotient_is_isomorphic_on_free_actions(
+        seed, shape, m, k_max, convention):
+    # on a free action the diameter and nerve properties are exactly the VR
+    # and Cech quotient isomorphisms, with every comparison exact, at every
+    # critical value
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 16 // m + 1))  # points per turned copy
+    if shape == "circle":
+        space, action = _float_circle(m * k, m)
+    elif shape == "perturbed":
+        angles = 2 * np.pi * (np.arange(k) + rng.uniform(-0.4, 0.4, k)) / (m * k)
+        space, action = _turned(np.ones(k), angles, m)
+    elif shape == "two-circles":
+        half = -(-k // 2)
+        angles = np.tile(2 * np.pi * np.arange(half) / (m * half), 2)
+        space, action = _turned(np.repeat([1.0, 0.5], half), angles, m)
+    else:
+        space, action = _turned(rng.uniform(0.5, 1.5, k), rng.uniform(0, 2 * np.pi, k), m)
+    q = build_quotient(space, action)
+    for r in critical_values(q.base).tolist():
+        iso = iso_check(space, action, r, "vr", "lt", dim_cap=k_max).ok
+        assert diameter_action_check(space, action, r, k_max=k_max, quotient=q).ok == iso, r
+        iso = iso_check(space, action, r, "cech", convention, dim_cap=k_max).ok
+        assert nerve_action_check(space, action, r, k_max=k_max, convention=convention,
+                                  quotient=q).ok == iso, r
 
 
 def test_nerve_scan_of_one_point_space_on_empty_grid():
