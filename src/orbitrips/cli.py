@@ -106,23 +106,25 @@ def _emit_json(doc: dict, out: str | None) -> None:
     _emit_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", out)
 
 
-def _load_space_arg(path: str, action=None, validate: bool = True):
+def _load_space_arg(path: str, validate: bool = True):
     if path.endswith(".csv"):
-        return space_from_csv(path, action, validate)
-    return load_space(path, action, validate)
+        return space_from_csv(path, validate)
+    return load_space(path, validate)
 
 
-def _load_space_and_action(args):
-    """Load --action, then --space validated with it (an action that
-    preserves the matrix exactly narrows the triangle check to orbit
-    representatives).  A bad metric is reported before a bad action document,
-    so when the action fails to load the space is still loaded first."""
+def _space_with_action(path: str, make_action):
+    """The space at `path` and the action `make_action(n)` builds for its n
+    points, the space validated with the action (an action that preserves
+    the matrix exactly narrows the triangle check to orbit representatives).
+    A bad metric is reported before a bad action: when the action fails,
+    the whole space is validated first."""
+    space = _load_space_arg(path, validate=False)
     try:
-        action = load_action(args.action)
+        action = make_action(space.n)
     except Exception:
-        _load_space_arg(args.space)
+        validated(space)
         raise
-    return _load_space_arg(args.space, action), action
+    return validated(space, action), action
 
 
 def _budget(args) -> int:
@@ -203,28 +205,20 @@ def _action_generators(args, n: int) -> list:
 
 
 def cmd_action(args) -> int:
-    """Build the action of --kind, then validate --space with it (as
-    `_load_space_and_action` does); a bad metric is reported before bad kind
-    arguments, so when they fail the space is validated in full first."""
-    if args.space:
-        space = _load_space_arg(args.space, validate=False)
-        n = space.n
-    elif args.n:
-        space, n = None, args.n
-    else:
-        raise ValueError("action: need --space or --n")
+    """Build the action of --kind for --n points, or for the points of
+    --space, which is then validated with it (`_space_with_action`)."""
+    def make_action(n: int):
+        return close_group(n, _action_generators(args, n))
 
-    try:
-        action = close_group(n, _action_generators(args, n))
-    except (ValueError, GroupClosureError):
-        if space is not None:
-            validated(space)
-        raise
-    if space is not None:
-        validated(space, action)
+    if args.space:
+        space, action = _space_with_action(args.space, make_action)
         iso = verify_isometric(space, action)
         if not iso.ok:
             raise ValueError(f"action is not isometric: {iso.counterexample}")
+    elif args.n:
+        action = make_action(args.n)
+    else:
+        raise ValueError("action: need --space or --n")
     doc = {**action_to_dict(action),
            "group_order": len(action.elements),
            "manifest": _manifest(args, [args.space] if args.space else [])}
@@ -234,7 +228,7 @@ def cmd_action(args) -> int:
 
 
 def cmd_quotient(args) -> int:
-    space, action = _load_space_and_action(args)
+    space, action = _space_with_action(args.space, lambda _: load_action(args.action))
     q = build_quotient(space, action)
     if not q.validation.ok:
         print(f"warning: quotient metric has {len(q.validation.violations)} "
@@ -250,7 +244,7 @@ def cmd_quotient(args) -> int:
 
 
 def cmd_check(args) -> int:
-    space, action = _load_space_and_action(args)
+    space, action = _space_with_action(args.space, lambda _: load_action(args.action))
     r = parse_scale(args.scale)
     if args.kind in ("distance", "ball"):
         rep = (distance_threshold if args.kind == "distance" else ball_threshold)(space, action)
@@ -272,7 +266,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_thresholds(args) -> int:
-    space, action = _load_space_and_action(args)
+    space, action = _space_with_action(args.space, lambda _: load_action(args.action))
     rep = threshold_scan(space, action, args.kind, k_max=args.k_max,
                          convention=args.convention, budget=_budget(args))
     doc = rep.to_dict()
@@ -301,7 +295,7 @@ def cmd_complex(args) -> int:
 
 
 def cmd_iso_check(args) -> int:
-    space, action = _load_space_and_action(args)
+    space, action = _space_with_action(args.space, lambda _: load_action(args.action))
     r = parse_scale(args.scale)
     cert = iso_check(space, action, r, kind=args.kind,
                      convention=args.convention, dim_cap=args.dim_cap,

@@ -24,6 +24,7 @@ __all__ = [
     "ball_rows",
     "vr_complex",
     "cech_complex",
+    "spans",
     "vr_filtration",
 ]
 
@@ -146,6 +147,16 @@ class SimplicialComplex:
     def counts(self) -> dict[int, int]:
         return {d: len(s) for d, s in self.simplices.items()}
 
+    def tally(self, dim: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The lex ranks of sorted vertex rows, an (m, dim+1) array, among the
+        dim-simplices, and the number of rows that land on each simplex.
+        Raises AssertionError if a row is not a simplex."""
+        found = np.ones(len(rows), dtype=bool)
+        ranks = self.index.rank(rows.T, found)
+        if not found.all():
+            raise AssertionError(f"{rows[np.argmin(found)].tolist()} is no {dim}-simplex")
+        return ranks, np.bincount(ranks, minlength=len(self.simplices.get(dim, ())))
+
     @property
     def total(self) -> int:
         return sum(len(s) for s in self.simplices.values())
@@ -255,6 +266,23 @@ def _walk_rows(space: FiniteMetricSpace, r: float, kind: str,
     if kind == "vr":
         return balls, None
     return _witness_graph(balls), balls
+
+
+def spans(space: FiniteMetricSpace, kind: str, r: float, convention: str,
+          dim_cap: int, simplex) -> bool:
+    """Whether the vertex sequence, sorted and of at most dim_cap + 1 points,
+    spans a simplex of the `kind` complex at r, by definition: for VR every
+    pair is within r, for Cech the vertices' balls share a sample point.
+    Unsorted, repeated or out-of-range vertices span nothing."""
+    if kind not in ("vr", "cech"):
+        raise ValueError(f"unknown complex kind: {kind!r}")
+    balls, v = ball_rows(space, r, convention), list(simplex)
+    if not 0 < len(v) <= dim_cap + 1 or v != sorted(set(v)) or v[0] < 0 or v[-1] >= space.n:
+        return False
+    if kind == "cech":
+        return bool(np.bitwise_and.reduce(balls[v]).any())
+    inside = np.unpackbits(balls[v], axis=1, count=space.n, bitorder="little")[:, v]
+    return bool(inside[np.triu_indices(len(v), 1)].all())
 
 
 def vr_complex(space: FiniteMetricSpace, r: float, convention: str = "leq",

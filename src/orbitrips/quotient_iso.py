@@ -11,9 +11,9 @@ simplex orbits with the same projection (not injective).
 
 Both steps work on arrays over `LexIndex` lex ranks, with no per-simplex
 Python loop: orbits are grouped one group element at a time (the least rank
-over an orbit is its representative), and the orbit images are ranked among
-the quotient-space simplices, so surjectivity and injectivity are counts of
-hits per rank.
+over an orbit is its representative), and one `SimplicialComplex.tally` per
+dimension counts the orbit images that land on each quotient-space simplex:
+a count of 0 is not surjective, a count above 1 not injective.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .actions import IsometricAction, build_quotient
 from .complexes import (DEFAULT_BUDGET, DEFAULT_DIM_CAP, SimplicialComplex,
-                        ball_rows, cech_complex, vr_complex)
+                        ball_rows, cech_complex, spans, vr_complex)
 from .lifts import (anchored_lifts_within, anchored_min_diameter,
                     anchored_witnessed_lifts)
 from .spaces import FiniteMetricSpace
@@ -139,17 +139,6 @@ class IsoCertificate:
         }
 
 
-def _build(kind: str, space: FiniteMetricSpace, r: float, convention: str,
-           dim_cap: int, budget: int) -> SimplicialComplex:
-    if kind == "vr":
-        return vr_complex(space, r, convention=convention, dim_cap=dim_cap,
-                          budget=budget)
-    if kind == "cech":
-        return cech_complex(space, r, convention=convention, dim_cap=dim_cap,
-                            budget=budget)
-    raise ValueError(f"unknown complex kind: {kind!r}")
-
-
 def iso_check(space: FiniteMetricSpace, action: IsometricAction, r: float,
               kind: str = "vr", convention: str = "lt",
               dim_cap: int = DEFAULT_DIM_CAP,
@@ -166,8 +155,11 @@ def iso_check(space: FiniteMetricSpace, action: IsometricAction, r: float,
     build_quotient's exactly invariant base space, so it is invariant.
     """
     q = build_quotient(space, action)
-    base = _build(kind, q.base, r, convention, dim_cap, budget)
-    quot = _build(kind, q.space, r, convention, dim_cap, budget)
+    if kind not in ("vr", "cech"):
+        raise ValueError(f"unknown complex kind: {kind!r}")
+    build = vr_complex if kind == "vr" else cech_complex
+    base = build(q.base, r, convention=convention, dim_cap=dim_cap, budget=budget)
+    quot = build(q.space, r, convention=convention, dim_cap=dim_cap, budget=budget)
     qc = quotient_complex(base, action, q.proj)
 
     counts_base = {d: len(base.simplices.get(d, [])) for d in range(dim_cap + 1)}
@@ -188,70 +180,32 @@ def iso_check(space: FiniteMetricSpace, action: IsometricAction, r: float,
                   "orbit_size": int(qc.sizes[dim][cid])}
             return IsoCertificate(verdict="degenerate", counterexample=ce, **common)
 
-    # orbit images as lex ranks among the quotient simplices (positions in
-    # quot.simplices, which is lex-sorted); `found` clears images that are
-    # not quotient simplices
-    located = {}
-    for dim in range(dim_cap + 1):
-        img = qc.images.get(dim, np.zeros((0, dim + 1), dtype=np.intp))
-        found = np.ones(len(img), dtype=bool)
-        located[dim] = quot.index.rank(img.T, found), found
-
-    members = q.members
-    for dim in range(dim_cap + 1):
-        ranks, found = located[dim]
-        hit = np.zeros(counts_quotient[dim], dtype=bool)
-        hit[ranks[found]] = True
-        if hit.all():
+    # the number of simplex orbits whose image is each quotient simplex
+    tallies = [quot.tally(d, qc.images.get(d, np.zeros((0, d + 1), dtype=np.intp)))
+               for d in range(dim_cap + 1)]
+    for dim, (_, count) in enumerate(tallies):
+        if count.all():
             continue
-        simplex = tuple(quot.simplices[dim][int(np.argmin(hit))].tolist())
-        evidence: dict = {}
+        simplex = tuple(quot.simplices[dim][int(np.argmin(count))].tolist())
         if kind == "vr":
-            min_diam, achievers = anchored_min_diameter(q.base.dist, members, simplex)
+            min_diam, achievers = anchored_min_diameter(q.base.dist, q.members, simplex)
             evidence = {"min_lift_diam": float(min_diam),
                         "min_lifts": [list(t) for t in achievers[:4]]}
         else:
-            lifts = anchored_witnessed_lifts(ball_rows(q.base, r, convention), members, simplex)
+            lifts = anchored_witnessed_lifts(ball_rows(q.base, r, convention), q.members,
+                                             simplex)
             evidence = {"witnessed_lifts": [list(t) for t, _ in lifts[:4]]}
         ce = {"dim": dim, "missing": list(simplex), **evidence}
-        return IsoCertificate(verdict="not-surjective",
-                              counterexample=ce, **common)
+        return IsoCertificate(verdict="not-surjective", counterexample=ce, **common)
 
-    for dim in range(dim_cap + 1):
-        ranks, found = located[dim]
-        shared = np.bincount(ranks[found], minlength=counts_quotient[dim]) > 1
-        if shared.any():
-            first = int(np.argmax(shared))
-            cids = np.flatnonzero(found & (ranks == first))[:4]
+    for dim, (ranks, count) in enumerate(tallies):
+        if (count > 1).any():
+            first = int(np.argmax(count > 1))
             ce = {"dim": dim, "image": quot.simplices[dim][first].tolist(),
-                  "simplices": qc.reps[dim][cids].tolist()}
-            return IsoCertificate(verdict="not-injective",
-                                  counterexample=ce, **common)
-        # injection established; surjection was checked above, so any count
-        # mismatch (an image that is not a quotient simplex) would be an
-        # internal inconsistency
-        if len(ranks) != counts_quotient[dim]:
-            raise AssertionError(
-                f"dim {dim}: {len(ranks)} orbit images != "
-                f"{counts_quotient[dim]} quotient simplices")
+                  "simplices": qc.reps[dim][np.flatnonzero(ranks == first)[:4]].tolist()}
+            return IsoCertificate(verdict="not-injective", counterexample=ce, **common)
 
     return IsoCertificate(verdict="isomorphic", counterexample=None, **common)
-
-
-def _spans(space: FiniteMetricSpace, kind: str, r: float, convention: str,
-           dim_cap: int, simplex: tuple[int, ...]) -> bool:
-    """Whether the vertex tuple, sorted and of at most dim_cap + 1 points,
-    spans a simplex of the `kind` complex at r, by definition: for VR every
-    pair is within r, for Cech the vertices' balls share a sample point."""
-    if kind not in ("vr", "cech"):
-        raise ValueError(f"unknown complex kind: {kind!r}")
-    balls, v = ball_rows(space, r, convention), list(simplex)
-    if not 0 < len(v) <= dim_cap + 1 or v != sorted(set(v)) or v[0] < 0 or v[-1] >= space.n:
-        return False
-    if kind == "cech":
-        return bool(np.bitwise_and.reduce(balls[v]).any())
-    inside = np.unpackbits(balls[v], axis=1, count=space.n, bitorder="little")[:, v]
-    return bool(inside[np.triu_indices(len(v), 1)].all())
 
 
 def verify_certificate(space: FiniteMetricSpace, action: IsometricAction,
@@ -270,13 +224,13 @@ def verify_certificate(space: FiniteMetricSpace, action: IsometricAction,
     ce = cert.counterexample or {}
     if cert.verdict == "degenerate":
         simplex = tuple(ce["simplex"])
-        if not _spans(q.base, kind, r, convention, dim_cap, simplex):
+        if not spans(q.base, kind, r, convention, dim_cap, simplex):
             return False
         img = [int(q.proj[v]) for v in simplex]
         return len(set(img)) < len(img)
     if cert.verdict == "not-surjective":
         missing = tuple(ce["missing"])
-        if not _spans(q.space, kind, r, convention, dim_cap, missing):
+        if not spans(q.space, kind, r, convention, dim_cap, missing):
             return False
         if kind == "vr":
             return not anchored_lifts_within(q.base.dist, q.members,
@@ -289,7 +243,7 @@ def verify_certificate(space: FiniteMetricSpace, action: IsometricAction,
             return False
         imgs = []
         for s in simplices:
-            if not _spans(q.base, kind, r, convention, dim_cap, s):
+            if not spans(q.base, kind, r, convention, dim_cap, s):
                 return False
             imgs.append(tuple(sorted(int(q.proj[v]) for v in s)))
         if imgs[0] != imgs[1] or len(set(imgs[0])) < len(imgs[0]):

@@ -440,14 +440,12 @@ def validated(space: FiniteMetricSpace,
     return space
 
 
-def space_from_dict(data: dict, action: IsometricAction | None = None,
-                    validate: bool = True) -> FiniteMetricSpace:
-    """A space from its JSON document, `validated` with `action` unless
-    `validate` is false."""
+def space_from_dict(data: dict, validate: bool = True) -> FiniteMetricSpace:
+    """A space from its JSON document, `validated` unless `validate` is false."""
     n = int(data["n"])
     D = _unpack_lower_triangular(n, data["matrix"])
     space = FiniteMetricSpace(D, labels=data.get("labels"), provenance=data.get("provenance"))
-    return validated(space, action) if validate else space
+    return validated(space) if validate else space
 
 
 def save_space(space: FiniteMetricSpace, path) -> None:
@@ -456,14 +454,12 @@ def save_space(space: FiniteMetricSpace, path) -> None:
         fh.write("\n")
 
 
-def load_space(path, action: IsometricAction | None = None,
-               validate: bool = True) -> FiniteMetricSpace:
+def load_space(path, validate: bool = True) -> FiniteMetricSpace:
     with open(path) as fh:
-        return space_from_dict(json.load(fh), action, validate)
+        return space_from_dict(json.load(fh), validate)
 
 
-def space_from_csv(path, action: IsometricAction | None = None,
-                   validate: bool = True) -> FiniteMetricSpace:
+def space_from_csv(path, validate: bool = True) -> FiniteMetricSpace:
     """Read a lower-triangular CSV: line i holds the i distances d(i,0..i-1)."""
     rows = []
     with open(path) as fh:
@@ -479,4 +475,4 @@ def space_from_csv(path, action: IsometricAction | None = None,
     flat = [v for row in rows for v in row]
     space = FiniteMetricSpace(_unpack_lower_triangular(n, flat),
                               provenance={"kind": "explicit-matrix", "source": "csv"})
-    return validated(space, action) if validate else space
+    return validated(space) if validate else space

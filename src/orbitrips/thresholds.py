@@ -35,7 +35,7 @@ import numpy as np
 
 from .actions import IsometricAction, QuotientSpace, build_quotient
 from .complexes import (DEFAULT_BUDGET, DEFAULT_DIM_CAP, anchored_lifts,
-                        ball_rows, cech_complex, vr_complex)
+                        ball_rows, cech_complex, spans, vr_complex)
 from .lifts import (anchored_lifts_within, anchored_min_diameter,
                     anchored_witnessed_lifts)
 from .spaces import FiniteMetricSpace, critical_values
@@ -209,29 +209,28 @@ def _doubles_failure(q: QuotientSpace, r: float, ball: bool,
 def _lifts_by_simplex(q: QuotientSpace, kind: str, r: float, convention: str,
                       dim_cap: int, budget: float, start: int = 1):
     """Per dimension from `start`: the quotient's `kind` simplices at r, the
-    anchored lifts at r, their ranks among those simplices, and lift counts."""
+    anchored lifts at r, and their `tally` among those simplices.  Every
+    anchored lift projects to a quotient simplex: quotient distances never
+    exceed base distances, and a base ball witness projects to a quotient one."""
     build = vr_complex if kind == "vr" else cech_complex
     qcx = build(q.space, r, convention=convention, dim_cap=dim_cap, budget=budget)
     lifts = anchored_lifts(q.base, q.proj, r, kind, convention, dim_cap, budget)
     for dim in range(start, len(qcx.simplices)):
         rows = lifts.get(dim, np.zeros((0, dim + 1), dtype=np.int32))
-        found = np.ones(len(rows), dtype=bool)
-        ranks = qcx.index.rank(q.proj[rows].T, found)[found]
-        yield (qcx.simplices[dim], rows[found], ranks,
-               np.bincount(ranks, minlength=len(qcx.simplices[dim])))
+        yield (qcx.simplices[dim], rows, *qcx.tally(dim, q.proj[rows]))
 
 
 def _first_failure(q: QuotientSpace, kind: str, r: float, convention: str,
                    k_max: int, budget: int, failure) -> tuple[dict | None, int]:
-    """The first witness, in (dimension, lex) order, that `failure(orbits,
-    lifts)` gives for a simplex of the quotient's `kind` complex without
-    exactly one anchored lift, and the number of simplices checked."""
+    """The witness `failure(orbits, lifts)` of the first simplex, in
+    (dimension, lex) order, of the quotient's `kind` complex without exactly
+    one anchored lift, and the number of simplices checked."""
     checked = 0
     for simplices, rows, ranks, count in _lifts_by_simplex(q, kind, r, convention, k_max, budget):
-        for s in np.flatnonzero(count != 1).tolist():
-            witness = failure(simplices[s], rows[ranks == s])
-            if witness is not None:
-                return witness, checked + s + 1
+        bad = np.flatnonzero(count != 1)
+        if len(bad):
+            s = int(bad[0])
+            return failure(simplices[s], rows[ranks == s]), checked + s + 1
         checked += len(count)
     return None, checked
 
@@ -280,10 +279,9 @@ def _failure_scale(q: QuotientSpace, kind: str, k_max: int, budget: int,
     return t
 
 
-def _diameter_failure(q: QuotientSpace, orbits: np.ndarray,
-                      lifts: np.ndarray) -> dict | None:
-    """The witness of a quotient subset that fails the diameter property,
-    given its anchored lifts below the scale in lex order, else None."""
+def _diameter_failure(q: QuotientSpace, orbits: np.ndarray, lifts: np.ndarray) -> dict:
+    """The witness of a quotient subset below the scale without exactly one
+    anchored lift below it, given those lifts in lex order."""
     qdiam, orbits = float(_diameters(q.space.dist, orbits[None])[0]), orbits.tolist()
     within = list(zip(_diameters(q.base.dist, lifts).tolist(), map(tuple, lifts.tolist())))
     if within:
@@ -302,11 +300,8 @@ def _diameter_failure(q: QuotientSpace, orbits: np.ndarray,
                     min_lifts=[list(t) for t in achievers[:4]])
     if len(achievers) > 1:
         return sets("equality_not_unique", lifts=[list(t) for t in achievers[:4]])
-    extras = [t for _, t in within if t != achievers[0]]
-    if extras:
-        return sets("extra_lift_within_scale", lift=list(achievers[0]),
-                    extra_lifts=[list(t) for t in extras[:4]])
-    return None
+    extras = [list(t) for _, t in within if t != achievers[0]]
+    return sets("extra_lift_within_scale", lift=list(achievers[0]), extra_lifts=extras[:4])
 
 
 def _check_k_max(k_max: int) -> None:
@@ -435,34 +430,34 @@ def verify_witness(space: FiniteMetricSpace, action: IsometricAction,
                    kind: str, r: float, witness: dict,
                    convention: str = "lt") -> bool:
     """Replay a failure witness against the definitions, from scratch, on the
-    exactly invariant base space of build_quotient."""
+    exactly invariant base space of build_quotient.  A witness does not
+    replay if its element g is not one of 1..|G|-1, a point x, g.x or y is
+    out of range, or its orbits are not a sorted subset of the orbits."""
+    if kind not in ("distance", "ball", "diameter", "nerve"):
+        raise ValueError(f"unknown witness kind: {kind!r}")
     q = build_quotient(space, action)
-    D = q.base.dist
-    if kind == "distance":
-        g, x = witness["g"], witness["x"]
-        img = int(action.element_arrays[g][x])
-        return g != 0 and float(D[x, img]) < r
-    if kind == "ball":
-        g, x, y = witness["g"], witness["x"], witness["y"]
-        img = int(action.element_arrays[g][x])
-        return g != 0 and max(float(D[x, y]), float(D[img, y])) < r
-
-    if witness.get("part") == "doubles":
-        g, x = witness["g"], witness["x"]
-        img = int(action.element_arrays[g][x])
-        if g == 0:
+    D, n = q.base.dist, q.base.n
+    if kind in ("distance", "ball") or witness.get("part") == "doubles":
+        g, x, y = witness["g"], witness["x"], witness.get("y", witness["x"])
+        if not (0 < g < len(action.elements) and 0 <= x < n and 0 <= y < n):
             return False
-        if kind == "diameter":
-            return float(D[x, img]) < r
+        gx = int(action.element_arrays[g, x])
+        if witness.get("gx", gx) != gx:
+            return False
+        if kind in ("distance", "diameter"):
+            return float(D[x, gx]) < r
+        if kind == "ball":
+            return max(float(D[x, y]), float(D[gx, y])) < r
         balls = ball_rows(q.base, r, convention)
-        return bool((balls[x] & balls[img]).any())
+        return bool((balls[x] & balls[gx]).any())
 
-    orbits = tuple(witness["orbits"])
-    members = q.members
+    # the subset, of any size, must be a simplex of the quotient's VR ("lt")
+    # or Cech complex
+    orbits, members = tuple(witness["orbits"]), q.members
     if kind == "diameter":
-        qdiam = float(_diameters(q.space.dist, np.array([orbits]))[0])
-        if not qdiam < r:
+        if not spans(q.space, "vr", r, "lt", len(orbits), orbits):
             return False
+        qdiam = float(_diameters(q.space.dist, np.array([orbits]))[0])
         min_diam, achievers = anchored_min_diameter(D, members, orbits)
         equal = bool(min_diam <= qdiam)
         mode = witness["mode"]
@@ -474,9 +469,7 @@ def verify_witness(space: FiniteMetricSpace, action: IsometricAction,
             within = anchored_lifts_within(D, members, orbits, r, strict=True)
             return equal and len(achievers) == 1 and len(within) > 1
         return False
-    if kind == "nerve":
-        if not np.bitwise_and.reduce(ball_rows(q.space, r, convention)[list(orbits)]).any():
-            return False  # subset does not qualify
-        lifts = anchored_witnessed_lifts(ball_rows(q.base, r, convention), members, orbits)
-        return witness["mode"] == "lift_not_unique" and len(lifts) > 1
-    raise ValueError(f"unknown witness kind: {kind!r}")
+    if not spans(q.space, "cech", r, convention, len(orbits), orbits):
+        return False
+    lifts = anchored_witnessed_lifts(ball_rows(q.base, r, convention), members, orbits)
+    return witness["mode"] == "lift_not_unique" and len(lifts) > 1

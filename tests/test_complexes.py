@@ -155,6 +155,20 @@ def test_lex_index_finds_only_listed_simplices():
     assert not found([(0, 1, 2, 3)])[0][0]                         # above the top dimension
 
 
+def test_tally_counts_rows_per_simplex_and_rejects_non_simplices():
+    space = generate_space(ShapeSpec("evenly-spaced-circle", {"n": 12}))
+    cx = vr_complex(space, 0.2, "leq", dim_cap=3)
+    edges = cx.simplices[1]
+    ranks, count = cx.tally(1, edges[[3, 0, 3]])
+    assert ranks.tolist() == [3, 0, 3]
+    assert count.tolist() == [1, 0, 0, 2] + [0] * (len(edges) - 4)
+    ranks, count = cx.tally(3, np.zeros((0, 4), dtype=np.int32))  # no tetrahedra
+    assert len(ranks) == len(count) == 0
+    for dim, rows in ((1, [(2, 1)]), (1, [(0, 3)]), (3, [(0, 1, 2, 3)])):
+        with pytest.raises(AssertionError):  # unsorted; not an edge; no tetrahedra
+            cx.tally(dim, np.array(rows))
+
+
 def test_cech_sees_farther_than_vr_at_same_scale():
     space = generate_space(ShapeSpec("evenly-spaced-circle", {"n": 6}))
     r = 1 / 6 + 1e-9

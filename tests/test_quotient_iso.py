@@ -230,6 +230,26 @@ def test_tampered_counterexamples_do_not_replay():
             assert not verify_certificate(space, action, bad), (kind, moved)
 
 
+def test_tampered_not_injective_and_cech_not_surjective_do_not_replay():
+    # circle(12) mod a third of a turn at 1/6 (Cech, lt): the edge orbits of
+    # (0, 2) and (0, 10) both project to the quotient edge [0, 2]
+    space = generate_space(ShapeSpec("evenly-spaced-circle", {"n": 12}))
+    action = close_group(12, [circle_rotation_generator(12, 4)])
+    cert = iso_check(space, action, 1 / 6, "cech", "lt")
+    assert cert.verdict == "not-injective" and verify_certificate(space, action, cert)
+    assert cert.counterexample["simplices"] == [[0, 2], [0, 10]]
+    for simplices in ([[0, 2]], [[0, 2], [0, 2]], [[0, 2], [0, 5]], [[0, 1], [0, 2]]):
+        # one simplex, two equal ones, one outside the base complex, two images
+        bad = dataclasses.replace(cert, counterexample={**cert.counterexample,
+                                                        "simplices": simplices})
+        assert not verify_certificate(space, action, bad), simplices
+    # every quotient Cech simplex lifts on the exact base, so iso_check never
+    # emits this certificate, and its replay finds the lifts
+    bad = dataclasses.replace(cert, verdict="not-surjective",
+                              counterexample={"dim": 1, "missing": [0, 2]})
+    assert not verify_certificate(space, action, bad)
+
+
 def test_cech_iso_and_not_surjective():
     space = generate_space(ShapeSpec("evenly-spaced-circle",
                                      {"n": 36, "circumference": 3.0}))

@@ -145,6 +145,28 @@ def test_unknown_convention_rejected_by_nerve_check_and_replay():
         threshold_scan(space, close_group(12, []), "nerve", convention="le")
 
 
+def test_malformed_witnesses_do_not_replay():
+    # circle(12) mod a third of a turn: a negative element, point or orbit
+    # index aliases a valid one, and one past the end must not raise
+    space = generate_space(ShapeSpec("evenly-spaced-circle", {"n": 12}))
+    action = close_group(12, [circle_rotation_generator(12, 4)])
+    assert not verify_witness(space, action, "distance", 0.5, {"g": -1, "x": 0})
+    points = [{"g": -1}, {"g": 0}, {"g": 3}, {"x": -1}, {"x": 12}, {"gx": 5}, {"gx": 12}]
+    for kind, witness in (("distance", threshold_scan(space, action, "distance").witness),
+                          ("ball", threshold_scan(space, action, "ball").witness),
+                          ("diameter", diameter_action_check(space, action, 0.5).witness),
+                          ("nerve", nerve_action_check(space, action, 0.5).witness)):
+        assert verify_witness(space, action, kind, 0.5, witness), kind
+        for bad in points + ([{"y": -1}, {"y": 12}] if "y" in witness else []):
+            assert not verify_witness(space, action, kind, 0.5, {**witness, **bad}), (kind, bad)
+    for kind in ("diameter", "nerve"):
+        w = threshold_scan(space, action, kind).witness
+        assert w["orbits"] == [0, 2] and verify_witness(space, action, kind, w["scale"], w)
+        for orbits in ([-4, -2], [2, 0], [0, 0], [0, 1, 99], []):
+            bad = {**w, "orbits": orbits}
+            assert not verify_witness(space, action, kind, w["scale"], bad), (kind, orbits)
+
+
 def test_unknown_kind_rejected():
     space, action = _circle12_antipodal()
     with pytest.raises(ValueError):
