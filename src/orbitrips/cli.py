@@ -189,6 +189,8 @@ def _action_generators(args, n: int) -> list:
     if kind == "block-shift":
         if args.blocks is None:
             raise ValueError("block-shift needs --blocks")
+        if args.blocks < 1:
+            raise ValueError(f"block-shift needs a positive --blocks, got {args.blocks}")
         if n % args.blocks:
             raise ValueError(f"{args.blocks} blocks do not divide {n} points")
         return [block_shift_generator(args.blocks, n // args.blocks)]
@@ -427,7 +429,8 @@ _ARGUMENTS = {
     "dim-cap": ("--dim-cap", dict(type=int, default=DEFAULT_DIM_CAP,
                                   help="largest simplex dimension kept")),
     "k-max": ("--k-max", dict(type=int, default=DEFAULT_DIM_CAP,
-                              help="check orbit subsets of size 2..k_max+1")),
+                              help="check orbit subsets of size 2..k_max+1; pairs and "
+                                   "triples decide every size")),
     "budget": ("--budget", dict(type=int, default=None,
                                 help="simplex budget (default ORBITRIPS_BUDGET or 10^7)")),
     "out": ("--out", dict(default=None, help="output path (default: stdout)")),

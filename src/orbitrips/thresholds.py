@@ -19,7 +19,8 @@ doubled-point part at every positive scale, even where the complexes match:
 circle(16) mod i -> -i fails the diameter check at 0.0625 and 0.125 on the
 fixed point 0, and iso_check is isomorphic at both.  Both checks count each
 quotient simplex's lifts among the anchored lifts of one clique walk,
-`complexes.anchored_lifts`.
+`complexes.anchored_lifts`, and walk no dimension past `_DECIDING_DIM`: on a
+free action a pass there certifies the complexes in every dimension.
 
 Every check, scan and replay runs on the exactly invariant base space of
 build_quotient (see the tolerance policy in `actions`), and compares exactly.
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -51,6 +52,17 @@ __all__ = [
     "verify_witness",
 ]
 
+# The last dimension that can decide a check.  Once the doubled points and
+# every quotient edge pass at r on a free action, the representative a of
+# orbit A has one point b_B of each orbit B with a lift of {A, B} through it
+# (a second would be a second lift: no element fixes a), so a quotient simplex
+# has at most the one lift {a} + {b_B}.  For VR it is a lift iff each triangle
+# through A lifts, and then its sides are the quotient distances, so a subset
+# with one lift passes and one with none fails; for Cech a quotient witness
+# always lifts (see nerve_action_check).  So the first failure lies at or
+# below the cap, and a pass holds in every dimension.
+_DECIDING_DIM = {"vr": 2, "cech": 1}
+
 
 @dataclass
 class ActionCheckResult:
@@ -65,15 +77,7 @@ class ActionCheckResult:
     subsets_checked: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "r": self.r,
-            "ok": self.ok,
-            "k_max": self.k_max,
-            "convention": self.convention,
-            "witness": self.witness,
-            "subsets_checked": self.subsets_checked,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -100,22 +104,11 @@ class ThresholdReport:
     provenance: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        def _num(v):
-            if v is None:
-                return None
-            return "inf" if math.isinf(v) else v
-        return {
-            "kind": self.kind,
-            "k_max": self.k_max,
-            "convention": self.convention,
-            "passes_at": _num(self.passes_at),
-            "fails_at": _num(self.fails_at),
-            "witness": self.witness,
-            "resolution": _num(self.resolution),
-            "scanned": self.scanned,
-            "vacuous": self.vacuous,
-            "provenance": self.provenance,
-        }
+        doc = asdict(self)
+        for key in ("passes_at", "fails_at", "resolution"):
+            if doc[key] is not None and math.isinf(doc[key]):
+                doc[key] = "inf"
+        return doc
 
 
 def _bracket(grid: np.ndarray, t: float, strict: bool = True) -> tuple[float, float]:
@@ -206,31 +199,27 @@ def _doubles_failure(q: QuotientSpace, r: float, ball: bool,
     return {**witness, "y": y, "value": float(max(D[x, y], D[gx, y])), "fixed_point": gx == x}
 
 
-def _lifts_by_simplex(q: QuotientSpace, kind: str, r: float, convention: str,
-                      dim_cap: int, budget: float, start: int = 1):
-    """Per dimension from `start`: the quotient's `kind` simplices at r, the
-    anchored lifts at r, and their `tally` among those simplices.  Every
-    anchored lift projects to a quotient simplex: quotient distances never
-    exceed base distances, and a base ball witness projects to a quotient one."""
-    build = vr_complex if kind == "vr" else cech_complex
-    qcx = build(q.space, r, convention=convention, dim_cap=dim_cap, budget=budget)
-    lifts = anchored_lifts(q.base, q.proj, r, kind, convention, dim_cap, budget)
-    for dim in range(start, len(qcx.simplices)):
-        rows = lifts.get(dim, np.zeros((0, dim + 1), dtype=np.int32))
-        yield (qcx.simplices[dim], rows, *qcx.tally(dim, q.proj[rows]))
-
-
 def _first_failure(q: QuotientSpace, kind: str, r: float, convention: str,
                    k_max: int, budget: int, failure) -> tuple[dict | None, int]:
     """The witness `failure(orbits, lifts)` of the first simplex, in
-    (dimension, lex) order, of the quotient's `kind` complex without exactly
-    one anchored lift, and the number of simplices checked."""
+    (dimension, lex) order, of the quotient's `kind` complex at r without
+    exactly one anchored lift at r, and the number of simplices checked, up
+    to dimension min(k_max, _DECIDING_DIM[kind]): past that cap no first
+    failure lies.  `tally` counts the lifts per quotient simplex: every
+    anchored lift projects to one, as quotient distances never exceed base
+    distances and a base ball witness projects to a quotient one."""
+    dim_cap = min(k_max, _DECIDING_DIM[kind])
+    build = vr_complex if kind == "vr" else cech_complex
+    qcx = build(q.space, r, convention=convention, dim_cap=dim_cap, budget=budget)
+    lifts = anchored_lifts(q.base, q.proj, r, kind, convention, dim_cap, budget)
     checked = 0
-    for simplices, rows, ranks, count in _lifts_by_simplex(q, kind, r, convention, k_max, budget):
+    for dim in range(1, len(qcx.simplices)):
+        rows = lifts.get(dim, np.zeros((0, dim + 1), dtype=np.int32))
+        ranks, count = qcx.tally(dim, q.proj[rows])
         bad = np.flatnonzero(count != 1)
         if len(bad):
             s = int(bad[0])
-            return failure(simplices[s], rows[ranks == s]), checked + s + 1
+            return failure(qcx.simplices[dim][s], rows[ranks == s]), checked + s + 1
         checked += len(count)
     return None, checked
 
@@ -241,41 +230,42 @@ def _diameters(D: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return D[rows[:, i], rows[:, j]].max(axis=1)
 
 
-def _failure_scale(q: QuotientSpace, kind: str, k_max: int, budget: int,
-                   grid: np.ndarray, strict: bool) -> float:
+def _failure_scale(q: QuotientSpace, kind: str, k_max: int) -> float:
     """The scale T above which (at and above which, nerve under "leq") the
-    check fails: the least doubled-point value or f(S) of a quotient subset.
-    Diameter: f(S) = qdiam(S) when the least lift lies above it (a subset
-    with no lift below T has none at or below qdiam(S) < T) or two tie for
-    least, else the second-least lift diameter.  Nerve: the second-least lift
-    radius.  An f(S) below the running T shows in the lifts below T: the
-    edges', walked at the doubled-point scale without a budget (at most
-    q (n + 1) rows), then one budgeted walk per dim_cap 2..k_max.
-    The walks stop once `_bracket(grid, T, strict)` passes nowhere on the
-    grid: no lower T can move that bracket."""
+    check fails: the least doubled-point value or f(S) of a quotient subset
+    up to `_DECIDING_DIM`.  Diameter, from arrays at the representatives a
+    in O(q n + q^3) work: an edge's f is the second-least distance from a
+    to B, a triangle's (B, C above A) its quotient diameter when its one
+    possible lift below T, {a, b_B, b_C}, is longer.  Nerve: an edge's
+    second-least lift radius, from one walk of the edges' lifts at the
+    doubled-point scale, without a budget (at most q (n + 1) rows)."""
     D = q.base.dist
     t = float(_doubled_points(D, q.action, kind == "nerve", q.reps).min(initial=math.inf))
-    for dim in range(1, k_max + 1 if math.isfinite(t) else 1):  # inf: one lift per subset
-        if _bracket(grid, t, strict)[0] == 0.0:  # grid values are positive
-            break
-        for simplices, rows, ranks, count in _lifts_by_simplex(
-                q, "vr" if kind == "diameter" else "cech", t, "lt", dim,
-                budget if dim > 1 else math.inf, start=dim):
-            if kind == "nerve":  # radii of the lifts of subsets with two, 2^18 // n at a time
-                keep, count = count[ranks] > 1, np.where(count > 1, count, 0)
-                rows, ranks, step = rows[keep], ranks[keep], max(1, (1 << 18) // len(D))
-                values = np.concatenate([np.zeros(0)] + [D[rows[lo:lo + step]].max(1).min(1)
-                                                         for lo in range(0, len(rows), step)])
-            else:
-                values = _diameters(D, rows)
-            values, first = values[np.lexsort((values, ranks))], np.cumsum(count) - count
-            least, f = np.full((2, len(count)), np.inf)  # the least and second-least
-            least[count > 0] = values[first[count > 0]]
-            f[count > 1] = values[first[count > 1] + 1]
-            if kind == "diameter":
-                qdiam = _diameters(q.space.dist, simplices)
-                f = np.where((least > qdiam) | (f == least), qdiam, f)
-            t = min(t, float(f.min(initial=math.inf)))
+    top = min(k_max, _DECIDING_DIM["vr" if kind == "diameter" else "cech"])
+    if t == 0.0 or math.isinf(t) or top == 0:  # a fixed point, or one lift per subset
+        return t
+    if kind == "nerve":  # the edges' second-least lift radii, 2^18 // n lifts at a time
+        rows = anchored_lifts(q.base, q.proj, t, "cech", "lt", 1, math.inf).get(
+            1, np.zeros((0, 2), dtype=np.int32))
+        step = max(1, (1 << 18) // len(D))
+        radii = np.concatenate([np.zeros(0)] + [D[rows[lo:lo + step]].max(1).min(1)
+                                                for lo in range(0, len(rows), step)])
+        edges = q.proj[rows] @ np.array([len(q.reps), 1])
+        o = np.lexsort((radii, edges))
+        edges, radii = edges[o], radii[o]
+        return min(t, float(radii[1:][edges[1:] == edges[:-1]].min(initial=math.inf)))
+    members = np.array(q.members)  # the action is free: (q, |G|)
+    m = len(members)
+    near = D[np.ix_(q.reps, members.ravel())].reshape(m, m, -1)  # near[a, B]: d(a, B)
+    t = min(t, float(np.partition(near, 1, axis=2)[:, :, 1].min()))
+    if top == 1:
+        return t
+    b, Q = members[np.arange(m), near.argmin(axis=2)], q.space.dist  # b[a, B] = b_B
+    for a in range(m):  # triangles below t whose one possible lift is longer
+        nb = a + 1 + np.flatnonzero(Q[a, a + 1:] < t)
+        qdiam = np.maximum(np.maximum.outer(Q[a, nb], Q[a, nb]), Q[np.ix_(nb, nb)])
+        longer = D[np.ix_(b[a, nb], b[a, nb])] > qdiam
+        t = min(t, float(qdiam[longer].min(initial=math.inf)))
     return t
 
 
@@ -322,17 +312,13 @@ def diameter_action_check(space: FiniteMetricSpace, action: IsometricAction,
     it), extra_lift_within_scale (a second, larger lift still below r).
     For a free action, together with the doubled-point part, this is exactly
     the condition under which the quotient of VR(space, r) matches VR(quotient
-    space, r); a fixed point fails it at every r > 0.
+    space, r); a fixed point fails it at every r > 0.  It walks subsets of
+    up to min(k_max, 2) + 1 orbits, which decide every size (`_DECIDING_DIM`).
     """
     _check_k_max(k_max)
     q = quotient if quotient is not None else build_quotient(space, action)
     witness, checked = _doubles_failure(q, r, ball=False), 0
     if witness is None:
-        # once every smaller subset has passed, the one lift of a subset has
-        # the one lifts of its orbit pairs as edges, up to the exact action,
-        # and an orbit pair's one lift realizes its quotient distance; so a
-        # subset with one lift passes, and one with none fails: its least
-        # lift is at least r, above its quotient diameter
         witness, checked = _first_failure(q, "vr", r, "lt", k_max, budget,
                                           functools.partial(_diameter_failure, q))
     return ActionCheckResult(kind="diameter", r=float(r), ok=witness is None,
@@ -356,7 +342,8 @@ def nerve_action_check(space: FiniteMetricSpace, action: IsometricAction,
     distances.  So the one failure mode is lift_not_unique.  For a free
     action, together with the doubled-point part, this is exactly the
     condition under which the quotient of the Cech complex matches the Cech
-    complex of the quotient; a fixed point fails it at every r > 0.
+    complex of the quotient; a fixed point fails it at every r > 0.  It
+    walks pairs of orbits alone, which decide every size (`_DECIDING_DIM`).
     """
     _check_k_max(k_max)
     q = quotient if quotient is not None else build_quotient(space, action)
@@ -390,9 +377,8 @@ def threshold_scan(space: FiniteMetricSpace, action: IsometricAction,
     grid value whose check fails, passes_at its predecessor (0.0 if none).
     Both checks are monotone in r, the nerve check on the exact action of
     `q.base` (see nerve_action_check), so each fails exactly above the scale
-    `_failure_scale` finds, without a search.  The one check, at fails_at,
-    gives the witness.  The budget bounds that check and every walk of
-    `_failure_scale` but the edges' (at most q (n + 1) rows).
+    `_failure_scale` finds, without a search or a budget.  The one check,
+    at fails_at, gives the witness; the budget bounds it alone.
     """
     if kind == "distance":
         return distance_threshold(space, action)
@@ -407,8 +393,7 @@ def threshold_scan(space: FiniteMetricSpace, action: IsometricAction,
     q = build_quotient(space, action)
     grid = critical_values(q.base)
     strict = kind == "diameter" or convention == "lt"
-    passes_at, fails_at = _bracket(grid, _failure_scale(q, kind, k_max, budget, grid, strict),
-                                   strict)
+    passes_at, fails_at = _bracket(grid, _failure_scale(q, kind, k_max), strict)
     witness = None
     if math.isfinite(fails_at):
         check = diameter_action_check if kind == "diameter" else \

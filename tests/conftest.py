@@ -21,6 +21,9 @@ quotient simplex by the recursive searches of `lifts`, and shares only the
 quotient complex with the library checks; doubles_failure_oracle, the
 double loop that the doubled-point array replaced, gives its doubled-point
 part.
+walk_failure_scale is the per-dimension lift walk that the diameter arrays
+and the capped checks of `thresholds` replaced, kept as the referee of the
+scan's failure scale; it calls only public functions.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ from orbitrips.actions import (ISOMETRY_EPS, IsometricAction, IsometryReport,
                                build_quotient, close_group)
 from orbitrips.complexes import (DEFAULT_BUDGET, DEFAULT_DIM_CAP,
                                  BudgetExceededError, SimplicialComplex,
-                                 ball_rows, cech_complex, vr_complex)
+                                 anchored_lifts, ball_rows, cech_complex,
+                                 vr_complex)
 from orbitrips.lifts import (anchored_lifts_within, anchored_min_diameter,
                              anchored_witnessed_lifts)
 from orbitrips.spaces import (TRIANGLE_EPS, FiniteMetricSpace, MetricValidation,
@@ -368,6 +372,49 @@ def subset_check_oracle(space: FiniteMetricSpace, action: IsometricAction,
                 return ActionCheckResult(ok=False, witness=witness,
                                          subsets_checked=checked, **result)
     return ActionCheckResult(ok=True, subsets_checked=checked, **result)
+
+
+def walk_failure_scale(q, kind: str, k_max: int) -> float:
+    """threshold_scan's failure scale T by the per-dimension lift walk that
+    the arrays at representatives and the cap of the checks replaced: from
+    the least doubled-point value, each dimension 1..k_max in turn walks the
+    anchored lifts at the running T, tallies them
+    per quotient simplex, and lowers T to each subset's f(S).  Diameter:
+    qdiam(S) when the least lift lies above it (or none lies below T) or two
+    tie for least, else the second-least lift diameter.  Nerve: the
+    second-least lift radius."""
+    D, images = q.base.dist, q.action.element_arrays[1:]
+    if kind == "diameter":
+        doubled = [D[x, images[:, x]] for x in q.reps]
+    else:
+        doubled = [np.maximum(D[x], D[images[:, x]]).min(axis=1) for x in q.reps]
+    t = float(np.concatenate([np.zeros(0)] + doubled).min(initial=math.inf))
+    complex_kind = "vr" if kind == "diameter" else "cech"
+    build = vr_complex if kind == "diameter" else cech_complex
+    Q = q.space.dist
+    for dim in range(1, k_max + 1 if math.isfinite(t) else 1):
+        qcx = build(q.space, t, convention="lt", dim_cap=dim)
+        if dim not in qcx.simplices:
+            break
+        rows = anchored_lifts(q.base, q.proj, t, complex_kind, "lt", dim).get(
+            dim, np.zeros((0, dim + 1), dtype=np.int32))
+        ranks, _ = qcx.tally(dim, q.proj[rows])
+        lifts: dict[int, list[float]] = {}
+        for s, row in zip(ranks.tolist(), rows.tolist()):
+            if kind == "diameter":
+                value = max(D[x, y] for x, y in itertools.combinations(row, 2))
+            else:
+                value = min(max(D[x, y] for x in row) for y in range(len(D)))
+            lifts.setdefault(s, []).append(float(value))
+        for s, simplex in enumerate(qcx.simplices[dim].tolist()):
+            values = sorted(lifts.get(s, [])) + [math.inf, math.inf]
+            f = values[1]
+            if kind == "diameter":
+                qdiam = max(Q[a, b] for a, b in itertools.combinations(simplex, 2))
+                if values[0] > qdiam or values[1] == values[0]:
+                    f = qdiam
+            t = min(t, float(f))
+    return t
 
 
 # ---------------------------------------------------------------------------

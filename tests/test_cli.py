@@ -437,6 +437,17 @@ def test_action_reports_a_bad_metric_before_bad_kind_arguments(tmp_path, capsys,
     assert "paired-swap needs an even point count" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("blocks", ["0", "-3"])
+def test_block_shift_refuses_a_block_count_below_one(tmp_path, capsys, blocks):
+    # zero blocks used to raise ZeroDivisionError, and -3 blocks to write a
+    # group of order 3
+    out = tmp_path / "action.json"
+    assert main(["action", "--kind", "block-shift", "--blocks", blocks, "--n", "12",
+                 "--out", str(out)]) == 3
+    assert "positive --blocks" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_thresholds_budget_exit_4(tmp_path, circle12, antipodal12):
     # the diameter check at the second critical value already needs more
     # than ten simplices, long before the scan reaches its threshold

@@ -10,7 +10,8 @@ from orbitrips.actions import (antipodal_generator, block_shift_generator,
                                torus_grid_shift_generators)
 from orbitrips.cli import main
 from orbitrips.complexes import (BudgetExceededError, anchored_lifts,
-                                 cech_complex, vr_complex)
+                                 cech_complex, vr_complex, vr_filtration)
+from orbitrips.persistence import reduce_filtration
 from orbitrips.quotient_iso import iso_check
 from orbitrips.spaces import (FiniteMetricSpace, ShapeSpec, critical_values,
                               generate_space, twelve_circles_action_generators)
@@ -20,7 +21,8 @@ from orbitrips.thresholds import (ball_threshold, diameter_action_check,
 
 from conftest import (assert_same_bracket, brute_ball_ok, brute_diameter_ok,
                       brute_distance_ok, brute_nerve_ok, linear_scan,
-                      random_rotated_cloud, subset_check_oracle)
+                      random_rotated_cloud, subset_check_oracle,
+                      walk_failure_scale)
 
 
 def _circle12_antipodal():
@@ -111,6 +113,32 @@ def test_nerve_scan_antipodal_circle48_pinned():
     assert rep.passes_at == 6 / 48
     assert rep.fails_at == 7 / 48
     assert verify_witness(space, action, "nerve", rep.witness["scale"], rep.witness)
+
+
+def test_antipodal_circle_passes_exactly_at_one_sixth():
+    # circle(6k) of circumference 1 mod the antipodal map is RP^1 of
+    # circumference 1/2, whose VR complex first changes at a third of that
+    # (Adamaszek & Adams, "The Vietoris-Rips complexes of a circle", Pacific
+    # J. Math. 2017): the diameter property holds up to exactly 1/6
+    for k in range(2, 11):
+        space = generate_space(ShapeSpec("evenly-spaced-circle", {"n": 6 * k}))
+        action = close_group(6 * k, [antipodal_generator(6 * k)])
+        assert threshold_scan(space, action, "diameter").passes_at == 1 / 6, k
+
+
+@pytest.mark.parametrize("count, seed", [(40, 0), (60, 0), (60, 3), (80, 0)])
+def test_rp2_diameter_threshold_is_the_death_of_the_longest_h1_bar(count, seed):
+    # a paired 2-sphere mod its swap samples RP^2; the diameter property
+    # holds up to the scale where the quotient's longest H1 bar dies, which
+    # is never below RP^1's 1/6
+    space = generate_space(ShapeSpec("geodesic-sphere",
+                                     {"dim": 2, "count": count, "paired": True}, seed=seed))
+    action = close_group(2 * count, [paired_swap_generator(count)])
+    rep = threshold_scan(space, action, "diameter")
+    q = build_quotient(space, action)
+    bars = reduce_filtration(vr_filtration(q.space, dim_cap=2, max_scale=0.2)).bars(1)
+    assert rep.passes_at == max(bars, key=lambda bar: bar[1] - bar[0])[1]
+    assert rep.passes_at >= 1 / 6
 
 
 def test_fixed_point_fails_doubles_part_everywhere():
@@ -466,8 +494,9 @@ def test_scan_budget_overrun_below_the_threshold_raises():
 
 def test_scan_whose_doubled_points_fix_the_bracket_walks_no_lifts():
     # under leq the torus's doubled-point scale is the first grid value, so
-    # fails_at is that value whatever the walks would find: at budget 10 the
-    # scan runs none of them and reports what the default budget does
+    # fails_at is that value whatever the edges' lifts give, and the check
+    # there fails on its doubled points before any budgeted walk: at budget
+    # 10 the scan reports what the default budget does
     spec, generators = SHIPPED_SHAPES["torus14"]
     space = generate_space(spec)
     action = close_group(space.n, generators(space.n))
@@ -486,36 +515,90 @@ def _threefold_circle36():
     return space, close_group(36, [circle_rotation_generator(36, 12)])
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 10**9), shape=st.sampled_from(["cloud", "circle", "sphere"]),
-       where=st.floats(0.0, 1.0), k_max=st.integers(0, 3),
-       convention=st.sampled_from(["lt", "leq"]))
-def test_checks_match_subset_oracle(seed, shape, where, k_max, convention):
-    # the lift walk against the per-subset searches it replaced: verdict,
-    # witness and subsets_checked, at a critical value of the base the
-    # checks run on
-    rng = np.random.default_rng(seed)
+def _free_action(rng, shape):
+    """A random rotated cloud, a circle mod a rotation, or a paired sphere
+    mod its swap: small free actions, exact or built in floats."""
     if shape == "cloud":
-        space, action = random_rotated_cloud(rng, m=int(rng.integers(2, 5)),
-                                             k=int(rng.integers(2, 4)))
-    elif shape == "circle":
+        return random_rotated_cloud(rng, m=int(rng.integers(2, 5)), k=int(rng.integers(2, 4)))
+    if shape == "circle":
         m, per = int(rng.integers(2, 5)), int(rng.integers(3, 7))
         space = generate_space(ShapeSpec("evenly-spaced-circle", {"n": m * per}))
-        action = close_group(m * per, [circle_rotation_generator(m * per, per)])
-    else:
-        count = int(rng.choice([6, 8, 12]))
-        space = generate_space(ShapeSpec(
-            "geodesic-sphere", {"dim": 2, "count": count, "paired": True},
-            seed=int(rng.integers(0, 4))))
-        action = close_group(2 * count, [paired_swap_generator(count)])
+        return space, close_group(m * per, [circle_rotation_generator(m * per, per)])
+    count = int(rng.choice([6, 8, 12]))
+    space = generate_space(ShapeSpec(
+        "geodesic-sphere", {"dim": 2, "count": count, "paired": True},
+        seed=int(rng.integers(0, 4))))
+    return space, close_group(2 * count, [paired_swap_generator(count)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**9), shape=st.sampled_from(["cloud", "circle", "sphere"]),
+       where=st.floats(0.0, 1.0), k_max=st.integers(0, 4),
+       convention=st.sampled_from(["lt", "leq"]))
+def test_checks_match_subset_oracle(seed, shape, where, k_max, convention):
+    # the lift walk against the per-subset searches it replaced, at a
+    # critical value of the base the checks run on: verdict and witness
+    # equal those of the searches over every dimension up to k_max, and
+    # subsets_checked those of the searches up to the capped dimension (2
+    # for diameter, 1 for nerve), the last the check walks
+    space, action = _free_action(np.random.default_rng(seed), shape)
     grid = critical_values(build_quotient(space, action).base)
     r = float(grid[int(where * (len(grid) - 1))])
-    got = diameter_action_check(space, action, r, k_max=k_max)
-    assert got.to_dict() == subset_check_oracle(space, action, "diameter", r,
-                                                k_max).to_dict()
-    got = nerve_action_check(space, action, r, k_max=k_max, convention=convention)
-    assert got.to_dict() == subset_check_oracle(space, action, "nerve", r, k_max,
-                                                convention).to_dict()
+    for got, cap in ((diameter_action_check(space, action, r, k_max=k_max), 2),
+                     (nerve_action_check(space, action, r, k_max=k_max,
+                                         convention=convention), 1)):
+        oracle = subset_check_oracle(space, action, got.kind, r, k_max, got.convention)
+        assert {**got.to_dict(), "subsets_checked": 0} == \
+            {**oracle.to_dict(), "subsets_checked": 0}
+        capped = subset_check_oracle(space, action, got.kind, r, min(k_max, cap),
+                                     got.convention)
+        assert got.subsets_checked == capped.subsets_checked
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**9), shape=st.sampled_from(["cloud", "circle", "sphere"]),
+       k_max=st.integers(0, 4), kind=st.sampled_from(["diameter", "nerve"]),
+       convention=st.sampled_from(["lt", "leq"]))
+def test_scan_brackets_equal_the_per_dimension_walks(seed, shape, k_max, kind, convention):
+    # the failure scale from the arrays at representatives (diameter) and
+    # the edges' walk (nerve) against the walk of every dimension up to
+    # k_max that they replaced: the same bracket on the grid
+    space, action = _free_action(np.random.default_rng(seed), shape)
+    rep = threshold_scan(space, action, kind, k_max=k_max, convention=convention)
+    q = build_quotient(space, action)
+    grid = critical_values(q.base).tolist()
+    t = walk_failure_scale(q, kind, k_max)
+    strict = kind == "diameter" or convention == "lt"
+    i = int(np.searchsorted(grid, t, side="right" if strict else "left"))
+    assert (rep.passes_at, rep.fails_at) == (grid[i - 1] if i else 0.0,
+                                             grid[i] if i < len(grid) else math.inf)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**9), shape=st.sampled_from(["cloud", "circle", "sphere"]),
+       where=st.floats(0.0, 1.0))
+def test_a_pass_certifies_every_dimension_on_free_actions(seed, shape, where):
+    # edges and triangles decide the diameter check, and edges the nerve
+    # check, in every dimension: a pass at the capped k_max gives isomorphic
+    # complexes up to dimension q - 1, every subset of the q orbits, at the
+    # scan's passes_at and at one more critical value
+    space, action = _free_action(np.random.default_rng(seed), shape)
+    q = build_quotient(space, action)
+    grid = critical_values(q.base)
+    for kind, complex_kind, convention in (("diameter", "vr", "lt"), ("nerve", "cech", "lt"),
+                                           ("nerve", "cech", "leq")):
+        k_max = 2 if kind == "diameter" else 1
+        rep = threshold_scan(space, action, kind, k_max=k_max, convention=convention)
+        for r in {rep.passes_at, float(grid[int(where * (len(grid) - 1))])}:
+            if kind == "diameter":
+                check = diameter_action_check(space, action, r, k_max=2, quotient=q)
+            else:
+                check = nerve_action_check(space, action, r, k_max=1, convention=convention,
+                                           quotient=q)
+            if check.ok:
+                cert = iso_check(space, action, r, complex_kind, convention,
+                                 dim_cap=len(q.reps) - 1)
+                assert cert.verdict == "isomorphic", (kind, convention, r)
 
 
 def test_passing_checks_fit_the_budget_of_their_quotient_complex():
@@ -532,12 +615,13 @@ def test_passing_checks_fit_the_budget_of_their_quotient_complex():
 
 
 def test_failing_check_whose_lifts_overrun_the_budget_raises(tmp_path):
-    # at 1/3 the quotient Cech complex fits the budget, but orbits {0, 6}
-    # have two witnessed lifts, so the lift walk needs more rows than that
+    # at 1/3 the quotient Cech complex fits the budget up to the edges, the
+    # last dimension a nerve check walks, but orbits {0, 6} have two
+    # witnessed lifts, so the lift walk needs more rows than that
     space, action = _threefold_circle36()
     q = build_quotient(space, action)
-    budget = cech_complex(q.space, 1 / 3, convention="lt", dim_cap=3).total
-    lifts = anchored_lifts(q.base, q.proj, 1 / 3, "cech", "lt", dim_cap=3)
+    budget = cech_complex(q.space, 1 / 3, convention="lt", dim_cap=1).total
+    lifts = anchored_lifts(q.base, q.proj, 1 / 3, "cech", "lt", dim_cap=1)
     assert sum(len(rows) for rows in lifts.values()) > budget
     assert not nerve_action_check(space, action, 1 / 3, k_max=3).ok
     with pytest.raises(BudgetExceededError):
