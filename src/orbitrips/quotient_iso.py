@@ -9,11 +9,16 @@ counterexample: a degenerate simplex (two vertices in one orbit), a
 quotient-space simplex with no in-complex lift (not surjective), or two
 simplex orbits with the same projection (not injective).
 
-Both steps work on arrays over `LexIndex` lex ranks, with no per-simplex
-Python loop: orbits are grouped one group element at a time (the least rank
-over an orbit is its representative), and one `SimplicialComplex.tally` per
-dimension counts the orbit images that land on each quotient-space simplex:
-a count of 0 is not surjective, a count above 1 not injective.
+On a free action `iso_check` first certifies downstairs: there the diameter
+(VR) or nerve (Cech) check of `thresholds` passes exactly when the complexes
+are isomorphic, in every dimension, and a pass needs no upstairs complex.
+VR under "leq" is VR under "lt" at the next float up (d <= r iff
+d < nextafter(r, inf)).  Any other input is decided upstairs, with arrays
+over `LexIndex` lex ranks and no per-simplex Python loop: orbits are
+grouped one group element at a time (the least rank over an orbit is its
+representative), and one `SimplicialComplex.tally` per dimension counts the
+orbit images that land on each quotient-space simplex: a count of 0 is not
+surjective, a count above 1 not injective.
 """
 
 from __future__ import annotations
@@ -23,11 +28,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .actions import IsometricAction, build_quotient
-from .complexes import (DEFAULT_BUDGET, DEFAULT_DIM_CAP, SimplicialComplex,
-                        ball_rows, cech_complex, spans, vr_complex)
+from .complexes import (DEFAULT_BUDGET, DEFAULT_DIM_CAP, BudgetExceededError,
+                        SimplicialComplex, ball_rows, cech_complex, spans,
+                        vr_complex)
 from .lifts import (anchored_lifts_within, anchored_min_diameter,
                     anchored_witnessed_lifts)
 from .spaces import FiniteMetricSpace
+from .thresholds import diameter_action_check, nerve_action_check
 
 __all__ = [
     "QuotientComplex",
@@ -153,11 +160,38 @@ def iso_check(space: FiniteMetricSpace, action: IsometricAction, r: float,
     dimension; otherwise the first counterexample in (dimension, lex) order of
     the highest-precedence kind is certified.  The base complex is built on
     build_quotient's exactly invariant base space, so it is invariant.
+
+    A free action (n = |G| q) whose diameter (VR) or nerve (Cech) check
+    passes at r is isomorphic without the base complex, which a budget then
+    need not hold: counts_orbits = counts_quotient, counts_base |G| times
+    them.  Every other input, a check over budget included, takes the
+    base-complex path, whose certificates and errors are unchanged.
     """
     q = build_quotient(space, action)
     if kind not in ("vr", "cech"):
         raise ValueError(f"unknown complex kind: {kind!r}")
     build = vr_complex if kind == "vr" else cech_complex
+    n_g = len(action.elements)
+    common = {"kind": kind, "r": float(r), "convention": convention, "dim_cap": dim_cap,
+              "provenance": {"group_order": n_g, "n": space.n, "n_orbits": q.space.n}}
+    if space.n == n_g * q.space.n and convention in ("lt", "leq") and dim_cap >= 0:
+        try:  # over budget, leave the error to the base complex, which is larger
+            if kind == "vr":  # VR_leq(r) is VR_lt(nextafter(r))
+                check = diameter_action_check(space, action, r if convention == "lt" else
+                                              np.nextafter(r, np.inf), k_max=dim_cap,
+                                              quotient=q, budget=budget)
+            else:
+                check = nerve_action_check(space, action, r, k_max=dim_cap,
+                                           convention=convention, quotient=q, budget=budget)
+            quot = build(q.space, r, convention=convention, dim_cap=dim_cap,
+                         budget=budget) if check.ok else None
+        except BudgetExceededError:
+            quot = None
+        if quot is not None:
+            counts = {d: len(quot.simplices.get(d, [])) for d in range(dim_cap + 1)}
+            return IsoCertificate(verdict="isomorphic", counts_orbits=counts,
+                                  counts_base={d: n_g * c for d, c in counts.items()},
+                                  counts_quotient=dict(counts), **common)
     base = build(q.base, r, convention=convention, dim_cap=dim_cap, budget=budget)
     quot = build(q.space, r, convention=convention, dim_cap=dim_cap, budget=budget)
     qc = quotient_complex(base, action, q.proj)
@@ -165,11 +199,8 @@ def iso_check(space: FiniteMetricSpace, action: IsometricAction, r: float,
     counts_base = {d: len(base.simplices.get(d, [])) for d in range(dim_cap + 1)}
     counts_orbits = {d: qc.counts().get(d, 0) for d in range(dim_cap + 1)}
     counts_quotient = {d: len(quot.simplices.get(d, [])) for d in range(dim_cap + 1)}
-    common = {"kind": kind, "r": float(r), "convention": convention,
-              "dim_cap": dim_cap, "counts_base": counts_base,
-              "counts_orbits": counts_orbits, "counts_quotient": counts_quotient,
-              "provenance": {"group_order": len(action.elements), "n": space.n,
-                             "n_orbits": q.space.n}}
+    common.update(counts_base=counts_base, counts_orbits=counts_orbits,
+                  counts_quotient=counts_quotient)
 
     for dim in range(1, dim_cap + 1):
         flags = qc.degenerate.get(dim)
@@ -210,10 +241,11 @@ def iso_check(space: FiniteMetricSpace, action: IsometricAction, r: float,
 
 def verify_certificate(space: FiniteMetricSpace, action: IsometricAction,
                        cert: IsoCertificate) -> bool:
-    """Replay a certificate's counterexample (or verdict) from definitions,
-    on the base space of build_quotient, as iso_check does.  A
-    counterexample's simplices are checked against the definitions of the
-    complexes, with no clique walk and no budget."""
+    """Replay a certificate's counterexample from definitions, on the base
+    space of build_quotient, as iso_check does: its simplices are checked
+    against the definitions of the complexes, with no clique walk and no
+    budget.  An isomorphic verdict is replayed by rerunning iso_check, so on
+    a free action by the same downstairs check, not independently."""
     q = build_quotient(space, action)
     r, kind, convention, dim_cap = cert.r, cert.kind, cert.convention, cert.dim_cap
     if cert.verdict == "isomorphic":

@@ -23,7 +23,10 @@ double loop that the doubled-point array replaced, gives its doubled-point
 part.
 walk_failure_scale is the per-dimension lift walk that the diameter arrays
 and the capped checks of `thresholds` replaced, kept as the referee of the
-scan's failure scale; it calls only public functions.
+scan's failure scale; it calls only public functions.  full_iso_check is
+iso_check's upstairs path on every input, the path that the downstairs
+certificate replaced for isomorphic verdicts on free actions: the base
+complex, its orbits and one tally per dimension, from public functions.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from orbitrips.complexes import (DEFAULT_BUDGET, DEFAULT_DIM_CAP,
                                  vr_complex)
 from orbitrips.lifts import (anchored_lifts_within, anchored_min_diameter,
                              anchored_witnessed_lifts)
+from orbitrips.quotient_iso import IsoCertificate, quotient_complex
 from orbitrips.spaces import (TRIANGLE_EPS, FiniteMetricSpace, MetricValidation,
                               critical_values)
 from orbitrips.thresholds import (ActionCheckResult, ThresholdReport,
@@ -415,6 +419,61 @@ def walk_failure_scale(q, kind: str, k_max: int) -> float:
                     f = qdiam
             t = min(t, float(f))
     return t
+
+
+def full_iso_check(space: FiniteMetricSpace, action: IsometricAction, r: float,
+                   kind: str = "vr", convention: str = "lt",
+                   dim_cap: int = DEFAULT_DIM_CAP,
+                   budget: int = DEFAULT_BUDGET) -> IsoCertificate:
+    """iso_check decided upstairs on every input: the base complex of the
+    exactly invariant base, its simplex orbits (`quotient_complex`), and one
+    `SimplicialComplex.tally` per dimension of the orbit images against the
+    quotient complex, with the same counterexamples and evidence."""
+    q = build_quotient(space, action)
+    if kind not in ("vr", "cech"):
+        raise ValueError(f"unknown complex kind: {kind!r}")
+    build = vr_complex if kind == "vr" else cech_complex
+    base = build(q.base, r, convention=convention, dim_cap=dim_cap, budget=budget)
+    quot = build(q.space, r, convention=convention, dim_cap=dim_cap, budget=budget)
+    qc = quotient_complex(base, action, q.proj)
+    dims = range(dim_cap + 1)
+    common = {"kind": kind, "r": float(r), "convention": convention, "dim_cap": dim_cap,
+              "counts_base": {d: len(base.simplices.get(d, [])) for d in dims},
+              "counts_orbits": {d: qc.counts().get(d, 0) for d in dims},
+              "counts_quotient": {d: len(quot.simplices.get(d, [])) for d in dims},
+              "provenance": {"group_order": len(action.elements), "n": space.n,
+                             "n_orbits": q.space.n}}
+    for dim in range(1, dim_cap + 1):
+        flags = qc.degenerate.get(dim)
+        if flags is not None and flags.any():
+            cid = int(np.argmax(flags))
+            ce = {"dim": dim, "simplex": qc.reps[dim][cid].tolist(),
+                  "image": qc.images[dim][cid].tolist(),
+                  "orbit_size": int(qc.sizes[dim][cid])}
+            return IsoCertificate(verdict="degenerate", counterexample=ce, **common)
+    tallies = [quot.tally(d, qc.images.get(d, np.zeros((0, d + 1), dtype=np.intp)))
+               for d in dims]
+    for dim, (_, count) in enumerate(tallies):
+        if count.all():
+            continue
+        simplex = tuple(quot.simplices[dim][int(np.argmin(count))].tolist())
+        if kind == "vr":
+            min_diam, achievers = anchored_min_diameter(q.base.dist, q.members, simplex)
+            evidence = {"min_lift_diam": float(min_diam),
+                        "min_lifts": [list(t) for t in achievers[:4]]}
+        else:
+            lifts = anchored_witnessed_lifts(ball_rows(q.base, r, convention), q.members,
+                                             simplex)
+            evidence = {"witnessed_lifts": [list(t) for t, _ in lifts[:4]]}
+        ce = {"dim": dim, "missing": list(simplex), **evidence}
+        return IsoCertificate(verdict="not-surjective", counterexample=ce, **common)
+    for dim, (ranks, count) in enumerate(tallies):
+        if (count > 1).any():
+            first = int(np.argmax(count > 1))
+            ce = {"dim": dim, "image": quot.simplices[dim][first].tolist(),
+                  "simplices": qc.reps[dim][np.flatnonzero(ranks == first)[:4]].tolist()}
+            return IsoCertificate(verdict="not-injective", counterexample=ce, **common)
+    return IsoCertificate(verdict="isomorphic", counterexample=None, **common)
 
 
 # ---------------------------------------------------------------------------

@@ -379,6 +379,43 @@ def test_thresholds_compares_the_matrix_under_the_action_once(tmp_path):
     assert spy.call_count == 1
 
 
+def _torus14_at_passes_at(tmp_path) -> list[str]:
+    """iso-check arguments for the 14x14 torus mod Z/14 at its diameter
+    passes_at, where the base VR complex (lt) has 196 vertices and no edge,
+    and the quotient complex and the anchored lifts 14 vertices each."""
+    space, act, t = tmp_path / "torus.json", tmp_path / "act.json", tmp_path / "t.json"
+    assert main(["generate", "--shape", "torus-grid", "--param", "k=14",
+                 "--out", str(space)]) == 0
+    assert main(["action", "--kind", "torus-z14", "--space", str(space),
+                 "--out", str(act)]) == 0
+    assert main(["thresholds", "--kind", "diameter", "--space", str(space),
+                 "--action", str(act), "--out", str(t)]) == 0
+    scale = repr(json.loads(t.read_text())["passes_at"])
+    return ["iso-check", "--kind", "vr", "--scale", scale, "--space", str(space),
+            "--action", str(act), "--out", str(tmp_path / "iso.json")]
+
+
+def test_iso_check_passes_within_a_budget_the_base_complex_overruns(tmp_path):
+    # the isomorphic verdict is certified downstairs, so the 196 base
+    # vertices are never walked; this exited 4 while the base complex was
+    # built for every verdict
+    assert main(_torus14_at_passes_at(tmp_path) + ["--budget", "100"]) == 0
+    doc = json.loads((tmp_path / "iso.json").read_text())
+    assert doc["verdict"] == "isomorphic"
+    assert doc["counts_base"] == {d: 14 * c for d, c in doc["counts_quotient"].items()}
+    assert doc["counts_orbits"] == doc["counts_quotient"] == {"0": 14, "1": 0, "2": 0,
+                                                               "3": 0}
+
+
+def test_iso_check_over_a_budget_the_quotient_overruns_exits_4(tmp_path, capsys):
+    argv = _torus14_at_passes_at(tmp_path)
+    capsys.readouterr()
+    assert main(argv + ["--budget", "10"]) == 4
+    assert capsys.readouterr().err.startswith(
+        "error: simplex budget 10 exceeded at dimension 0\n")
+    assert not (tmp_path / "iso.json").exists()
+
+
 def test_metric_error_precedes_action_errors(tmp_path, capsys, circle12):
     bad = FiniteMetricSpace([[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]])
     save_space(bad, tmp_path / "bad.json")

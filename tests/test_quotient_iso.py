@@ -7,14 +7,15 @@ from hypothesis import given, settings, strategies as st
 from orbitrips.actions import (antipodal_generator, block_shift_generator,
                                build_quotient, circle_rotation_generator,
                                close_group)
-from orbitrips.complexes import SimplicialComplex, cech_complex, vr_complex
+from orbitrips.complexes import (BudgetExceededError, SimplicialComplex,
+                                 cech_complex, vr_complex)
 from orbitrips import quotient_iso
 from orbitrips.quotient_iso import (iso_check, quotient_complex,
                                     verify_certificate)
 from orbitrips.spaces import ShapeSpec, critical_values, generate_space
 
-from conftest import (_brute_proj, quotient_orbits_oracle, random_cloud_space,
-                      random_rotated_cloud)
+from conftest import (_brute_proj, full_iso_check, quotient_orbits_oracle,
+                      random_cloud_space, random_rotated_cloud)
 
 
 def _circle12_antipodal():
@@ -133,10 +134,8 @@ def test_antipodal_circle_not_surjective_at_closed_scale():
     cert = iso_check(space, action, 1 / 6, "vr", "leq")
     assert cert.verdict == "not-surjective"
     ce = cert.counterexample
-    assert ce["dim"] == 2
-    assert ce["missing"] == [0, 2, 4]
-    assert ce["min_lift_diam"] == 1 / 3
-    assert len(ce["min_lifts"]) == 4
+    assert ce == {"dim": 2, "missing": [0, 2, 4], "min_lift_diam": 1 / 3,
+                  "min_lifts": [[0, 2, 4], [0, 2, 10], [0, 8, 4], [0, 8, 10]]}
     assert cert.counts_orbits[2] == 6 and cert.counts_quotient[2] == 8
     assert verify_certificate(space, action, cert) is True
 
@@ -279,3 +278,105 @@ def test_bad_kind_rejected():
     space, action = _circle12_antipodal()
     with pytest.raises(ValueError):
         iso_check(space, action, 0.1, kind="alpha")
+
+
+def _circle_mod(n: int, case: str):
+    """circle(n) mod a free rotation by a third or a fifth (n = 15) or a
+    half or a quarter (n = 16) of a turn, by the reflection i -> -i, which
+    fixes 0 (and n/2 when n is even), or by the dihedral group it generates
+    with a unit turn."""
+    space = generate_space(ShapeSpec("evenly-spaced-circle", {"n": n}))
+    if case in ("third-or-half", "fifth-or-quarter"):
+        parts = {15: (3, 5), 16: (2, 4)}[n][case != "third-or-half"]
+        return space, close_group(n, [circle_rotation_generator(n, n // parts)])
+    generators = [[(-i) % n for i in range(n)]]
+    if case == "dihedral":
+        generators.append(circle_rotation_generator(n, 1))
+    return space, close_group(n, generators)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.sampled_from(["rotated-cloud", "third-or-half", "fifth-or-quarter",
+                             "reflection", "dihedral"]),
+       n=st.sampled_from([15, 16]), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["vr", "cech"]), convention=st.sampled_from(["lt", "leq"]),
+       dim_cap=st.integers(0, 3), where=st.one_of(st.none(), st.floats(0.0, 0.7)))
+def test_iso_check_matches_the_upstairs_referee(case, n, seed, kind, convention, dim_cap,
+                                                where):
+    # free rotations take the downstairs certificate wherever it passes
+    # (evenly spaced circles have ties at every critical value, where lt and
+    # leq differ); actions with fixed points and failing inputs go upstairs
+    if case == "rotated-cloud":
+        rng = np.random.default_rng(seed)
+        space, action = random_rotated_cloud(rng, m=int(rng.integers(2, 6)),
+                                             k=int(rng.integers(2, 5)))
+    else:
+        space, action = _circle_mod(n, case)
+    cv = critical_values(space)
+    r = 0.0 if where is None else float(cv[int(where * (len(cv) - 1))])
+    assert iso_check(space, action, r, kind, convention, dim_cap).to_dict() == \
+        full_iso_check(space, action, r, kind, convention, dim_cap).to_dict()
+
+
+def _no_upstairs(*args):
+    raise AssertionError("the upstairs complex was grouped into orbits")
+
+
+@pytest.mark.parametrize("kind,convention", [("vr", "lt"), ("vr", "leq"), ("cech", "lt"),
+                                             ("cech", "leq")])
+def test_free_isomorphic_inputs_group_no_upstairs_orbits(monkeypatch, kind, convention):
+    space, action = _circle12_antipodal()
+    expected = full_iso_check(space, action, 0.16, kind, convention).to_dict()
+    monkeypatch.setattr(quotient_iso, "quotient_complex", _no_upstairs)
+    cert = iso_check(space, action, 0.16, kind, convention)
+    assert cert.verdict == "isomorphic" and cert.to_dict() == expected
+
+
+@pytest.mark.parametrize("kind", ["vr", "cech"])
+def test_fixed_points_keep_the_upstairs_counts_at_zero(kind):
+    # both checks pass vacuously at 0, but the reflection fixes 0 and 8, so
+    # there are 16 points upstairs, not |G| q = 2 * 9
+    space, action = _circle_mod(16, "reflection")
+    cert = iso_check(space, action, 0.0, kind, "lt")
+    assert cert.verdict == "isomorphic"
+    assert cert.counts_base == {0: 16, 1: 0, 2: 0, 3: 0}
+    assert cert.counts_orbits == cert.counts_quotient == {0: 9, 1: 0, 2: 0, 3: 0}
+
+
+@pytest.mark.parametrize("r,edges", [(0.0625, 0), (0.125, 16)])
+def test_fixed_points_stay_isomorphic_through_the_upstairs_path(monkeypatch, r, edges):
+    # the diameter check fails on the fixed point 0, so these isomorphic
+    # verdicts come from grouping the upstairs complex into orbits
+    space, action = _circle_mod(16, "reflection")
+    grouped = []
+    monkeypatch.setattr(quotient_iso, "quotient_complex",
+                        lambda *args: grouped.append(1) or quotient_complex(*args))
+    cert = iso_check(space, action, r, "vr", "lt")
+    assert grouped and cert.verdict == "isomorphic"
+    assert cert.counts_base == {0: 16, 1: edges, 2: 0, 3: 0}
+    assert cert.counts_orbits == cert.counts_quotient == {0: 9, 1: edges // 2, 2: 0, 3: 0}
+
+
+@pytest.mark.parametrize("kind", ["vr", "cech"])
+def test_bad_convention_and_dim_cap_rejected(kind):
+    # an unknown convention is not read as "leq", nor a negative dim_cap as 0
+    space, action = _circle12_antipodal()
+    with pytest.raises(ValueError, match="convention must be one of"):
+        iso_check(space, action, 0.1, kind, convention="bogus")
+    with pytest.raises(ValueError, match="dim_cap must be nonnegative"):
+        iso_check(space, action, 0.1, kind, dim_cap=-1)
+
+
+@pytest.mark.parametrize("kind,budget,dim", [("vr", 120, 1), ("cech", 120, 1),
+                                             ("cech", 400, 1)])
+def test_an_overrun_downstairs_leaves_the_error_to_the_upstairs_path(kind, budget, dim):
+    # circle(48) mod antipodal at 0.1 passes both checks, with 24 + 96 + 144
+    # + 96 quotient simplices (VR) and 48 + 192 base simplices below
+    # dimension 2: the check overruns 120 at dimension 2, and the Cech
+    # quotient complex 400 at dimension 2 after its check passes; each time
+    # the base complex reports the overrun it always reported
+    space = generate_space(ShapeSpec("evenly-spaced-circle", {"n": 48}))
+    action = close_group(48, [antipodal_generator(48)])
+    with pytest.raises(BudgetExceededError) as err:
+        iso_check(space, action, 0.1, kind, "lt", budget=budget)
+    assert str(err.value) == f"simplex budget {budget} exceeded at dimension {dim}"

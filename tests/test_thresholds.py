@@ -141,6 +141,36 @@ def test_rp2_diameter_threshold_is_the_death_of_the_longest_h1_bar(count, seed):
     assert rep.passes_at >= 1 / 6
 
 
+@pytest.mark.parametrize("dim, count, passes_at", [
+    (1, 50, 0.16732744346863376), (1, 80, 0.16732744346863376),
+    (3, 60, 0.17144926401119603)])
+def test_rp1_and_rp3_diameter_threshold_is_the_death_of_the_longest_h1_bar(
+        dim, count, passes_at):
+    # random samples of RP^1 and RP^3 (seed 0) behave as RP^2's do: the
+    # diameter property holds up to the death of the longest H1 bar
+    space = generate_space(ShapeSpec("geodesic-sphere",
+                                     {"dim": dim, "count": count, "paired": True}))
+    action = close_group(2 * count, [paired_swap_generator(count)])
+    rep = threshold_scan(space, action, "diameter")
+    q = build_quotient(space, action)
+    bars = reduce_filtration(vr_filtration(q.space, dim_cap=2, max_scale=0.2)).bars(1)
+    assert rep.passes_at == max(bars, key=lambda bar: bar[1] - bar[0])[1] == passes_at
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(3, 30))
+def test_rp2_diameter_threshold_is_never_below_one_sixth(seed, count):
+    # RP^2 of great-circle circumference 1/2 has the circle bound of
+    # Adamaszek & Adams (Pacific J. Math. 2017): doubled points lie 1/2
+    # apart, a second lift of an edge below 1/6 is longer than 1/3, and a
+    # triangle below 1/6 lifts with its quotient sides.  The least over
+    # seeds 0-39 and 8 to 30 pairs read 0.1672395545448708.
+    space = generate_space(ShapeSpec("geodesic-sphere",
+                                     {"dim": 2, "count": count, "paired": True}, seed=seed))
+    action = close_group(2 * count, [paired_swap_generator(count)])
+    assert threshold_scan(space, action, "diameter").passes_at >= 1 / 6
+
+
 def test_fixed_point_fails_doubles_part_everywhere():
     D = np.array([[0.0, 1.0, 2.0],
                   [1.0, 0.0, 1.0],
