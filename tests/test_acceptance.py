@@ -36,7 +36,7 @@ from orbitrips.spaces import ShapeSpec, critical_values, generate_space
 from orbitrips.thresholds import (ball_threshold, diameter_action_check,
                                   distance_threshold, threshold_scan)
 
-from conftest import random_cloud_space, random_rotated_cloud
+from conftest import full_iso_check, random_cloud_space, random_rotated_cloud
 
 
 def test_criterion_1_hexagon_betti_ladder():
@@ -185,10 +185,11 @@ def test_criterion_8_implication_chain_on_random_actions():
             ball_violations += 1
         if ball.passes_at < dist.passes_at / 2 - 1e-12:
             ball_violations += 1
-        # a passing diameter check certifies the VR quotient isomorphism
+        # a passing diameter check certifies the VR quotient isomorphism, decided
+        # upstairs: iso_check itself answers such a pass from the check
         if diameter_action_check(space, action, r, k_max=3).ok:
             diameter_passes += 1
-            cert = iso_check(space, action, r, "vr", "lt")
+            cert = full_iso_check(space, action, r, "vr", "lt")
             if cert.verdict != "isomorphic":
                 iso_violations += 1
             elif cert.counts_orbits != cert.counts_quotient:

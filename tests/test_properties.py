@@ -8,13 +8,12 @@ from orbitrips.actions import build_quotient
 from orbitrips.cli import parse_scale
 from orbitrips.complexes import cech_complex, vr_complex, vr_filtration
 from orbitrips.persistence import betti_at, homology_oracle, reduce_filtration
-from orbitrips.quotient_iso import iso_check
 from orbitrips.spaces import critical_values, validate_metric
 from orbitrips.thresholds import (ball_threshold, diameter_action_check,
                                   distance_threshold)
 
-from conftest import (brute_cech, brute_vr, random_cloud_space, random_rotated_cloud,
-                      tuples)
+from conftest import (brute_cech, brute_vr, full_iso_check, random_cloud_space,
+                      random_rotated_cloud, tuples)
 
 SEEDS = st.integers(min_value=0, max_value=10**9)
 
@@ -82,7 +81,7 @@ def test_diameter_pass_forces_iso(seed, pick):
     cv = critical_values(space)
     r = float(cv[int(pick * (len(cv) - 1))])
     if diameter_action_check(space, action, r, k_max=3).ok:
-        cert = iso_check(space, action, r, "vr", "lt")
+        cert = full_iso_check(space, action, r, "vr", "lt")
         assert cert.verdict == "isomorphic"
 
 

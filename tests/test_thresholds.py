@@ -20,7 +20,7 @@ from orbitrips.thresholds import (ball_threshold, diameter_action_check,
                                   threshold_scan, verify_witness)
 
 from conftest import (assert_same_bracket, brute_ball_ok, brute_diameter_ok,
-                      brute_distance_ok, brute_nerve_ok, linear_scan,
+                      brute_distance_ok, brute_nerve_ok, full_iso_check, linear_scan,
                       random_rotated_cloud, subset_check_oracle,
                       walk_failure_scale)
 
@@ -164,7 +164,7 @@ def test_rp2_diameter_threshold_is_never_below_one_sixth(seed, count):
     # Adamaszek & Adams (Pacific J. Math. 2017): doubled points lie 1/2
     # apart, a second lift of an edge below 1/6 is longer than 1/3, and a
     # triangle below 1/6 lifts with its quotient sides.  The least over
-    # seeds 0-39 and 8 to 30 pairs read 0.1672395545448708.
+    # seeds 0-39 and 3 to 30 pairs read 0.1672395545448708 (seed 28, 21 pairs).
     space = generate_space(ShapeSpec("geodesic-sphere",
                                      {"dim": 2, "count": count, "paired": True}, seed=seed))
     action = close_group(2 * count, [paired_swap_generator(count)])
@@ -373,7 +373,8 @@ def test_diameter_scan_finds_the_least_lift_of_a_subset_just_below_the_bound():
     assert (rep.witness["qdiam"], rep.witness["min_lift_diam"]) == (1.0, near)
     assert verify_witness(space, action, "diameter", rep.fails_at, rep.witness)
     assert_same_bracket(rep, linear_scan(space, action, "diameter", k_max=2))
-    assert iso_check(space, action, rep.passes_at, "vr", "lt", dim_cap=2).verdict == "isomorphic"
+    assert full_iso_check(space, action, rep.passes_at, "vr", "lt", dim_cap=2).verdict == \
+        "isomorphic"
     assert iso_check(space, action, rep.fails_at, "vr", "lt", dim_cap=2).verdict == \
         "not-surjective"
 
@@ -414,7 +415,8 @@ def test_float_circle_diameter_bracket_is_exact():
         ("no_equality_lift", [0, 1, 2], 0.9999999999999996, 0.9999999999999999)
     assert verify_witness(space, action, "diameter", rep.fails_at, w)
     assert_same_bracket(rep, linear_scan(space, action, "diameter", k_max=2))
-    assert iso_check(space, action, rep.passes_at, "vr", "lt", dim_cap=2).verdict == "isomorphic"
+    assert full_iso_check(space, action, rep.passes_at, "vr", "lt", dim_cap=2).verdict == \
+        "isomorphic"
     cert = iso_check(space, action, rep.fails_at, "vr", "lt", dim_cap=2)
     assert (cert.verdict, cert.counterexample["missing"]) == ("not-surjective", [0, 1, 2])
 
@@ -428,7 +430,8 @@ def test_checks_pass_iff_quotient_is_isomorphic_on_free_actions(
         seed, shape, m, k_max, convention):
     # on a free action the diameter and nerve properties are exactly the VR
     # and Cech quotient isomorphisms, with every comparison exact, at every
-    # critical value
+    # critical value; the isomorphism is decided upstairs by the referee, and
+    # iso_check, which answers a pass downstairs, must give its certificate
     rng = np.random.default_rng(seed)
     k = int(rng.integers(2, 16 // m + 1))  # points per turned copy
     if shape == "circle":
@@ -444,11 +447,15 @@ def test_checks_pass_iff_quotient_is_isomorphic_on_free_actions(
         space, action = _turned(rng.uniform(0.5, 1.5, k), rng.uniform(0, 2 * np.pi, k), m)
     q = build_quotient(space, action)
     for r in critical_values(q.base).tolist():
-        iso = iso_check(space, action, r, "vr", "lt", dim_cap=k_max).ok
-        assert diameter_action_check(space, action, r, k_max=k_max, quotient=q).ok == iso, r
-        iso = iso_check(space, action, r, "cech", convention, dim_cap=k_max).ok
+        iso = full_iso_check(space, action, r, "vr", "lt", dim_cap=k_max)
+        assert diameter_action_check(space, action, r, k_max=k_max, quotient=q).ok == iso.ok, r
+        assert iso_check(space, action, r, "vr", "lt", dim_cap=k_max).to_dict() == \
+            iso.to_dict(), r
+        iso = full_iso_check(space, action, r, "cech", convention, dim_cap=k_max)
         assert nerve_action_check(space, action, r, k_max=k_max, convention=convention,
-                                  quotient=q).ok == iso, r
+                                  quotient=q).ok == iso.ok, r
+        assert iso_check(space, action, r, "cech", convention, dim_cap=k_max).to_dict() == \
+            iso.to_dict(), r
 
 
 def test_nerve_scan_of_one_point_space_on_empty_grid():
@@ -611,7 +618,8 @@ def test_a_pass_certifies_every_dimension_on_free_actions(seed, shape, where):
     # edges and triangles decide the diameter check, and edges the nerve
     # check, in every dimension: a pass at the capped k_max gives isomorphic
     # complexes up to dimension q - 1, every subset of the q orbits, at the
-    # scan's passes_at and at one more critical value
+    # scan's passes_at and at one more critical value.  The referee decides
+    # upstairs; iso_check, which answers such a pass downstairs, must agree
     space, action = _free_action(np.random.default_rng(seed), shape)
     q = build_quotient(space, action)
     grid = critical_values(q.base)
@@ -626,9 +634,11 @@ def test_a_pass_certifies_every_dimension_on_free_actions(seed, shape, where):
                 check = nerve_action_check(space, action, r, k_max=1, convention=convention,
                                            quotient=q)
             if check.ok:
-                cert = iso_check(space, action, r, complex_kind, convention,
-                                 dim_cap=len(q.reps) - 1)
+                cert = full_iso_check(space, action, r, complex_kind, convention,
+                                      dim_cap=len(q.reps) - 1)
                 assert cert.verdict == "isomorphic", (kind, convention, r)
+                assert iso_check(space, action, r, complex_kind, convention,
+                                 dim_cap=len(q.reps) - 1).to_dict() == cert.to_dict()
 
 
 def test_passing_checks_fit_the_budget_of_their_quotient_complex():
