@@ -70,9 +70,7 @@ class LexIndex:
 
     - `vertices[d]`: that array, adopted without a copy;
     - `keys[d]`: their keys, sorted and closed by the sentinel _END, so the
-      position of a key is the lex rank of its simplex;
-    - `order[d]`: the row in `by_dim[d]` of each lex rank (the identity for
-      a `SimplicialComplex`, whose rows are in lex order).
+      position of a key is the lex rank of its simplex.
 
     The key of a vertex is the vertex; the key of a d-simplex, d >= 1, is the
     lex rank of its first d vertices among the (d-1)-simplices times n plus
@@ -85,17 +83,14 @@ class LexIndex:
         self.n = n
         self.vertices: list[np.ndarray] = []
         self.keys: list[np.ndarray] = []
-        self.order: list[np.ndarray] = []
         for d in range(max(by_dim, default=-1) + 1):
             rows = np.asarray(by_dim.get(d, ()), dtype=np.int32).reshape(-1, d + 1)
             if d == 0:
                 keys = rows[:, 0].astype(np.int64)
             else:
                 keys = self.rank(rows[:, :-1].T) * n + rows[:, -1]
-            o = np.argsort(keys, kind="stable")
             self.vertices.append(rows)
-            self.keys.append(np.append(keys[o], _END))
-            self.order.append(o)
+            self.keys.append(np.append(np.sort(keys), _END))
 
     def rank(self, columns, found: np.ndarray | None = None) -> np.ndarray:
         """Lex ranks of vertex rows, given column by column.

@@ -8,17 +8,26 @@ Betti numbers (`betti_at`).  It reduces coboundary matrices, after U. Bauer,
 
 - columns are the simplices of one dimension in reverse order, rows their
   cofaces, and a column's pivot is its earliest coface;
+- dimension 0 is union-find: the edges, walked in filtration order, pair
+  by the elder rule, an edge that joins two components killing the one
+  whose least vertex is larger;
 - dimensions run upward, and clearing goes with them: a simplex that is the
   pivot of a column one dimension down reduces to zero and is skipped, so the
   top-dimension simplices are never columns at all;
-- the top dimension is implicit: `VRFiltration` counts its simplices but
-  stores none, and the engine names each top coface by an integer key (value
-  rank, then lex rank) computed from the filtration's rank matrix, so no top
-  simplex is stored, ranked or hashed;
+- one coface key for every dimension: the coface of a d-simplex is named by
+  value rank * span_d + (lex rank of its first d+1 vertices) * n + (its last
+  vertex), span_d being n times the number of d-simplices, so keys sort like
+  (value, lex) and are computed from the filtration's rank matrix.  The top
+  dimension is implicit: `VRFiltration` counts its simplices but stores
+  none, and a top key decodes to its death value, so no top simplex is
+  stored, ranked or hashed.  A stored dimension's pivot keys become indices
+  with one search per dimension;
 - emergent pairs: the earliest coface of every simplex is one argmin over
   the n candidate vertices, and a column whose earliest coface is not owned
   yet is paired without building its coboundary; the few remaining
-  coboundaries are one n-candidate row each, with no per-simplex dict.
+  coboundaries are one n-candidate row each;
+- a column is a sorted array of keys: its pivot is its first entry, and
+  adding a column is a symmetric difference of sorted arrays.
 
 The filtration hash in a barcode's provenance is taken over the inputs that
 determine the filtration (the rank matrix, the value table, n, dim_cap and
@@ -105,11 +114,25 @@ def _filtration_hash(filtration: VRFiltration) -> str:
     return h.hexdigest()
 
 
-def _coface_span(filtration: VRFiltration) -> int:
-    """The factor of the value rank in a top coface key: the (top-1)-simplex
-    count times n (see `_reduce`)."""
-    top = filtration.dim_cap
-    return len(filtration.simplices.get(top - 1, ())) * filtration.n
+def _components(n: int, edges: np.ndarray) -> dict[int, int]:
+    """Dimension 0 by union-find: walk the edges, (m, 2) vertex rows in
+    filtration order, and pair by the elder rule: an edge that joins two
+    components kills the one whose least vertex is larger.  Returns
+    {vertex: edge position}; the vertices are their own indices."""
+    least = list(range(n))  # a union-find forest whose roots are least vertices
+    pairs: dict[int, int] = {}
+    for e, (u, v) in enumerate(edges.tolist()):
+        while u != least[u]:
+            least[u] = u = least[least[u]]  # path halving
+        while v != least[v]:
+            least[v] = v = least[least[v]]
+        if u != v:
+            u, v = min(u, v), max(u, v)
+            least[v] = u
+            pairs[v] = e
+            if len(pairs) == n - 1:
+                break
+    return pairs
 
 
 def _reduce(filtration: VRFiltration) -> dict[int, dict[int, int]]:
@@ -119,7 +142,9 @@ def _reduce(filtration: VRFiltration) -> dict[int, dict[int, int]]:
     The columns of dimension d = 0 .. top-1, top = dim_cap, are the stored
     d-simplices, last first; their rows are their cofaces, and a column's
     pivot is its earliest coface.  Clearing runs upward: a d-simplex already
-    paired with a (d-1)-simplex reduces to zero and is skipped.
+    paired with a (d-1)-simplex reduces to zero and is skipped.  Dimension 0
+    is union-find over the edges (`_components`), which pairs the same
+    simplices.
 
     The cofaces of a d-simplex s are s + {x} over the n vertices x.  Such a
     coface is in the filtration iff its value rank, the larger of the rank
@@ -127,14 +152,15 @@ def _reduce(filtration: VRFiltration) -> dict[int, dict[int, int]]:
     the cofaces of s the (value, lex) order is the order of (value rank, x).
     So the earliest coface of every simplex is one argmin over an (m, n)
     rank matrix, taken in chunks, and a coboundary is one (n,) row of it.
-    A coface below the top is named by its index in `simplices[d+1]`, found
-    in a `LexIndex` of the stored dimensions.  A top coface is never stored;
-    it is named by its key, value rank * span + prefix * n + last vertex,
-    where prefix is the lex rank of its first top vertices among the
-    (top-1)-simplices and span = (number of (top-1)-simplices) * n, so keys
-    sort like (value, lex).  Keys are int64 while every key fits, and Python
-    ints past that.  Coboundaries are built only for columns that are not
-    emergent, and for the owners they must add.
+    Every coface is named by its key, value rank * span + prefix * n + last
+    vertex, where prefix is the lex rank of its first d+1 vertices among the
+    d-simplices and span = (number of d-simplices) * n, so keys sort like
+    (value, lex).  Keys are int64 while every key of the dimension fits, and
+    Python ints past that.  A column is a sorted array of keys: its pivot is
+    its first entry, and adding a column is a symmetric difference.
+    Coboundaries are built only for columns that are not emergent, and for
+    the owners they must add.  A stored dimension's pivot keys become
+    indices with one search among the keys of its simplices.
 
     Returns `pivots[d] = {(d-1)-simplex: d-simplex}` for d = 1 .. top, as
     indices into `simplices`, except that the d-simplices of `pivots[top]`
@@ -148,16 +174,27 @@ def _reduce(filtration: VRFiltration) -> dict[int, dict[int, int]]:
     if top == 0:
         return pivots
     index = LexIndex(n, {d: filtration.simplices.get(d, ()) for d in range(top)})
-    span = _coface_span(filtration)
-    wide = (cut + 1) * span - 1 > _INT64_MAX
     absent = np.iinfo(rank.dtype).max  # above every rank, so past the cut
     for d in range(top):
         S = index.vertices[d]
         m = len(S)
+        span = m * n
+        wide = (cut + 1) * span - 1 > _INT64_MAX
+
+        def name(rows: np.ndarray, x: np.ndarray, vals: np.ndarray) -> np.ndarray:
+            """The keys of the cofaces rows[i] + {x[i]} of value ranks vals."""
+            coface = np.empty((len(x), d + 2), dtype=np.int32)
+            coface[:, :-1] = rows
+            coface[:, -1] = x
+            coface.sort(axis=1)
+            lex = index.rank(coface[:, :-1].T) * n + coface[:, -1]
+            return vals.astype(object if wide else np.int64) * span + lex
 
         def coface_ranks(rows: np.ndarray) -> np.ndarray:
             """The value ranks of rows[i] + {x}, absent where x is in rows[i]."""
-            vals = rank[rows].max(axis=1)
+            vals = rank[rows[:, 0]]
+            for c in range(1, d + 1):
+                np.maximum(vals, rank[rows[:, c]], out=vals)
             # a vertex's own entry is 0, so column u of vals, u in the row,
             # is the largest rank from u to the rest of the row
             at = (np.arange(len(rows))[:, None], rows)
@@ -165,55 +202,65 @@ def _reduce(filtration: VRFiltration) -> dict[int, dict[int, int]]:
             vals[at] = absent
             return vals
 
-        def name(rows: np.ndarray, x: np.ndarray, vals: np.ndarray) -> np.ndarray:
-            """The cofaces rows[i] + {x[i]} of value ranks vals: indices into
-            the stored (d+1)-simplices, or keys for the top."""
-            coface = np.empty((len(x), d + 2), dtype=np.int32)
-            coface[:, :-1] = rows
-            coface[:, -1] = x
-            coface.sort(axis=1)
-            if d + 1 < top:
-                return index.order[d + 1][index.rank(coface.T)]
-            lex = index.rank(coface[:, :-1].T) * n + coface[:, -1]
-            return vals.astype(object if wide else np.int64) * span + lex
+        def coboundary(j: int) -> np.ndarray:
+            """The keys of the cofaces of column j, sorted."""
+            s = S[j]
+            vals = rank[s].max(axis=0)
+            np.maximum(vals, vals[s].max(), out=vals)
+            vals[s] = absent
+            x = (vals <= cut).nonzero()[0]
+            keys = name(s, x, vals[x])
+            keys.sort()
+            return keys
 
-        earliest = np.full(m, -1, dtype=object if wide and d + 1 == top else np.int64)
-        step = max(1, _CHUNK // max(n, 1))
-        for lo in range(0, m, step):
-            rows = S[lo:lo + step]
-            vals = coface_ranks(rows)
-            x = vals.argmin(axis=1)
-            vals = vals[np.arange(len(rows)), x]
-            has = vals <= cut
-            earliest[lo:lo + step][has] = name(rows[has], x[has], vals[has])
-
-        def coboundary(j: int) -> set[int]:
-            vals = coface_ranks(S[j:j + 1])[0]
-            x = np.flatnonzero(vals <= cut)
-            return set(name(S[j], x, vals[x]).tolist())
-
-        cleared = set(pivots.get(d, {}).values())
-        owner: dict[int, int] = {}  # pivot coface -> column
-        reduced: dict[int, set[int]] = {}  # pivot -> reduced column
-        first = earliest.tolist()
-        for j in range(m - 1, -1, -1):
-            if j in cleared or first[j] < 0:
-                continue
-            if first[j] not in owner:
-                owner[first[j]] = j  # emergent pair
-                continue
-            col = coboundary(j)
-            while col:
-                low = min(col)
-                other = owner.get(low)
-                if other is None:
-                    owner[low] = j
-                    reduced[low] = col
-                    break
-                if low not in reduced:
-                    reduced[low] = coboundary(other)
-                col ^= reduced[low]
-        pivots[d + 1] = {j: e for e, j in owner.items()}
+        owner: dict[int, int] = {}  # pivot coface key -> column
+        if d == 0:
+            if top > 1:
+                edges = index.vertices[1]
+            else:  # the implicit top: edges within the cut, in (value, lex) order
+                u, v = np.nonzero(np.triu(rank <= cut, 1))
+                edges = np.stack((u, v), axis=1)[np.argsort(rank[u, v], kind="stable")]
+            dead = _components(n, edges)
+            e = edges[list(dead.values())]
+            owner = dict(zip(name(e[:, :1], e[:, 1], rank[e[:, 0], e[:, 1]]).tolist(), dead))
+        else:
+            earliest = np.full(m, -1, dtype=object if wide else np.int64)
+            step = max(1, _CHUNK // max(n, 1))
+            for lo in range(0, m, step):
+                rows = S[lo:lo + step]
+                vals = coface_ranks(rows)
+                x = vals.argmin(axis=1)
+                vals = vals[np.arange(len(rows)), x]
+                has = vals <= cut
+                earliest[lo:lo + step][has] = name(rows[has], x[has], vals[has])
+            cleared = set(pivots[d].values())
+            reduced: dict[int, np.ndarray] = {}  # pivot -> reduced column
+            first = earliest.tolist()
+            for j in range(m - 1, -1, -1):
+                if j in cleared or first[j] < 0:
+                    continue
+                if first[j] not in owner:
+                    owner[first[j]] = j  # emergent pair
+                    continue
+                col = coboundary(j)
+                while len(col):
+                    low = int(col[0])
+                    other = owner.get(low)
+                    if other is None:
+                        owner[low] = j
+                        reduced[low] = col
+                        break
+                    if low not in reduced:
+                        reduced[low] = coboundary(other)
+                    col = np.setxor1d(col, reduced[low], assume_unique=True)
+        if d + 1 == top:
+            pivots[top] = dict(zip(owner.values(), owner))
+            break
+        T = index.vertices[d + 1]  # stored, so its keys sort like its rows
+        values = filtration.values.get(d + 1, np.zeros(0))
+        keys = name(T[:, :-1], T[:, -1], filtration.table.searchsorted(values))
+        at = keys.searchsorted(np.array(list(owner), dtype=keys.dtype))
+        pivots[d + 1] = dict(zip(owner.values(), at.tolist()))
     return pivots
 
 
@@ -241,7 +288,7 @@ def reduce_filtration(filtration: VRFiltration) -> Barcode:
             if d + 1 < top:
                 dead = values[d + 1][list(killed.values())]
             else:
-                span = _coface_span(filtration)
+                span = len(births) * filtration.n  # see `_reduce`
                 dead = filtration.table[[key // span for key in killed.values()]]
             ends[list(killed)] = dead
         births, ends = births[positive], ends[positive]

@@ -174,26 +174,28 @@ def iso_check(space: FiniteMetricSpace, action: IsometricAction, r: float,
     n_g = len(action.elements)
     common = {"kind": kind, "r": float(r), "convention": convention, "dim_cap": dim_cap,
               "provenance": {"group_order": n_g, "n": space.n, "n_orbits": q.space.n}}
+    quot = None
     if space.n == n_g * q.space.n and convention in ("lt", "leq") and dim_cap >= 0:
         try:  # over budget, leave the error to the base complex, which is larger
+            quot = build(q.space, r, convention=convention, dim_cap=dim_cap, budget=budget)
             if kind == "vr":  # VR_leq(r) is VR_lt(nextafter(r))
                 check = diameter_action_check(space, action, r if convention == "lt" else
                                               np.nextafter(r, np.inf), k_max=dim_cap,
-                                              quotient=q, budget=budget)
+                                              quotient=q, budget=budget, _complex=quot)
             else:
                 check = nerve_action_check(space, action, r, k_max=dim_cap,
-                                           convention=convention, quotient=q, budget=budget)
-            quot = build(q.space, r, convention=convention, dim_cap=dim_cap,
-                         budget=budget) if check.ok else None
+                                           convention=convention, quotient=q, budget=budget,
+                                           _complex=quot)
         except BudgetExceededError:
-            quot = None
-        if quot is not None:
+            check = None
+        if check is not None and check.ok:
             counts = {d: len(quot.simplices.get(d, [])) for d in range(dim_cap + 1)}
             return IsoCertificate(verdict="isomorphic", counts_orbits=counts,
                                   counts_base={d: n_g * c for d, c in counts.items()},
                                   counts_quotient=dict(counts), **common)
     base = build(q.base, r, convention=convention, dim_cap=dim_cap, budget=budget)
-    quot = build(q.space, r, convention=convention, dim_cap=dim_cap, budget=budget)
+    if quot is None:
+        quot = build(q.space, r, convention=convention, dim_cap=dim_cap, budget=budget)
     qc = quotient_complex(base, action, q.proj)
 
     counts_base = {d: len(base.simplices.get(d, [])) for d in range(dim_cap + 1)}

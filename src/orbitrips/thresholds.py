@@ -35,8 +35,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .actions import IsometricAction, QuotientSpace, build_quotient
-from .complexes import (DEFAULT_BUDGET, DEFAULT_DIM_CAP, anchored_lifts,
-                        ball_rows, cech_complex, spans, vr_complex)
+from .complexes import (DEFAULT_BUDGET, DEFAULT_DIM_CAP, SimplicialComplex,
+                        anchored_lifts, ball_rows, cech_complex, spans, vr_complex)
 from .lifts import (anchored_lifts_within, anchored_min_diameter,
                     anchored_witnessed_lifts)
 from .spaces import FiniteMetricSpace, critical_values
@@ -200,17 +200,23 @@ def _doubles_failure(q: QuotientSpace, r: float, ball: bool,
 
 
 def _first_failure(q: QuotientSpace, kind: str, r: float, convention: str,
-                   k_max: int, budget: int, failure) -> tuple[dict | None, int]:
+                   k_max: int, budget: int, failure,
+                   qcx: SimplicialComplex | None) -> tuple[dict | None, int]:
     """The witness `failure(orbits, lifts)` of the first simplex, in
     (dimension, lex) order, of the quotient's `kind` complex at r without
     exactly one anchored lift at r, and the number of simplices checked, up
     to dimension min(k_max, _DECIDING_DIM[kind]): past that cap no first
     failure lies.  `tally` counts the lifts per quotient simplex: every
     anchored lift projects to one, as quotient distances never exceed base
-    distances and a base ball witness projects to a quotient one."""
+    distances and a base ball witness projects to a quotient one.  `qcx` is
+    that complex if the caller has built it, to any dimension."""
     dim_cap = min(k_max, _DECIDING_DIM[kind])
-    build = vr_complex if kind == "vr" else cech_complex
-    qcx = build(q.space, r, convention=convention, dim_cap=dim_cap, budget=budget)
+    if qcx is None:
+        build = vr_complex if kind == "vr" else cech_complex
+        qcx = build(q.space, r, convention=convention, dim_cap=dim_cap, budget=budget)
+    else:  # its lex index, built for the tally, holds the checked dimensions alone
+        qcx = SimplicialComplex(q.space.n, kind, convention, r, dim_cap,
+                                {d: s for d, s in qcx.simplices.items() if d <= dim_cap})
     lifts = anchored_lifts(q.base, q.proj, r, kind, convention, dim_cap, budget)
     checked = 0
     for dim in range(1, len(qcx.simplices)):
@@ -302,7 +308,8 @@ def _check_k_max(k_max: int) -> None:
 def diameter_action_check(space: FiniteMetricSpace, action: IsometricAction,
                           r: float, k_max: int = DEFAULT_DIM_CAP,
                           quotient: QuotientSpace | None = None,
-                          budget: int = DEFAULT_BUDGET) -> ActionCheckResult:
+                          budget: int = DEFAULT_BUDGET, *,
+                          _complex: SimplicialComplex | None = None) -> ActionCheckResult:
     """Check the diameter property at scale r for subsets of 2..k_max+1 orbits.
 
     A qualifying subset (quotient diameter < r) passes when exactly one
@@ -314,13 +321,15 @@ def diameter_action_check(space: FiniteMetricSpace, action: IsometricAction,
     the condition under which the quotient of VR(space, r) matches VR(quotient
     space, r); a fixed point fails it at every r > 0.  It walks subsets of
     up to min(k_max, 2) + 1 orbits, which decide every size (`_DECIDING_DIM`).
+    `_complex` (private) is VR(quotient space, r) under "lt", or a complex
+    with the same simplices, if the caller has built it, to any dimension.
     """
     _check_k_max(k_max)
     q = quotient if quotient is not None else build_quotient(space, action)
     witness, checked = _doubles_failure(q, r, ball=False), 0
     if witness is None:
         witness, checked = _first_failure(q, "vr", r, "lt", k_max, budget,
-                                          functools.partial(_diameter_failure, q))
+                                          functools.partial(_diameter_failure, q), _complex)
     return ActionCheckResult(kind="diameter", r=float(r), ok=witness is None,
                              k_max=k_max, witness=witness, subsets_checked=checked)
 
@@ -329,7 +338,8 @@ def nerve_action_check(space: FiniteMetricSpace, action: IsometricAction,
                        r: float, k_max: int = DEFAULT_DIM_CAP,
                        convention: str = "lt",
                        quotient: QuotientSpace | None = None,
-                       budget: int = DEFAULT_BUDGET) -> ActionCheckResult:
+                       budget: int = DEFAULT_BUDGET, *,
+                       _complex: SimplicialComplex | None = None) -> ActionCheckResult:
     """Check the nerve property at scale r for subsets of 2..k_max+1 orbits.
 
     Qualifying subsets are the simplices of the Cech complex of the quotient
@@ -344,6 +354,8 @@ def nerve_action_check(space: FiniteMetricSpace, action: IsometricAction,
     condition under which the quotient of the Cech complex matches the Cech
     complex of the quotient; a fixed point fails it at every r > 0.  It
     walks pairs of orbits alone, which decide every size (`_DECIDING_DIM`).
+    `_complex` (private) is the quotient space's Cech complex at r, if the
+    caller has built it, to any dimension.
     """
     _check_k_max(k_max)
     q = quotient if quotient is not None else build_quotient(space, action)
@@ -357,7 +369,8 @@ def nerve_action_check(space: FiniteMetricSpace, action: IsometricAction,
 
     witness, checked = _doubles_failure(q, r, ball=True, convention=convention), 0
     if witness is None:
-        witness, checked = _first_failure(q, "cech", r, convention, k_max, budget, failure)
+        witness, checked = _first_failure(q, "cech", r, convention, k_max, budget, failure,
+                                          _complex)
     return ActionCheckResult(kind="nerve", r=float(r), ok=witness is None, k_max=k_max,
                              convention=convention, witness=witness,
                              subsets_checked=checked)

@@ -149,31 +149,22 @@ def _vertex_pairs(filt, pivots):
     return out
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 10**9), n=st.integers(3, 11), dim_cap=st.integers(1, 4),
-       shape=st.sampled_from(["cloud", "circle"]),
-       source=st.sampled_from(["filtration", "cut", "leq", "lt"]),
-       pick=st.floats(0.0, 1.0), empty_top=st.booleans())
-def test_coboundary_pivots_equal_homology_reduction(seed, n, dim_cap, shape, source,
-                                                    pick, empty_top):
-    # full filtrations, max_scale cuts (cofaces missing) and lex-ordered
-    # complexes; the circle's tied distances exercise the lex tie-breaks.
-    # With empty_top, dim_cap = n, so the implicit top dimension is empty.
-    if shape == "cloud":
-        space = random_cloud_space(np.random.default_rng(seed), n)
-    else:
-        space = generate_space(ShapeSpec("evenly-spaced-circle", {"n": n}))
-    if empty_top:
-        dim_cap = n
-    cv = critical_values(space)
-    r = float(cv[int(pick * (len(cv) - 1))])
+def _filtration_and_entries(space, dim_cap, source, r):
+    """A full filtration ("filtration"), one cut at r ("cut"), or the
+    lex-ordered complex at r ("leq", "lt"), and its (value, vertex tuple)
+    entries in entry order, top dimension included."""
     if source in ("filtration", "cut"):
         filt = vr_filtration(space, dim_cap, max_scale=r if source == "cut" else None)
-        entries = filt.entries
-    else:
-        filt = _lex_complex(space, r, source, dim_cap, DEFAULT_BUDGET)
-        entries = [(r, s) for d, rows in sorted(vr_complex(space, r, source, dim_cap).simplices.items())
-                   for s in tuples(rows)]
+        return filt, filt.entries
+    filt = _lex_complex(space, r, source, dim_cap, DEFAULT_BUDGET)
+    return filt, [(r, s) for d, rows in sorted(vr_complex(space, r, source, dim_cap).simplices.items())
+                  for s in tuples(rows)]
+
+
+def _assert_pivots_equal_homology_reduction(filt, entries, barcode):
+    """`_reduce`'s pairs equal `homology_pivots` on the full complex, and
+    with `barcode` the barcode is that pairing without zero-length bars."""
+    dim_cap = filt.dim_cap
     # the full complex, every dimension in entry order, which the stored
     # dimensions below the top follow
     full: dict[int, list] = {}
@@ -197,7 +188,7 @@ def test_coboundary_pivots_equal_homology_reduction(seed, n, dim_cap, shape, sou
         for face, (death, killer) in pairs.items():
             assert len(face) == d and len(killer) == d + 1
             assert death >= value[face]
-    if source in ("filtration", "cut"):
+    if barcode:
         # the barcode is the pairing with its zero-length bars dropped
         paired = {face: death for pairs in got.values() for face, (death, _) in pairs.items()}
         killers = {killer for pairs in got.values() for _, killer in pairs.values()}
@@ -211,15 +202,55 @@ def test_coboundary_pivots_equal_homology_reduction(seed, n, dim_cap, shape, sou
             {d: sorted(b) for d, b in bars.items()}
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**9), n=st.integers(3, 11), dim_cap=st.integers(1, 4),
+       shape=st.sampled_from(["cloud", "circle"]),
+       source=st.sampled_from(["filtration", "cut", "leq", "lt"]),
+       pick=st.floats(0.0, 1.0), empty_top=st.booleans())
+def test_coboundary_pivots_equal_homology_reduction(seed, n, dim_cap, shape, source,
+                                                    pick, empty_top):
+    # full filtrations, max_scale cuts (cofaces missing) and lex-ordered
+    # complexes; the circle's tied distances exercise the lex tie-breaks.
+    # With empty_top, dim_cap = n, so the implicit top dimension is empty.
+    if shape == "cloud":
+        space = random_cloud_space(np.random.default_rng(seed), n)
+    else:
+        space = generate_space(ShapeSpec("evenly-spaced-circle", {"n": n}))
+    if empty_top:
+        dim_cap = n
+    cv = critical_values(space)
+    r = float(cv[int(pick * (len(cv) - 1))])
+    filt, entries = _filtration_and_entries(space, dim_cap, source, r)
+    _assert_pivots_equal_homology_reduction(filt, entries, source in ("filtration", "cut"))
+
+
+@pytest.mark.parametrize("source", ["filtration", "leq"])
+@pytest.mark.parametrize("dim_cap", [1, 2])
+@pytest.mark.parametrize("shape", ["circle24", "cloud40"])
+def test_coboundary_pivots_equal_homology_reduction_at_larger_n(shape, dim_cap, source):
+    # past the property test's n <= 11: the 24-gon's tied distances put the
+    # union-find of dimension 0 through lex tie-breaks, and at dim_cap 1 its
+    # pairs are top keys; the lex complex is read at a third of the scales
+    if shape == "circle24":
+        space = generate_space(ShapeSpec("evenly-spaced-circle", {"n": 24}))
+    else:
+        space = random_cloud_space(np.random.default_rng(40), 40)
+    cv = critical_values(space)
+    filt, entries = _filtration_and_entries(space, dim_cap, source, float(cv[len(cv) // 3]))
+    _assert_pivots_equal_homology_reduction(filt, entries, source == "filtration")
+
+
 def test_top_coface_keys_past_int64_agree(rng):
-    # keys stay int64 while (cut + 1) * span - 1 fits and are Python ints
-    # past that; a bound lowered below the largest key forces Python ints
+    # the keys of a dimension stay int64 while (cut + 1) * span - 1 fits and
+    # are Python ints past that; a bound lowered below the largest key of
+    # every dimension forces Python ints in all of them, stored cofaces too
     for space in (random_cloud_space(rng, n=9),
                   generate_space(ShapeSpec("evenly-spaced-circle", {"n": 12}))):
         for dim_cap in (1, 2, 3):
             filt = vr_filtration(space, dim_cap)
-            largest = (filt.cut + 1) * len(filt.simplices[dim_cap - 1]) * filt.n - 1
-            with mock.patch.object(persistence, "_INT64_MAX", largest - 1):
+            largest = [(filt.cut + 1) * len(filt.simplices[d]) * filt.n - 1
+                       for d in range(dim_cap)]
+            with mock.patch.object(persistence, "_INT64_MAX", min(largest) - 1):
                 wide = _reduce(filt)
                 barcode = reduce_filtration(filt)
             assert wide == _reduce(filt)
