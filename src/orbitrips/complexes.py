@@ -1,9 +1,9 @@
 """Vietoris-Rips and Cech complexes of finite metric spaces, the VR filtration
-and anchored lifts.  Everything is built from two primitives: the r-balls of
-the points as packed bit rows, and one ordered clique walk that extends a
-whole dimension at once, as (m, d+1) int32 vertex arrays in (dimension, lex)
-order.  `LexIndex` ranks vertex rows among the simplices of a complex;
-orbit grouping, action checks and the reduction search it."""
+and the edge lifts of a quotient.  Everything is built from two primitives:
+the r-balls of the points as packed bit rows, and one ordered clique walk
+that extends a whole dimension at once, as (m, d+1) int32 vertex arrays in
+(dimension, lex) order.  `LexIndex` ranks vertex rows among the simplices
+of a complex; orbit grouping, action checks and the reduction search it."""
 
 from __future__ import annotations
 
@@ -20,8 +20,8 @@ __all__ = [
     "LexIndex",
     "SimplicialComplex",
     "VRFiltration",
-    "anchored_lifts",
     "ball_rows",
+    "edge_lifts",
     "vr_complex",
     "cech_complex",
     "spans",
@@ -183,7 +183,7 @@ def _and_rows(a, ia, b, ib, step):
 
 def _cliques(n: int, adj: np.ndarray, dim_cap: int, budget: int,
              witness: np.ndarray | None = None, rank: np.ndarray | None = None,
-             count_top: bool = False, proj: np.ndarray | None = None):
+             count_top: bool = False):
     """Ordered clique walk over packed adjacency rows, a dimension at a time.
 
     Bit v of row u of `adj` marks an edge (a vertex's own bit is ignored).
@@ -198,22 +198,18 @@ def _cliques(n: int, adj: np.ndarray, dim_cap: int, budget: int,
     candidates at a time, before their dimension is stored.  With
     `count_top` (and no `witness`) the dim_cap-simplices are only counted, a
     popcount of each chunk of candidates, and never stored.
-    With `proj` (see `anchored_lifts`) the walk starts at each orbit's least
-    point and steps only to higher orbits: "above u" means proj[v] > proj[u].
     """
     if dim_cap < 0:
         raise ValueError(f"dim_cap must be nonnegative, got {dim_cap}")
-    key = np.arange(n) if proj is None else proj
-    roots = np.unique(key, return_index=True)[1]  # the least point of each key
-    if len(roots) > budget:
+    if n > budget:
         raise BudgetExceededError(budget, 0)
     if count_top and dim_cap == 0:
         return {}, {}, n
-    rows = roots.astype(np.int32).reshape(-1, 1)
-    simplices, count = {0: rows}, len(rows)
-    maxima = {} if rank is None else {0: np.zeros(len(rows), dtype=rank.dtype)}
-    up = adj & np.packbits(key > key[:, None], axis=1, bitorder="little")  # v above u
-    cand, common = up[roots], None if witness is None else witness[roots]
+    rows = np.arange(n, dtype=np.int32).reshape(-1, 1)
+    simplices, count = {0: rows}, n
+    maxima = {} if rank is None else {0: np.zeros(n, dtype=rank.dtype)}
+    cand = up = adj & np.packbits(rows.T > rows, axis=1, bitorder="little")  # v above u
+    common = witness
     step = max(1, _CHUNK_BYTES // max(adj.shape[1], 1))
     for dim in range(1, dim_cap + 1):
         implicit = count_top and dim == dim_cap
@@ -323,16 +319,18 @@ def cech_complex(space: FiniteMetricSpace, r: float, convention: str = "leq",
     return SimplicialComplex(space.n, "cech", convention, float(r), dim_cap, simplices)
 
 
-def anchored_lifts(space: FiniteMetricSpace, proj: np.ndarray, r: float, kind: str = "vr",
-                   convention: str = "leq", dim_cap: int = DEFAULT_DIM_CAP,
-                   budget: int = DEFAULT_BUDGET) -> dict[int, np.ndarray]:
-    """The anchored lifts at scale r of every orbit subset: the simplices of
-    the `kind` complex that start at an orbit's least point and step only to
-    higher orbits, orbit proj[v] of v being numbered by least point (as in
-    `build_quotient`).  Returns {dim: (m, dim+1) int32 rows} in lex order,
-    budgeted as in `vr_complex`; proj[row] is the row's sorted orbit subset."""
-    adj, witness = _walk_rows(space, r, kind, convention)
-    return _cliques(space.n, adj, dim_cap, budget, witness=witness, proj=np.asarray(proj))[0]
+def edge_lifts(space: FiniteMetricSpace, proj: np.ndarray, r: float, kind: str = "vr",
+               convention: str = "leq") -> np.ndarray:
+    """The anchored lifts at r of every orbit pair: (m, 2) int32 rows (a, y)
+    in lex order, a an orbit's least point and y a point of a higher orbit
+    joined to a in the graph of the `kind` complex (VR: the r-balls; Cech:
+    the pairwise-witness graph), orbit proj[v] of v numbered by least point
+    as in `build_quotient`.  At most q n rows, so no budget applies."""
+    adj, _ = _walk_rows(space, r, kind, convention)
+    roots = np.unique(proj, return_index=True)[1]  # the least point of each orbit
+    near = np.unpackbits(adj[roots], axis=1, count=space.n, bitorder="little").view(bool)
+    a, y = np.nonzero(near & (proj > proj[roots][:, None]))
+    return np.stack((roots[a], y), axis=1).astype(np.int32)
 
 
 class VRFiltration:

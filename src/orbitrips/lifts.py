@@ -9,7 +9,7 @@ anchored tuples whenever no nonidentity element moves a point by less than
 the scale (the doubled-point condition checked separately).
 
 One depth-first walk, `_walk`, visits one subset's anchored tuples in
-lexicographic order, sharing no code with `complexes.anchored_lifts`.  The
+lexicographic order, sharing no code with `complexes.edge_lifts`.  The
 three searches differ only in the state they thread through it (a diameter
 or a packed ball row) and in what they prune.  Every comparison is exact.
 """

@@ -177,15 +177,14 @@ def iso_check(space: FiniteMetricSpace, action: IsometricAction, r: float,
     quot = None
     if space.n == n_g * q.space.n and convention in ("lt", "leq") and dim_cap >= 0:
         try:  # over budget, leave the error to the base complex, which is larger
-            quot = build(q.space, r, convention=convention, dim_cap=dim_cap, budget=budget)
             if kind == "vr":  # VR_leq(r) is VR_lt(nextafter(r))
                 check = diameter_action_check(space, action, r if convention == "lt" else
                                               np.nextafter(r, np.inf), k_max=dim_cap,
-                                              quotient=q, budget=budget, _complex=quot)
+                                              quotient=q, budget=budget)
             else:
                 check = nerve_action_check(space, action, r, k_max=dim_cap,
-                                           convention=convention, quotient=q, budget=budget,
-                                           _complex=quot)
+                                           convention=convention, quotient=q, budget=budget)
+            quot = build(q.space, r, convention=convention, dim_cap=dim_cap, budget=budget)
         except BudgetExceededError:
             check = None
         if check is not None and check.ok:

@@ -17,10 +17,10 @@ to the complex of the quotient metric space, so their checks double as
 certificates for iso_check.  An action with a fixed point fails their
 doubled-point part at every positive scale, even where the complexes match:
 circle(16) mod i -> -i fails the diameter check at 0.0625 and 0.125 on the
-fixed point 0, and iso_check is isomorphic at both.  Both checks count each
-quotient simplex's lifts among the anchored lifts of one clique walk,
-`complexes.anchored_lifts`, and walk no dimension past `_DECIDING_DIM`: on a
-free action a pass there certifies the complexes in every dimension.
+fixed point 0, and iso_check is isomorphic at both.  Both checks decide
+each quotient simplex from its forced lift (`complexes.edge_lifts`) and
+check no dimension past `_DECIDING_DIM`: on a free action a pass there
+certifies the complexes in every dimension.
 
 Every check, scan and replay runs on the exactly invariant base space of
 build_quotient (see the tolerance policy in `actions`), and compares exactly.
@@ -35,8 +35,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .actions import IsometricAction, QuotientSpace, build_quotient
-from .complexes import (DEFAULT_BUDGET, DEFAULT_DIM_CAP, SimplicialComplex,
-                        anchored_lifts, ball_rows, cech_complex, spans, vr_complex)
+from .complexes import (DEFAULT_BUDGET, DEFAULT_DIM_CAP, ball_rows, cech_complex,
+                        edge_lifts, spans, vr_complex)
 from .lifts import (anchored_lifts_within, anchored_min_diameter,
                     anchored_witnessed_lifts)
 from .spaces import FiniteMetricSpace, critical_values
@@ -56,11 +56,11 @@ __all__ = [
 # every quotient edge pass at r on a free action, the representative a of
 # orbit A has one point b_B of each orbit B with a lift of {A, B} through it
 # (a second would be a second lift: no element fixes a), so a quotient simplex
-# has at most the one lift {a} + {b_B}.  For VR it is a lift iff each triangle
-# through A lifts, and then its sides are the quotient distances, so a subset
-# with one lift passes and one with none fails; for Cech a quotient witness
-# always lifts (see nerve_action_check).  So the first failure lies at or
-# below the cap, and a pass holds in every dimension.
+# has at most the one forced lift {a} + {b_B}.  For VR it is a lift iff
+# d(b_B, b_C) < r for each B, C, and then its sides are the quotient
+# distances, so a subset with one lift passes and one with none fails; for
+# Cech a quotient witness always lifts (see nerve_action_check).  So the
+# first failure lies at or below the cap, and a pass holds in every dimension.
 _DECIDING_DIM = {"vr": 2, "cech": 1}
 
 
@@ -200,34 +200,37 @@ def _doubles_failure(q: QuotientSpace, r: float, ball: bool,
 
 
 def _first_failure(q: QuotientSpace, kind: str, r: float, convention: str,
-                   k_max: int, budget: int, failure,
-                   qcx: SimplicialComplex | None) -> tuple[dict | None, int]:
+                   k_max: int, budget: int, failure) -> tuple[dict | None, int]:
     """The witness `failure(orbits, lifts)` of the first simplex, in
     (dimension, lex) order, of the quotient's `kind` complex at r without
     exactly one anchored lift at r, and the number of simplices checked, up
     to dimension min(k_max, _DECIDING_DIM[kind]): past that cap no first
-    failure lies.  `tally` counts the lifts per quotient simplex: every
-    anchored lift projects to one, as quotient distances never exceed base
-    distances and a base ball witness projects to a quotient one.  `qcx` is
-    that complex if the caller has built it, to any dimension."""
-    dim_cap = min(k_max, _DECIDING_DIM[kind])
-    if qcx is None:
-        build = vr_complex if kind == "vr" else cech_complex
-        qcx = build(q.space, r, convention=convention, dim_cap=dim_cap, budget=budget)
-    else:  # its lex index, built for the tally, holds the checked dimensions alone
-        qcx = SimplicialComplex(q.space.n, kind, convention, r, dim_cap,
-                                {d: s for d, s in qcx.simplices.items() if d <= dim_cap})
-    lifts = anchored_lifts(q.base, q.proj, r, kind, convention, dim_cap, budget)
-    checked = 0
-    for dim in range(1, len(qcx.simplices)):
-        rows = lifts.get(dim, np.zeros((0, dim + 1), dtype=np.int32))
-        ranks, count = qcx.tally(dim, q.proj[rows])
-        bad = np.flatnonzero(count != 1)
-        if len(bad):
-            s = int(bad[0])
-            return failure(qcx.simplices[dim][s], rows[ranks == s]), checked + s + 1
-        checked += len(count)
-    return None, checked
+    failure lies.  One `tally` counts the edges' lifts per quotient edge
+    (each projects to one: quotient distances never exceed base distances,
+    and a base ball witness projects to a quotient one).  Once each edge
+    {A, B} has its one lift (a, b_AB), triangle {A, B, C} has the one lift
+    (a, b_AB, b_AC) if d(b_AB, b_AC) is within r, else none."""
+    build = vr_complex if kind == "vr" else cech_complex
+    qcx = build(q.space, r, convention=convention,
+                dim_cap=min(k_max, _DECIDING_DIM[kind]), budget=budget)
+    if 1 not in qcx.simplices:
+        return None, 0
+    rows = edge_lifts(q.base, q.proj, r, kind, convention)
+    ranks, count = qcx.tally(1, q.proj[rows])
+    if (count != 1).any():
+        s = int(np.argmax(count != 1))
+        return failure(qcx.simplices[1][s], rows[ranks == s]), s + 1
+    if 2 not in qcx.simplices:
+        return None, len(count)
+    lift = np.zeros((q.space.n, q.space.n), dtype=np.int32)
+    lift[tuple(q.proj[rows].T)] = rows[:, 1]  # lift[A, B]: the one lift point b_AB
+    tri = qcx.simplices[2]
+    within = np.less_equal if convention == "leq" else np.less
+    ok = within(q.base.dist[lift[tri[:, 0], tri[:, 1]], lift[tri[:, 0], tri[:, 2]]], r)
+    if not ok.all():
+        s = int(np.argmin(ok))
+        return failure(tri[s], tri[:0]), len(count) + s + 1  # a triangle with no lift
+    return None, len(count) + len(tri)
 
 
 def _diameters(D: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -243,16 +246,15 @@ def _failure_scale(q: QuotientSpace, kind: str, k_max: int) -> float:
     in O(q n + q^3) work: an edge's f is the second-least distance from a
     to B, a triangle's (B, C above A) its quotient diameter when its one
     possible lift below T, {a, b_B, b_C}, is longer.  Nerve: an edge's
-    second-least lift radius, from one walk of the edges' lifts at the
-    doubled-point scale, without a budget (at most q (n + 1) rows)."""
+    second-least lift radius, over the edges' lifts at the doubled-point
+    scale (`edge_lifts`, at most q n rows)."""
     D = q.base.dist
     t = float(_doubled_points(D, q.action, kind == "nerve", q.reps).min(initial=math.inf))
     top = min(k_max, _DECIDING_DIM["vr" if kind == "diameter" else "cech"])
     if t == 0.0 or math.isinf(t) or top == 0:  # a fixed point, or one lift per subset
         return t
     if kind == "nerve":  # the edges' second-least lift radii, 2^18 // n lifts at a time
-        rows = anchored_lifts(q.base, q.proj, t, "cech", "lt", 1, math.inf).get(
-            1, np.zeros((0, 2), dtype=np.int32))
+        rows = edge_lifts(q.base, q.proj, t, "cech", "lt")
         step = max(1, (1 << 18) // len(D))
         radii = np.concatenate([np.zeros(0)] + [D[rows[lo:lo + step]].max(1).min(1)
                                                 for lo in range(0, len(rows), step)])
@@ -308,8 +310,7 @@ def _check_k_max(k_max: int) -> None:
 def diameter_action_check(space: FiniteMetricSpace, action: IsometricAction,
                           r: float, k_max: int = DEFAULT_DIM_CAP,
                           quotient: QuotientSpace | None = None,
-                          budget: int = DEFAULT_BUDGET, *,
-                          _complex: SimplicialComplex | None = None) -> ActionCheckResult:
+                          budget: int = DEFAULT_BUDGET) -> ActionCheckResult:
     """Check the diameter property at scale r for subsets of 2..k_max+1 orbits.
 
     A qualifying subset (quotient diameter < r) passes when exactly one
@@ -319,17 +320,16 @@ def diameter_action_check(space: FiniteMetricSpace, action: IsometricAction,
     it), extra_lift_within_scale (a second, larger lift still below r).
     For a free action, together with the doubled-point part, this is exactly
     the condition under which the quotient of VR(space, r) matches VR(quotient
-    space, r); a fixed point fails it at every r > 0.  It walks subsets of
-    up to min(k_max, 2) + 1 orbits, which decide every size (`_DECIDING_DIM`).
-    `_complex` (private) is VR(quotient space, r) under "lt", or a complex
-    with the same simplices, if the caller has built it, to any dimension.
+    space, r); a fixed point fails it at every r > 0.  It checks subsets of
+    up to min(k_max, 2) + 1 orbits, which decide every size (`_DECIDING_DIM`),
+    from the forced lifts, and the budget bounds the quotient complex alone.
     """
     _check_k_max(k_max)
     q = quotient if quotient is not None else build_quotient(space, action)
     witness, checked = _doubles_failure(q, r, ball=False), 0
     if witness is None:
         witness, checked = _first_failure(q, "vr", r, "lt", k_max, budget,
-                                          functools.partial(_diameter_failure, q), _complex)
+                                          functools.partial(_diameter_failure, q))
     return ActionCheckResult(kind="diameter", r=float(r), ok=witness is None,
                              k_max=k_max, witness=witness, subsets_checked=checked)
 
@@ -338,8 +338,7 @@ def nerve_action_check(space: FiniteMetricSpace, action: IsometricAction,
                        r: float, k_max: int = DEFAULT_DIM_CAP,
                        convention: str = "lt",
                        quotient: QuotientSpace | None = None,
-                       budget: int = DEFAULT_BUDGET, *,
-                       _complex: SimplicialComplex | None = None) -> ActionCheckResult:
+                       budget: int = DEFAULT_BUDGET) -> ActionCheckResult:
     """Check the nerve property at scale r for subsets of 2..k_max+1 orbits.
 
     Qualifying subsets are the simplices of the Cech complex of the quotient
@@ -353,9 +352,8 @@ def nerve_action_check(space: FiniteMetricSpace, action: IsometricAction,
     action, together with the doubled-point part, this is exactly the
     condition under which the quotient of the Cech complex matches the Cech
     complex of the quotient; a fixed point fails it at every r > 0.  It
-    walks pairs of orbits alone, which decide every size (`_DECIDING_DIM`).
-    `_complex` (private) is the quotient space's Cech complex at r, if the
-    caller has built it, to any dimension.
+    checks pairs of orbits alone, which decide every size (`_DECIDING_DIM`),
+    and the budget bounds the quotient complex alone.
     """
     _check_k_max(k_max)
     q = quotient if quotient is not None else build_quotient(space, action)
@@ -369,8 +367,7 @@ def nerve_action_check(space: FiniteMetricSpace, action: IsometricAction,
 
     witness, checked = _doubles_failure(q, r, ball=True, convention=convention), 0
     if witness is None:
-        witness, checked = _first_failure(q, "cech", r, convention, k_max, budget, failure,
-                                          _complex)
+        witness, checked = _first_failure(q, "cech", r, convention, k_max, budget, failure)
     return ActionCheckResult(kind="nerve", r=float(r), ok=witness is None, k_max=k_max,
                              convention=convention, witness=witness,
                              subsets_checked=checked)
@@ -391,8 +388,11 @@ def threshold_scan(space: FiniteMetricSpace, action: IsometricAction,
     Both checks are monotone in r, the nerve check on the exact action of
     `q.base` (see nerve_action_check), so each fails exactly above the scale
     `_failure_scale` finds, without a search or a budget.  The one check,
-    at fails_at, gives the witness; the budget bounds it alone.
+    at fails_at, gives the witness; the budget bounds it alone.  Only the
+    nerve scan reads the convention; the others report "lt", as their checks do.
     """
+    if convention not in ("lt", "leq"):
+        raise ValueError(f"convention must be one of ('leq', 'lt'), got {convention!r}")
     if kind == "distance":
         return distance_threshold(space, action)
     if kind == "ball":
@@ -400,13 +400,11 @@ def threshold_scan(space: FiniteMetricSpace, action: IsometricAction,
     if kind not in ("diameter", "nerve"):
         raise ValueError(f"unknown threshold kind: {kind!r}")
     _check_k_max(k_max)
-    if kind == "nerve" and convention not in ("lt", "leq"):
-        raise ValueError(f"convention must be one of ('leq', 'lt'), got {convention!r}")
+    convention = convention if kind == "nerve" else "lt"
 
     q = build_quotient(space, action)
     grid = critical_values(q.base)
-    strict = kind == "diameter" or convention == "lt"
-    passes_at, fails_at = _bracket(grid, _failure_scale(q, kind, k_max), strict)
+    passes_at, fails_at = _bracket(grid, _failure_scale(q, kind, k_max), convention == "lt")
     witness = None
     if math.isfinite(fails_at):
         check = diameter_action_check if kind == "diameter" else \

@@ -16,11 +16,12 @@ referees validate_metric.  clique_oracle is the
 tuple clique walker that the array walk of `complexes` replaced, kept
 unchanged as its referee; `tuples` reads array rows as the vertex tuples the
 oracles list.  subset_check_oracle is the per-subset loop of the diameter
-and nerve checks that the anchored lift walk replaced: it decides each
+and nerve checks that their forced-lift rule replaced: it decides each
 quotient simplex by the recursive searches of `lifts`, and shares only the
 quotient complex with the library checks; doubles_failure_oracle, the
 double loop that the doubled-point array replaced, gives its doubled-point
-part.
+part.  anchored_lifts_oracle reads every anchored lift off the base complex,
+sharing no code with `complexes.edge_lifts`.
 walk_failure_scale is the per-dimension lift walk that the diameter arrays
 and the capped checks of `thresholds` replaced, kept as the referee of the
 scan's failure scale; it calls only public functions.  full_iso_check is
@@ -41,8 +42,7 @@ from orbitrips.actions import (ISOMETRY_EPS, IsometricAction, IsometryReport,
                                build_quotient, close_group)
 from orbitrips.complexes import (DEFAULT_BUDGET, DEFAULT_DIM_CAP,
                                  BudgetExceededError, SimplicialComplex,
-                                 anchored_lifts, ball_rows, cech_complex,
-                                 vr_complex)
+                                 ball_rows, cech_complex, vr_complex)
 from orbitrips.lifts import (anchored_lifts_within, anchored_min_diameter,
                              anchored_witnessed_lifts)
 from orbitrips.quotient_iso import IsoCertificate, quotient_complex
@@ -378,12 +378,26 @@ def subset_check_oracle(space: FiniteMetricSpace, action: IsometricAction,
     return ActionCheckResult(ok=True, subsets_checked=checked, **result)
 
 
+def anchored_lifts_oracle(q, base_complex: SimplicialComplex, dim: int) -> list[tuple]:
+    """The anchored lifts of every subset of dim + 1 orbits, read off a
+    complex of the base: its dim-simplices whose points lie in distinct
+    orbits and include the least point of their lowest orbit, each as a
+    tuple in orbit order, in lex order."""
+    lifts = []
+    for simplex in tuples(base_complex.simplices.get(dim, [])):
+        row = tuple(sorted(simplex, key=lambda v: q.proj[v]))
+        orbits = [int(q.proj[v]) for v in row]
+        if len(set(orbits)) == len(orbits) and row[0] == min(q.members[orbits[0]]):
+            lifts.append(row)
+    return sorted(lifts)
+
+
 def walk_failure_scale(q, kind: str, k_max: int) -> float:
     """threshold_scan's failure scale T by the per-dimension lift walk that
     the arrays at representatives and the cap of the checks replaced: from
-    the least doubled-point value, each dimension 1..k_max in turn walks the
-    anchored lifts at the running T, tallies them
-    per quotient simplex, and lowers T to each subset's f(S).  Diameter:
+    the least doubled-point value, each dimension 1..k_max in turn reads the
+    anchored lifts at the running T off the base complex, tallies them per
+    quotient simplex, and lowers T to each subset's f(S).  Diameter:
     qdiam(S) when the least lift lies above it (or none lies below T) or two
     tie for least, else the second-least lift diameter.  Nerve: the
     second-least lift radius."""
@@ -393,15 +407,14 @@ def walk_failure_scale(q, kind: str, k_max: int) -> float:
     else:
         doubled = [np.maximum(D[x], D[images[:, x]]).min(axis=1) for x in q.reps]
     t = float(np.concatenate([np.zeros(0)] + doubled).min(initial=math.inf))
-    complex_kind = "vr" if kind == "diameter" else "cech"
     build = vr_complex if kind == "diameter" else cech_complex
     Q = q.space.dist
     for dim in range(1, k_max + 1 if math.isfinite(t) else 1):
         qcx = build(q.space, t, convention="lt", dim_cap=dim)
         if dim not in qcx.simplices:
             break
-        rows = anchored_lifts(q.base, q.proj, t, complex_kind, "lt", dim).get(
-            dim, np.zeros((0, dim + 1), dtype=np.int32))
+        base = build(q.base, t, convention="lt", dim_cap=dim)
+        rows = np.array(anchored_lifts_oracle(q, base, dim), dtype=np.intp).reshape(-1, dim + 1)
         ranks, _ = qcx.tally(dim, q.proj[rows])
         lifts: dict[int, list[float]] = {}
         for s, row in zip(ranks.tolist(), rows.tolist()):

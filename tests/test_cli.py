@@ -148,6 +148,27 @@ def test_thresholds_subcommand(tmp_path, circle12, antipodal12):
     assert doc["fails_at"] == "inf"
 
 
+def test_diameter_scan_reports_the_strict_convention_it_uses(tmp_path, circle12,
+                                                             antipodal12):
+    # the diameter scan compares strictly under --convention leq too, so its
+    # report says "lt": iso-check under the report's own convention is
+    # isomorphic at passes_at, and under leq it is not
+    scan, iso = tmp_path / "scan.json", tmp_path / "iso.json"
+    assert main(["thresholds", "--kind", "diameter", "--convention", "leq",
+                 "--space", str(circle12), "--action", str(antipodal12),
+                 "--out", str(scan)]) == 0
+    doc = json.loads(scan.read_text())
+    _check(doc, "threshold_report")
+    assert (doc["convention"], doc["passes_at"]) == ("lt", 1 / 6)
+    verdicts = []
+    for convention in (doc["convention"], "leq"):
+        assert main(["iso-check", "--kind", "vr", "--scale", repr(doc["passes_at"]),
+                     "--convention", convention, "--space", str(circle12),
+                     "--action", str(antipodal12), "--out", str(iso)]) == 0
+        verdicts.append(json.loads(iso.read_text())["verdict"])
+    assert verdicts == ["isomorphic", "not-surjective"]
+
+
 def test_complex_subcommand(tmp_path, circle12):
     out = tmp_path / "cx.json"
     rc = main(["complex", "--kind", "vr", "--scale", "0.16", "--convention", "lt",

@@ -1,5 +1,5 @@
-"""The three anchored lift searches, and the anchored lift walk of
-`complexes.anchored_lifts`, against an itertools.product brute force.
+"""The three anchored lift searches, and the edge lifts of
+`complexes.edge_lifts`, against an itertools.product brute force.
 
 The oracle fixes the anchor (the least member of the first orbit), takes every
 choice of one member from each other orbit in lexicographic order, reads
@@ -15,7 +15,7 @@ import pytest
 
 from orbitrips.actions import (circle_rotation_generator, close_group,
                                torus_grid_shift_generators)
-from orbitrips.complexes import anchored_lifts
+from orbitrips.complexes import edge_lifts
 from orbitrips.lifts import (anchored_lifts_within, anchored_min_diameter,
                              anchored_witnessed_lifts)
 from orbitrips.spaces import ShapeSpec, critical_values, generate_space
@@ -140,37 +140,35 @@ def test_witness_is_lowest_common_bit():
     assert anchored_witnessed_lifts(_packed([0] + masks[1:], 7), members, (0, 1)) == []
 
 
-def _walked_lifts(space, members, r, kind, convention, dim_cap):
-    """anchored_lifts grouped by image: orbit subset -> lift tuples, in the
-    walk's order."""
+def _edge_lifts(space, members, r, kind, convention):
+    """edge_lifts grouped by image: orbit pair -> lift tuples, in their
+    order."""
     proj = np.empty(space.n, dtype=np.intp)
     for a, orbit in enumerate(members):
         proj[orbit] = a
     groups = defaultdict(list)
-    for rows in anchored_lifts(space, proj, r, kind, convention, dim_cap).values():
-        for row in rows.tolist():
-            groups[tuple(proj[row].tolist())].append(tuple(row))
+    for row in edge_lifts(space, proj, r, kind, convention).tolist():
+        groups[tuple(proj[row].tolist())].append(tuple(row))
     return groups
 
 
 @pytest.mark.parametrize("m,k", [(3, 2), (3, 3), (4, 3)])
-def test_anchored_lift_walk_matches_product_referee(rng, m, k):
+def test_edge_lifts_match_product_referee(rng, m, k):
     cases = [random_rotated_cloud(rng, m=m, k=k) for _ in range(2)]
     circle = generate_space(ShapeSpec("evenly-spaced-circle", {"n": 24}))
     cases.append((circle, close_group(24, [circle_rotation_generator(24, 8)])))
     for space, action in cases:
         D = space.dist.tolist()
         members = _members(action)
-        subsets = [s for size in (1, 2, 3, 4)
-                   for s in itertools.combinations(range(len(members)), size)]
+        pairs = list(itertools.combinations(range(len(members)), 2))
         for r in _scales(space, 5):
             for strict, convention in ((True, "lt"), (False, "leq")):
-                vr = _walked_lifts(space, members, r, "vr", convention, 3)
-                cech = _walked_lifts(space, members, r, "cech", convention, 3)
+                vr = _edge_lifts(space, members, r, "vr", convention)
+                cech = _edge_lifts(space, members, r, "cech", convention)
                 masks = _definition_masks(D, r, strict)
-                for orbits in subsets:
+                for orbits in pairs:
                     assert vr.get(orbits, []) == \
                         [t for _, t in _brute_within(D, members, orbits, r, strict)]
                     assert cech.get(orbits, []) == \
                         [t for t, _ in _brute_witnessed(masks, members, orbits)]
-                assert set(vr) | set(cech) <= set(subsets)
+                assert set(vr) | set(cech) <= set(pairs)

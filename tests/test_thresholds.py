@@ -9,8 +9,8 @@ from orbitrips.actions import (antipodal_generator, block_shift_generator,
                                close_group, paired_swap_generator,
                                torus_grid_shift_generators)
 from orbitrips.cli import main
-from orbitrips.complexes import (BudgetExceededError, anchored_lifts,
-                                 cech_complex, vr_complex, vr_filtration)
+from orbitrips.complexes import (BudgetExceededError, cech_complex, vr_complex,
+                                 vr_filtration)
 from orbitrips.persistence import reduce_filtration
 from orbitrips.quotient_iso import iso_check
 from orbitrips.spaces import (FiniteMetricSpace, ShapeSpec, critical_values,
@@ -201,6 +201,19 @@ def test_unknown_convention_rejected_by_nerve_check_and_replay():
                        convention="bogus")
     with pytest.raises(ValueError):  # a scan that runs no check, nothing failing
         threshold_scan(space, close_group(12, []), "nerve", convention="le")
+
+
+def test_every_scan_rejects_an_unknown_convention_and_reports_the_one_it_used():
+    # the distance, ball and diameter scans compare strictly whatever the
+    # convention asked for, so they report "lt", as their checks do
+    space, action = _circle12_antipodal()
+    for kind in ("distance", "ball", "diameter"):
+        strict = threshold_scan(space, action, kind)
+        assert strict.convention == "lt"
+        assert threshold_scan(space, action, kind, convention="leq") == strict
+    for kind in ("distance", "ball", "diameter", "nerve"):
+        with pytest.raises(ValueError):
+            threshold_scan(space, action, kind, convention="bogus")
 
 
 def test_malformed_witnesses_do_not_replay():
@@ -573,11 +586,11 @@ def _free_action(rng, shape):
        where=st.floats(0.0, 1.0), k_max=st.integers(0, 4),
        convention=st.sampled_from(["lt", "leq"]))
 def test_checks_match_subset_oracle(seed, shape, where, k_max, convention):
-    # the lift walk against the per-subset searches it replaced, at a
+    # the forced-lift rule against the per-subset searches it replaced, at a
     # critical value of the base the checks run on: verdict and witness
     # equal those of the searches over every dimension up to k_max, and
     # subsets_checked those of the searches up to the capped dimension (2
-    # for diameter, 1 for nerve), the last the check walks
+    # for diameter, 1 for nerve), the last the check decides
     space, action = _free_action(np.random.default_rng(seed), shape)
     grid = critical_values(build_quotient(space, action).base)
     r = float(grid[int(where * (len(grid) - 1))])
@@ -642,8 +655,8 @@ def test_a_pass_certifies_every_dimension_on_free_actions(seed, shape, where):
 
 
 def test_passing_checks_fit_the_budget_of_their_quotient_complex():
-    # a passing check has one anchored lift per quotient simplex, so its
-    # lift walk never outgrows the quotient complex
+    # the budget bounds the quotient complex that a check decides, and no
+    # lift search
     space, action = _circle12_antipodal()
     q = build_quotient(space, action)
     budget = vr_complex(q.space, 1 / 6, convention="lt", dim_cap=3).total
@@ -654,18 +667,20 @@ def test_passing_checks_fit_the_budget_of_their_quotient_complex():
     assert nerve_action_check(space, action, 0.25, k_max=3, budget=budget).ok
 
 
-def test_failing_check_whose_lifts_overrun_the_budget_raises(tmp_path):
-    # at 1/3 the quotient Cech complex fits the budget up to the edges, the
-    # last dimension a nerve check walks, but orbits {0, 6} have two
-    # witnessed lifts, so the lift walk needs more rows than that
+def test_a_failing_check_needs_the_budget_of_its_quotient_complex_alone(tmp_path):
+    # at 1/3 orbits {0, 6} have two witnessed lifts, so the nerve check
+    # fails on an edge; it builds the quotient Cech complex up to the edges,
+    # the last dimension it decides, and the edges' lifts count against no
+    # budget, so a budget that holds that complex gives the same result and
+    # one simplex less raises
     space, action = _threefold_circle36()
     q = build_quotient(space, action)
     budget = cech_complex(q.space, 1 / 3, convention="lt", dim_cap=1).total
-    lifts = anchored_lifts(q.base, q.proj, 1 / 3, "cech", "lt", dim_cap=1)
-    assert sum(len(rows) for rows in lifts.values()) > budget
-    assert not nerve_action_check(space, action, 1 / 3, k_max=3).ok
+    expected = nerve_action_check(space, action, 1 / 3, k_max=3)
+    assert not expected.ok and expected.witness["orbits"] == [0, 6]
+    assert nerve_action_check(space, action, 1 / 3, k_max=3, budget=budget) == expected
     with pytest.raises(BudgetExceededError):
-        nerve_action_check(space, action, 1 / 3, k_max=3, budget=budget)
+        nerve_action_check(space, action, 1 / 3, k_max=3, budget=budget - 1)
     space_path, action_path = tmp_path / "space.json", tmp_path / "action.json"
     assert main(["generate", "--shape", "circle", "--param", "n=36",
                  "--param", "circumference=3.0", "--out", str(space_path)]) == 0
@@ -674,5 +689,5 @@ def test_failing_check_whose_lifts_overrun_the_budget_raises(tmp_path):
     argv = ["check", "--kind", "nerve", "--space", str(space_path),
             "--action", str(action_path), "--scale", "1/3",
             "--out", str(tmp_path / "check.json")]
-    assert main(argv) == 0
-    assert main(argv + ["--budget", str(budget)]) == 4
+    assert main(argv + ["--budget", str(budget)]) == 0
+    assert main(argv + ["--budget", str(budget - 1)]) == 4
