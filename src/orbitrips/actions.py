@@ -224,6 +224,16 @@ class QuotientSpace:
         return FiniteMetricSpace(least, labels=self._given.labels, provenance={
             **self._given.provenance, "orbit_min_deviation": shift})
 
+    def critical_values(self) -> np.ndarray:
+        """The sorted distinct positive entries of `base`, the scales where
+        anything changes, read from the q representative rows alone.  Exact,
+        not approximate: `base` is exactly invariant, so each entry d(x, y)
+        equals d(g x, g y) for a g with g x = rep, an entry of a
+        representative row, and the grid is `spaces.critical_values(base)`
+        bit for bit, for free and non-free actions alike."""
+        values = np.unique(self.base.dist[self.reps])
+        return values[values > 0.0]
+
     @cached_property
     def validation(self) -> MetricValidation:
         """The metric report of the quotient matrix, computed on first read."""

@@ -25,6 +25,7 @@ __all__ = [
     "vr_complex",
     "cech_complex",
     "spans",
+    "simplex_counts",
     "vr_filtration",
 ]
 
@@ -48,14 +49,19 @@ class BudgetExceededError(RuntimeError):
         super().__init__(f"simplex budget {budget} exceeded at dimension {dim_reached}")
 
 
+def _within(convention: str):
+    """The comparison d <= r ("leq") or d < r ("lt") as a numpy ufunc."""
+    if convention not in _CONVENTIONS:
+        raise ValueError(f"convention must be one of {_CONVENTIONS}, got {convention!r}")
+    return np.less_equal if convention == "leq" else np.less
+
+
 def ball_rows(space: FiniteMetricSpace, r: float, convention: str) -> np.ndarray:
     """The r-balls as an (n, ceil(n/8)) uint8 array of little-endian bit rows:
     bit y of row x is set iff d(x, y) <= r ("leq") or d(x, y) < r ("lt").  A
     point's own bit is set iff 0 passes the comparison, so every row is empty
     for r < 0, and for r = 0 under "lt"."""
-    if convention not in _CONVENTIONS:
-        raise ValueError(f"convention must be one of {_CONVENTIONS}, got {convention!r}")
-    within = np.less_equal if convention == "leq" else np.less
+    within = _within(convention)
     inside = within(space.dist, r)
     np.fill_diagonal(inside, within(0, r))
     return np.packbits(inside, axis=1, bitorder="little")
@@ -196,8 +202,9 @@ def _cliques(n: int, adj: np.ndarray, dim_cap: int, budget: int,
     the first empty dimension, and the number of simplices walked but not
     stored.  Children are counted against the budget, _CHUNK_BYTES of
     candidates at a time, before their dimension is stored.  With
-    `count_top` (and no `witness`) the dim_cap-simplices are only counted, a
-    popcount of each chunk of candidates, and never stored.
+    `count_top` the dim_cap-simplices are only counted, never stored: a
+    popcount of each chunk of candidates, or with `witness` the number of
+    each chunk's children that it keeps.
     """
     if dim_cap < 0:
         raise ValueError(f"dim_cap must be nonnegative, got {dim_cap}")
@@ -216,7 +223,7 @@ def _cliques(n: int, adj: np.ndarray, dim_cap: int, budget: int,
         children, stored = [], count
         for lo in range(0, len(rows), step):
             chunk = cand[lo:lo + step]
-            if implicit:
+            if implicit and witness is None:
                 count += int(_POPCOUNT[chunk].sum())
             else:
                 p, byte = np.nonzero(chunk)  # only the nonzero bytes are unpacked
@@ -226,7 +233,8 @@ def _cliques(n: int, adj: np.ndarray, dim_cap: int, budget: int,
                     keep = _and_rows(common, p, witness, v, step).any(axis=1)
                     p, v = p[keep], v[keep]
                 count += len(p)
-                children.append((p, v))
+                if not implicit:
+                    children.append((p, v))
             if count > budget:
                 raise BudgetExceededError(budget, dim)
         if implicit:
@@ -285,6 +293,19 @@ def vr_complex(space: FiniteMetricSpace, r: float, convention: str = "leq",
     return SimplicialComplex(space.n, "vr", convention, float(r), dim_cap, simplices)
 
 
+def simplex_counts(space: FiniteMetricSpace, kind: str, r: float, convention: str,
+                   dim_cap: int = DEFAULT_DIM_CAP,
+                   budget: int = DEFAULT_BUDGET) -> dict[int, int]:
+    """The number of simplices of each dimension 0..dim_cap of the `kind`
+    complex at r, as `vr_complex` or `cech_complex` would hold them, with
+    the same budget and BudgetExceededError, but the dim_cap-simplices
+    only counted, never stored."""
+    adj, balls = _walk_rows(space, r, kind, convention)
+    simplices, _, top = _cliques(space.n, adj, dim_cap, budget, witness=balls,
+                                 count_top=True)
+    return {**{d: len(simplices.get(d, ())) for d in range(dim_cap)}, dim_cap: top}
+
+
 def _witness_graph(balls: np.ndarray) -> np.ndarray:
     """Pairwise-witness graph of packed ball rows: bit j of row i is set iff
     balls i and j share a point.
@@ -325,10 +346,15 @@ def edge_lifts(space: FiniteMetricSpace, proj: np.ndarray, r: float, kind: str =
     in lex order, a an orbit's least point and y a point of a higher orbit
     joined to a in the graph of the `kind` complex (VR: the r-balls; Cech:
     the pairwise-witness graph), orbit proj[v] of v numbered by least point
-    as in `build_quotient`.  At most q n rows, so no budget applies."""
-    adj, _ = _walk_rows(space, r, kind, convention)
+    as in `build_quotient`.  At most q n rows, so no budget applies.  VR
+    reads the q root rows of the matrix alone; Cech needs the witness graph,
+    hence every ball."""
     roots = np.unique(proj, return_index=True)[1]  # the least point of each orbit
-    near = np.unpackbits(adj[roots], axis=1, count=space.n, bitorder="little").view(bool)
+    if kind == "vr":
+        near = _within(convention)(space.dist[roots], r)
+    else:
+        adj, _ = _walk_rows(space, r, kind, convention)
+        near = np.unpackbits(adj[roots], axis=1, count=space.n, bitorder="little").view(bool)
     a, y = np.nonzero(near & (proj > proj[roots][:, None]))
     return np.stack((roots[a], y), axis=1).astype(np.int32)
 

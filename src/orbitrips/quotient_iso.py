@@ -11,7 +11,8 @@ simplex orbits with the same projection (not injective).
 
 On a free action `iso_check` first certifies downstairs: there the diameter
 (VR) or nerve (Cech) check of `thresholds` passes exactly when the complexes
-are isomorphic, in every dimension, and a pass needs no upstairs complex.
+are isomorphic, in every dimension, and a pass needs no upstairs complex,
+only the quotient complex's counts (`complexes.simplex_counts`).
 VR under "leq" is VR under "lt" at the next float up (d <= r iff
 d < nextafter(r, inf)).  Any other input is decided upstairs, with arrays
 over `LexIndex` lex ranks and no per-simplex Python loop: orbits are
@@ -29,8 +30,8 @@ import numpy as np
 
 from .actions import IsometricAction, build_quotient
 from .complexes import (DEFAULT_BUDGET, DEFAULT_DIM_CAP, BudgetExceededError,
-                        SimplicialComplex, ball_rows, cech_complex, spans,
-                        vr_complex)
+                        SimplicialComplex, ball_rows, cech_complex, simplex_counts,
+                        spans, vr_complex)
 from .lifts import (anchored_lifts_within, anchored_min_diameter,
                     anchored_witnessed_lifts)
 from .spaces import FiniteMetricSpace
@@ -163,9 +164,10 @@ def iso_check(space: FiniteMetricSpace, action: IsometricAction, r: float,
 
     A free action (n = |G| q) whose diameter (VR) or nerve (Cech) check
     passes at r is isomorphic without the base complex, which a budget then
-    need not hold: counts_orbits = counts_quotient, counts_base |G| times
-    them.  Every other input, a check over budget included, takes the
-    base-complex path, whose certificates and errors are unchanged.
+    need not hold: counts_orbits = counts_quotient, counted without storing
+    the dim_cap-simplices, and counts_base |G| times them.  Every other
+    input, a check or count over budget included, takes the base-complex
+    path, whose certificates and errors are unchanged.
     """
     q = build_quotient(space, action)
     if kind not in ("vr", "cech"):
@@ -174,7 +176,6 @@ def iso_check(space: FiniteMetricSpace, action: IsometricAction, r: float,
     n_g = len(action.elements)
     common = {"kind": kind, "r": float(r), "convention": convention, "dim_cap": dim_cap,
               "provenance": {"group_order": n_g, "n": space.n, "n_orbits": q.space.n}}
-    quot = None
     if space.n == n_g * q.space.n and convention in ("lt", "leq") and dim_cap >= 0:
         try:  # over budget, leave the error to the base complex, which is larger
             if kind == "vr":  # VR_leq(r) is VR_lt(nextafter(r))
@@ -184,17 +185,15 @@ def iso_check(space: FiniteMetricSpace, action: IsometricAction, r: float,
             else:
                 check = nerve_action_check(space, action, r, k_max=dim_cap,
                                            convention=convention, quotient=q, budget=budget)
-            quot = build(q.space, r, convention=convention, dim_cap=dim_cap, budget=budget)
+            if check.ok:
+                counts = simplex_counts(q.space, kind, r, convention, dim_cap, budget)
+                return IsoCertificate(verdict="isomorphic", counts_orbits=counts,
+                                      counts_base={d: n_g * c for d, c in counts.items()},
+                                      counts_quotient=dict(counts), **common)
         except BudgetExceededError:
-            check = None
-        if check is not None and check.ok:
-            counts = {d: len(quot.simplices.get(d, [])) for d in range(dim_cap + 1)}
-            return IsoCertificate(verdict="isomorphic", counts_orbits=counts,
-                                  counts_base={d: n_g * c for d, c in counts.items()},
-                                  counts_quotient=dict(counts), **common)
+            pass
     base = build(q.base, r, convention=convention, dim_cap=dim_cap, budget=budget)
-    if quot is None:
-        quot = build(q.space, r, convention=convention, dim_cap=dim_cap, budget=budget)
+    quot = build(q.space, r, convention=convention, dim_cap=dim_cap, budget=budget)
     qc = quotient_complex(base, action, q.proj)
 
     counts_base = {d: len(base.simplices.get(d, [])) for d in range(dim_cap + 1)}

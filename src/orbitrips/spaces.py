@@ -228,8 +228,8 @@ def _euclidean_matrix(points: np.ndarray) -> np.ndarray:
 
 
 def _require_distinct(D: np.ndarray, kind: str) -> None:
-    off = D[np.triu_indices(D.shape[0], k=1)]
-    if off.size and off.min() <= 0.0:
+    # an entry <= 0 off the diagonal, counted without gathering the off-diagonal
+    if np.count_nonzero(D <= 0.0) > np.count_nonzero(np.diag(D) <= 0.0):
         raise ValueError(f"{kind}: generated coincident points")
 
 
@@ -258,11 +258,12 @@ def _torus_grid_space(k: int) -> np.ndarray:
     steps = np.arange(k)
     fwd = (steps[None, :] - steps[:, None]) % k
     arc = np.minimum(fwd, k - fwd) * (2.0 * math.pi / k)
-    idx = np.arange(k * k)
-    ix, iy = idx // k, idx % k
-    # hypot in place: one k^2 x k^2 temporary besides D
-    D = arc[ix[:, None], ix[None, :]]
-    np.hypot(D, arc[iy[:, None], iy[None, :]], out=D)
+    # point i k + j is (i, j): D[i k + j, x k + y] = hypot(arc[i, x], arc[j, y]),
+    # built k rows at a time, so no second k^2 x k^2 operand exists
+    across, along = np.repeat(arc, k, axis=1), np.tile(arc, k)
+    D = np.empty((k * k, k * k))
+    for i in range(k):
+        np.hypot(across[i], along, out=D[i * k:(i + 1) * k])
     np.fill_diagonal(D, 0.0)
     return D
 

@@ -39,7 +39,7 @@ from .complexes import (DEFAULT_BUDGET, DEFAULT_DIM_CAP, ball_rows, cech_complex
                         edge_lifts, spans, vr_complex)
 from .lifts import (anchored_lifts_within, anchored_min_diameter,
                     anchored_witnessed_lifts)
-from .spaces import FiniteMetricSpace, critical_values
+from .spaces import FiniteMetricSpace
 
 __all__ = [
     "ActionCheckResult",
@@ -138,9 +138,12 @@ def _exact_threshold(kind: str, space: FiniteMetricSpace,
     (g, x, then y) that attains it.
 
     The trivial group passes vacuously at every scale; otherwise the property
-    fails at the first critical value above the minimum.
+    fails at the first critical value above the minimum, on the grid that
+    `QuotientSpace.critical_values` reads from the representative rows (the
+    base's own grid, bit for bit, since the base is exactly invariant).
     """
-    base = build_quotient(space, action).base
+    q = build_quotient(space, action)
+    base = q.base
     if len(action.elements) == 1:
         return ThresholdReport(kind=kind, k_max=0, convention="lt",
                                passes_at=math.inf, fails_at=math.inf,
@@ -153,7 +156,7 @@ def _exact_threshold(kind: str, space: FiniteMetricSpace,
         witness.update(y=int(np.argmin(np.maximum(base.dist[x], base.dist[gx]))), value=best)
     else:
         witness["moved"] = best
-    fails_at = _bracket(critical_values(base), best)[1]
+    fails_at = _bracket(q.critical_values(), best)[1]
     return ThresholdReport(kind=kind, k_max=0, convention="lt",
                            passes_at=best, fails_at=fails_at, witness=witness,
                            resolution=(fails_at - best) if math.isfinite(fails_at) else None,
@@ -382,8 +385,12 @@ def threshold_scan(space: FiniteMetricSpace, action: IsometricAction,
     distance and ball are computed exactly.  diameter and nerve are
     bracketed on the critical values of the base space `q.base` (every
     quotient distance is a base distance, so this grid sees every scale at
-    which the qualifying subsets or their lifts can change) as an ascending
-    walk that stops at the first failing check would: fails_at is the first
+    which the qualifying subsets or their lifts can change), read from its
+    q representative rows by `QuotientSpace.critical_values`: `q.base` is
+    exactly invariant, so for a g with g x = rep every entry d(x, y) is the
+    entry d(rep, g y) of a representative row, and the grid is the full
+    matrix's bit for bit.  The bracket is the one an ascending walk that
+    stops at the first failing check would give: fails_at is the first
     grid value whose check fails, passes_at its predecessor (0.0 if none).
     Both checks are monotone in r, the nerve check on the exact action of
     `q.base` (see nerve_action_check), so each fails exactly above the scale
@@ -403,7 +410,7 @@ def threshold_scan(space: FiniteMetricSpace, action: IsometricAction,
     convention = convention if kind == "nerve" else "lt"
 
     q = build_quotient(space, action)
-    grid = critical_values(q.base)
+    grid = q.critical_values()
     passes_at, fails_at = _bracket(grid, _failure_scale(q, kind, k_max), convention == "lt")
     witness = None
     if math.isfinite(fails_at):

@@ -28,6 +28,13 @@ scan's failure scale; it calls only public functions.  full_iso_check is
 iso_check's upstairs path on every input, the path that the downstairs
 certificate replaced for isomorphic verdicts on free actions: the base
 complex, its orbits and one tally per dimension, from public functions.
+ball_edge_lifts is the VR body of `complexes.edge_lifts` that packed the
+ball rows of every point before reading the root rows, kept as the referee
+of the version that compares the root rows of the matrix with r.
+full_grid_scan is threshold_scan with its grid read off the whole base
+matrix, `critical_values(q.base)`, the grid that the representative rows
+replaced: linear_scan's bracket for diameter and nerve, and the double loop
+over elements and points for distance and ball.
 """
 
 from __future__ import annotations
@@ -39,7 +46,8 @@ import numpy as np
 import pytest
 
 from orbitrips.actions import (ISOMETRY_EPS, IsometricAction, IsometryReport,
-                               build_quotient, close_group)
+                               build_quotient, circle_rotation_generator, close_group,
+                               torus_grid_shift_generators)
 from orbitrips.complexes import (DEFAULT_BUDGET, DEFAULT_DIM_CAP,
                                  BudgetExceededError, SimplicialComplex,
                                  ball_rows, cech_complex, vr_complex)
@@ -47,7 +55,7 @@ from orbitrips.lifts import (anchored_lifts_within, anchored_min_diameter,
                              anchored_witnessed_lifts)
 from orbitrips.quotient_iso import IsoCertificate, quotient_complex
 from orbitrips.spaces import (TRIANGLE_EPS, FiniteMetricSpace, MetricValidation,
-                              critical_values)
+                              ShapeSpec, critical_values, generate_space)
 from orbitrips.thresholds import (ActionCheckResult, ThresholdReport,
                                   diameter_action_check, nerve_action_check)
 
@@ -489,6 +497,17 @@ def full_iso_check(space: FiniteMetricSpace, action: IsometricAction, r: float,
     return IsoCertificate(verdict="isomorphic", counterexample=None, **common)
 
 
+def ball_edge_lifts(space: FiniteMetricSpace, proj: np.ndarray, r: float,
+                    convention: str) -> np.ndarray:
+    """`complexes.edge_lifts` for VR from the packed r-balls of every point:
+    the root rows of those balls, joined to the points of higher orbits."""
+    balls = ball_rows(space, r, convention)
+    roots = np.unique(proj, return_index=True)[1]
+    near = np.unpackbits(balls[roots], axis=1, count=space.n, bitorder="little").view(bool)
+    a, y = np.nonzero(near & (proj > proj[roots][:, None]))
+    return np.stack((roots[a], y), axis=1).astype(np.int32)
+
+
 # ---------------------------------------------------------------------------
 # homology-side reduction referee
 
@@ -672,6 +691,46 @@ def linear_scan(space: FiniteMetricSpace, action: IsometricAction, kind: str,
                            witness=witness, scanned=scanned)
 
 
+def full_grid_scan(space: FiniteMetricSpace, action: IsometricAction, kind: str,
+                   k_max: int = DEFAULT_DIM_CAP, convention: str = "lt") -> ThresholdReport:
+    """threshold_scan's report, grid_size included, bracketed on the grid of
+    the whole base matrix."""
+    q = build_quotient(space, action)
+    grid = [float(v) for v in critical_values(q.base)]
+    D, n = q.base.dist, q.base.n
+    if kind in ("distance", "ball"):
+        if len(action.elements) == 1:
+            return ThresholdReport(kind=kind, k_max=0, convention="lt", passes_at=math.inf,
+                                   fails_at=math.inf, vacuous=True)
+        best, witness = math.inf, None
+        for g in range(1, len(action.elements)):
+            for x in range(n):
+                gx = action.elements[g][x]
+                if kind == "distance":
+                    value, extra = float(D[x, gx]), {"moved": float(D[x, gx])}
+                else:
+                    value, y = min((max(float(D[x, y]), float(D[gx, y])), y)
+                                   for y in range(n))
+                    extra = {"y": y, "value": value}
+                if value < best:
+                    best, witness = value, {"g": g, "x": x, "gx": gx, **extra}
+        fails_at = next((v for v in grid if v > best), math.inf)
+        return ThresholdReport(kind=kind, k_max=0, convention="lt", passes_at=best,
+                               fails_at=fails_at, witness=witness,
+                               resolution=fails_at - best if fails_at < math.inf else None,
+                               provenance={"method": "exact-minimum"})
+    walk = linear_scan(space, action, kind, k_max, convention)
+    finite = walk.fails_at < math.inf
+    return ThresholdReport(kind=kind, k_max=k_max,
+                           convention=convention if kind == "nerve" else "lt",
+                           passes_at=walk.passes_at, fails_at=walk.fails_at,
+                           witness=walk.witness,
+                           resolution=walk.fails_at - walk.passes_at if finite else None,
+                           scanned=int(finite),
+                           provenance={"grid": "base-critical-values", "grid_size": len(grid),
+                                       "search": "exact-minimum"})
+
+
 def assert_same_bracket(rep: ThresholdReport, oracle: ThresholdReport) -> None:
     """The fields of a scan report that must equal the linear walk's."""
     assert (rep.passes_at, rep.fails_at, rep.witness) == \
@@ -737,6 +796,32 @@ def random_rotated_cloud(rng: np.random.Generator, m: int, k: int,
         space = FiniteMetricSpace(snapped, provenance={"kind": "rotated-cloud",
                                                        "m": m, "k": k})
         return space, action
+
+
+def grid_case(rng: np.random.Generator, case: str):
+    """A small space and action: a circle mod a rotation, circle(16) mod
+    i -> -i (fixed points 0 and 8), a rotated cloud jittered by +-1e-10 (its
+    base the pair-orbit minimum), the 14x14 torus mod Z/14, a cloud under
+    the trivial group, or a space of 0 or 1 points."""
+    if case == "circle":
+        m, per = int(rng.integers(2, 5)), int(rng.integers(3, 7))
+        space = generate_space(ShapeSpec("evenly-spaced-circle", {"n": m * per}))
+        return space, close_group(m * per, [circle_rotation_generator(m * per, per)])
+    if case == "reflection":
+        space = generate_space(ShapeSpec("evenly-spaced-circle", {"n": 16}))
+        return space, close_group(16, [[(-i) % 16 for i in range(16)]])
+    if case == "jittered":
+        space, action = random_rotated_cloud(rng, m=int(rng.integers(2, 5)),
+                                             k=int(rng.integers(2, 4)))
+        noise = np.triu(rng.uniform(-1e-10, 1e-10, size=space.dist.shape), 1)
+        return FiniteMetricSpace(space.dist + noise + noise.T), action
+    if case == "torus":
+        space = generate_space(ShapeSpec("flat-torus-grid", {"k": 14}))
+        return space, close_group(space.n, torus_grid_shift_generators(14))
+    n = int(rng.integers(2, 10)) if case == "trivial" else int(rng.integers(0, 2))
+    points = rng.uniform(-1.0, 1.0, size=(n, 2))
+    D = np.sqrt(((points[:, None] - points[None]) ** 2).sum(axis=-1))
+    return FiniteMetricSpace(D), close_group(n, [])
 
 
 @pytest.fixture

@@ -18,7 +18,7 @@ from orbitrips.spaces import (FiniteMetricSpace, ShapeSpec, critical_values,
                               generate_space, twelve_circles_action_generators,
                               validate_metric)
 
-from conftest import (_brute_proj, _brute_qdist, random_rotated_cloud,
+from conftest import (_brute_proj, _brute_qdist, grid_case, random_rotated_cloud,
                       verify_isometric_oracle)
 
 
@@ -166,6 +166,21 @@ def test_base_is_the_exactly_invariant_pair_orbit_minimum(seed, case,
         for dim in range(1, len(qcx.simplices)):
             for simplex in qcx.simplices[dim].tolist():
                 assert anchored_witnessed_lifts(balls, q.members, tuple(simplex))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**9),
+       case=st.sampled_from(["circle", "reflection", "jittered", "torus", "trivial", "tiny"]))
+def test_quotient_grid_is_the_full_base_grid_bit_for_bit(seed, case):
+    # the representative rows hold every value of the exactly invariant base,
+    # for free and non-free, exact and float-built actions
+    space, action = grid_case(np.random.default_rng(seed), case)
+    q = build_quotient(space, action)
+    got, full = q.critical_values(), critical_values(q.base)
+    assert got.dtype == full.dtype == np.float64
+    assert np.array_equal(got.view(np.uint64), full.view(np.uint64))
+    if case == "jittered":
+        assert q.base is not space
 
 
 def test_quotient_entries_are_base_entries_and_symmetric():

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from orbitrips import complexes
 from orbitrips.actions import antipodal_generator, close_group
 from orbitrips.complexes import (BudgetExceededError, _witness_graph, ball_rows,
-                                 cech_complex, vr_complex, vr_filtration)
+                                 cech_complex, simplex_counts, vr_complex, vr_filtration)
 from orbitrips.persistence import betti_at
 from orbitrips.spaces import (FiniteMetricSpace, ShapeSpec, critical_values,
                               generate_space)
@@ -424,3 +424,40 @@ def test_array_walk_matches_clique_oracle(seed, n, shape, dim_cap, where, chunk)
                 for budget in (boundary - 1, boundary):
                     assert _outcome(lambda: _array_walk(*args, budget=budget)) == \
                         _outcome(lambda: _tuple_walk(*args, budget=budget)), (kind, budget)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10**9), n=st.sampled_from([0, 1, 2, 5, 9, 17, 65]),
+       shape=st.sampled_from(["cloud", "circle"]), dim_cap=st.integers(0, 4),
+       chunk=st.sampled_from([1, 20, 1 << 17]))
+def test_simplex_counts_match_the_built_complexes(seed, n, shape, dim_cap, chunk):
+    # the top dimension counted, not stored, chunk by chunk: the same counts
+    # as the complexes hold, and the same overruns at every budget on both
+    # sides of each dimension boundary, at critical values across the range
+    if n <= 1:
+        space = FiniteMetricSpace(np.zeros((n, n)))
+    elif shape == "circle" and n >= 3:
+        space = generate_space(ShapeSpec("evenly-spaced-circle", {"n": n}))
+    else:
+        space = random_cloud_space(np.random.default_rng(seed), n)
+    cv = critical_values(space).tolist() or [1.0]
+    scales = [cv[int(where * (len(cv) - 1))] for where in (0.1, 0.3, 0.5, 0.7)]
+    with mock.patch.object(complexes, "_CHUNK_BYTES", chunk):
+        for (kind, build), r, convention in itertools.product(
+                (("vr", vr_complex), ("cech", cech_complex)), scales, ("leq", "lt")):
+            built = _outcome(lambda: build(space, r, convention, dim_cap, 20_000))
+            assert _outcome(lambda: simplex_counts(
+                space, kind, r, convention, dim_cap, 20_000))[0] == built[0]
+            if built[0] != "ok":
+                continue
+            sizes = [len(built[1].simplices.get(d, ())) for d in range(dim_cap + 1)]
+            assert simplex_counts(space, kind, r, convention, dim_cap) == \
+                dict(enumerate(sizes))
+            for boundary in np.cumsum(sizes).tolist():
+                for budget in (boundary - 1, boundary):
+                    counted = _outcome(lambda: simplex_counts(
+                        space, kind, r, convention, dim_cap, budget))
+                    capped = _outcome(lambda: build(space, r, convention, dim_cap, budget))
+                    assert counted[0] == capped[0]
+                    if capped[0] == "budget":
+                        assert counted[1] == capped[1], (kind, budget)

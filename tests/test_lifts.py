@@ -18,9 +18,9 @@ from orbitrips.actions import (circle_rotation_generator, close_group,
 from orbitrips.complexes import edge_lifts
 from orbitrips.lifts import (anchored_lifts_within, anchored_min_diameter,
                              anchored_witnessed_lifts)
-from orbitrips.spaces import ShapeSpec, critical_values, generate_space
+from orbitrips.spaces import FiniteMetricSpace, ShapeSpec, critical_values, generate_space
 
-from conftest import random_rotated_cloud
+from conftest import ball_edge_lifts, random_cloud_space, random_rotated_cloud
 
 
 def _members(action) -> list[list[int]]:
@@ -172,3 +172,31 @@ def test_edge_lifts_match_product_referee(rng, m, k):
                     assert cech.get(orbits, []) == \
                         [t for t, _ in _brute_witnessed(masks, members, orbits)]
                 assert set(vr) | set(cech) <= set(pairs)
+
+
+def test_vr_edge_lifts_from_root_rows_match_the_ball_rows_of_every_point(rng):
+    # the root rows of the matrix compared with r against the packed balls
+    # of every point, at every critical value and on both sides of the range
+    cases = [random_rotated_cloud(rng, m=m, k=k) for m, k in ((2, 2), (3, 3), (4, 2))]
+    cases += [(generate_space(ShapeSpec("evenly-spaced-circle", {"n": n})),
+               close_group(n, [circle_rotation_generator(n, step)]))
+              for n, step in ((12, 6), (12, 4), (15, 5))]
+    spaces = [(space, np.searchsorted(action.representatives,
+                                      action.element_arrays.min(axis=0)))
+              for space, action in cases]
+    spaces.append((FiniteMetricSpace(np.zeros((1, 1))), np.zeros(1, dtype=np.intp)))
+    for n in (2, 5, 9):  # clouds under a random partition, numbered by least point
+        space = random_cloud_space(rng, n)
+        label = rng.integers(0, 3, size=n)
+        least = {int(v): x for x, v in reversed(list(enumerate(label)))}
+        order = sorted(least, key=least.get)
+        spaces.append((space, np.array([order.index(int(v)) for v in label])))
+    for space, proj in spaces:
+        scales = critical_values(space).tolist() + [-1.0, 0.0, 2.0 * space.dist.max()]
+        for r in scales:
+            for convention in ("lt", "leq"):
+                got = edge_lifts(space, proj, r, "vr", convention)
+                assert got.dtype == np.int32
+                assert np.array_equal(got, ball_edge_lifts(space, proj, r, convention))
+    with pytest.raises(ValueError, match="convention must be one of"):
+        edge_lifts(*spaces[0], 0.5, "vr", "bogus")

@@ -20,8 +20,8 @@ from orbitrips.thresholds import (ball_threshold, diameter_action_check,
                                   threshold_scan, verify_witness)
 
 from conftest import (assert_same_bracket, brute_ball_ok, brute_diameter_ok,
-                      brute_distance_ok, brute_nerve_ok, full_iso_check, linear_scan,
-                      random_rotated_cloud, subset_check_oracle,
+                      brute_distance_ok, brute_nerve_ok, full_grid_scan, full_iso_check,
+                      grid_case, linear_scan, random_rotated_cloud, subset_check_oracle,
                       walk_failure_scale)
 
 
@@ -329,6 +329,20 @@ def test_scan_matches_linear_oracle(seed, m, k, kind, convention, k_max,
     oracle = linear_scan(space, action, kind, k_max=k_max,
                          convention=convention)
     assert_same_bracket(rep, oracle)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10**9),
+       case=st.sampled_from(["circle", "reflection", "jittered", "torus", "trivial", "tiny"]),
+       k_max=st.integers(0, 3), convention=st.sampled_from(["lt", "leq"]))
+def test_every_scan_equals_the_scan_on_the_full_base_grid(seed, case, k_max, convention):
+    # the grid read from the representative rows gives the report of the grid
+    # of the whole base matrix, grid_size included
+    space, action = grid_case(np.random.default_rng(seed), case)
+    for kind in ("distance", "ball", "diameter", "nerve"):
+        rep = threshold_scan(space, action, kind, k_max=k_max, convention=convention)
+        oracle = full_grid_scan(space, action, kind, k_max=k_max, convention=convention)
+        assert rep.to_dict() == oracle.to_dict(), kind
 
 
 SHIPPED_SHAPES = {
